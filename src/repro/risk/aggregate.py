@@ -14,7 +14,10 @@ Two properties make large generated ensembles cheap:
 * **content-addressed dedup** — members are grouped by the digest of
   their scenario's canonical serialization, so a 1000-member ensemble
   over 64 distinct scenarios costs 64 evaluations, and the engine's
-  result cache makes repeat runs nearly free;
+  result cache makes repeat runs nearly free.  Members are keyed
+  structurally: each call keeps one :class:`_ScenarioKeys` map from
+  scenario *value* to its digest and label, so the digest is computed
+  once per distinct scenario and per-member work is a dict lookup;
 * **two-round cascades** — cascade splits need the *evaluator's own*
   recovery time for the primary fault, so primaries are evaluated
   first, every :class:`~repro.risk.ensemble.CascadeSpec` is expanded
@@ -54,6 +57,20 @@ def scenario_digest(scenario: FailureScenario) -> str:
     """A stable content digest of one scenario's canonical form."""
     payload = canonical_json(scenario_to_dict(scenario))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+
+
+class _ScenarioKeys(Dict[FailureScenario, Tuple[str, str]]):
+    """One call's ``scenario -> (digest, label)`` map.
+
+    Keyed by the frozen scenario's value, so equal scenarios share one
+    entry whether or not they are the same object; a miss computes the
+    digest and :meth:`~FailureScenario.describe` label once.  Local to
+    one :func:`assess_risk` call — there is no process-wide memo.
+    """
+
+    def __missing__(self, scenario: FailureScenario) -> "Tuple[str, str]":
+        key = self[scenario] = (scenario_digest(scenario), scenario.describe())
+        return key
 
 
 @dataclass(frozen=True)
@@ -189,9 +206,10 @@ def assess_risk(
         "risk.assess", ensemble=ensemble.name, members=len(ensemble)
     ):
         horizon = years * YEAR
+        keys = _ScenarioKeys()
         assessments: "Dict[str, Assessment]" = {}
         evaluate = _make_evaluator(
-            design, workload, requirements, config, cache, assessments
+            design, workload, requirements, config, cache, keys, assessments
         )
 
         # Round 1: declared members plus every cascade's primary (the
@@ -204,7 +222,7 @@ def assess_risk(
             (m, False) for m in ensemble.members
         ]
         for cascade in ensemble.cascades:
-            primary = assessments[scenario_digest(cascade.primary)]
+            primary = assessments[keys[cascade.primary][0]]
             expanded.extend(
                 (m, True) for m in cascade.split(primary.recovery_time)
             )
@@ -215,12 +233,12 @@ def assess_risk(
 
         outcomes = []
         for member, from_cascade in expanded:
-            digest = scenario_digest(member.scenario)
+            digest, label = keys[member.scenario]
             assessment = assessments[digest]
             outcomes.append(
                 MemberOutcome(
                     member_id=member.member_id,
-                    scenario=member.scenario.describe(),
+                    scenario=label,
                     scenario_digest=digest,
                     rate_per_year=member.rate_per_year,
                     recovery_time=assessment.recovery_time,
@@ -291,13 +309,15 @@ def _make_evaluator(
     requirements: BusinessRequirements,
     config: "Optional[EngineConfig]",
     cache: "Optional[ResultCache]",
+    keys: _ScenarioKeys,
     assessments: "Dict[str, Assessment]",
 ) -> "Callable[[Sequence[FailureScenario]], None]":
     """An incremental evaluator that fills ``assessments`` by digest.
 
-    Each call evaluates only scenarios whose digest is still unknown —
-    one engine task per *unique* scenario, named ``risk:{digest}`` so
-    run ledgers and traces attribute work to content, not member ids.
+    Each call evaluates only scenarios whose digest (read from
+    ``keys``) is still unknown — one engine task per *unique*
+    scenario, named ``risk:{digest}`` so run ledgers and traces
+    attribute work to content, not member ids.
     """
     if isinstance(design, StorageDesign):
         task_design: "Optional[StorageDesign]" = design
@@ -313,7 +333,7 @@ def _make_evaluator(
     def evaluate(scenarios: "Sequence[FailureScenario]") -> None:
         fresh: "Dict[str, FailureScenario]" = {}
         for scenario in scenarios:
-            digest = scenario_digest(scenario)
+            digest = keys[scenario][0]
             if digest not in assessments and digest not in fresh:
                 fresh[digest] = scenario
         if not fresh:
@@ -335,7 +355,7 @@ def _make_evaluator(
                 error = outcome.error
                 assert error is not None
                 raise error
-            assessments[digest] = outcome.value[scenario.describe()]
+            assessments[digest] = outcome.value[keys[scenario][1]]
 
     return evaluate
 

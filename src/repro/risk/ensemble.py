@@ -269,7 +269,8 @@ def object_corruption_grid(
     points in ``(0, max_age]``, so the ensemble holds ``count`` members
     over ``distinct_ages`` unique scenarios — the shape that exercises
     the aggregator's content-addressed dedup (and, across runs, its
-    result cache).  Each member carries an equal share of
+    result cache).  Members with the same age share one scenario
+    object.  Each member carries an equal share of
     ``total_rate_per_year``.
     """
     if count < 1:
@@ -283,18 +284,19 @@ def object_corruption_grid(
     if not age_span > 0:
         raise RiskError(f"max_age must be positive, got {max_age!r}")
     share = total_rate_per_year / count
-    members = []
-    for index in range(count):
-        age = age_span * ((index % distinct_ages) + 1) / distinct_ages
-        members.append(
-            EnsembleMember.per_year(
-                f"obj-{index:04d}",
-                FailureScenario.object_corruption(
-                    object_size=size, recovery_target_age=age
-                ),
-                share,
-            )
+    scenarios = [
+        FailureScenario.object_corruption(
+            object_size=size,
+            recovery_target_age=age_span * (step + 1) / distinct_ages,
         )
+        for step in range(distinct_ages)
+    ]
+    members = [
+        EnsembleMember.per_year(
+            f"obj-{index:04d}", scenarios[index % distinct_ages], share
+        )
+        for index in range(count)
+    ]
     return ScenarioEnsemble(
         name=f"object-grid-{count}", members=tuple(members)
     )

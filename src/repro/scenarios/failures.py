@@ -105,6 +105,10 @@ class FailureScenario:
         age = parse_duration(recovery_target_age)
         if age < 0:
             raise DesignError(f"recovery target age must be >= 0, got {age}")
+        if age == 0:
+            # -0.0 == 0.0 and hashes alike, but serializes as "-0.0":
+            # store +0.0 so equal scenarios share one content address.
+            age = 0.0
         size = None if object_size is None else parse_size(object_size)
         if size is not None and size <= 0:
             raise DesignError(f"object size must be positive, got {object_size!r}")

@@ -19,7 +19,7 @@ import pytest
 
 from repro import casestudy
 from repro.core.evaluate import evaluate
-from repro.engine import EngineConfig, ResultCache
+from repro.engine import EngineConfig, EvaluationTask, ResultCache, task_key
 from repro.exceptions import DesignError, ReproError, RiskError
 from repro.risk import (
     CascadeSpec,
@@ -37,13 +37,16 @@ from repro.risk import (
     scenario_digest,
     simulated_loss_check,
 )
+from repro.risk import aggregate
 from repro.scenarios import FailureScenario
 from repro.serialization import (
     canonical_json,
     ensemble_from_spec,
     ensemble_to_dict,
+    scenario_from_dict,
+    scenario_to_dict,
 )
-from repro.units import DAY, HOUR, MB, MINUTE, YEAR
+from repro.units import DAY, HOUR, MB, MINUTE, WEEK, YEAR
 from repro.workload.presets import cello
 
 
@@ -119,6 +122,29 @@ class TestEnsemble:
         )
         assert len(ensemble) == 2
         assert ensemble.total_rate * YEAR == pytest.approx(1.25, rel=1e-12)
+
+
+class TestObjectCorruptionGrid:
+    def test_members_share_one_object_per_distinct_age(self):
+        count, ages = 50, 7
+        ensemble = object_corruption_grid(count, 6.0, distinct_ages=ages)
+        assert len({id(m.scenario) for m in ensemble.members}) == ages
+        span = 1 * WEEK
+        expected = [
+            (
+                f"obj-{index:04d}",
+                FailureScenario.object_corruption(
+                    object_size=1 * MB,
+                    recovery_target_age=span * ((index % ages) + 1) / ages,
+                ),
+                6.0 / count / YEAR,
+            )
+            for index in range(count)
+        ]
+        assert [
+            (m.member_id, m.scenario, m.occurrence_rate)
+            for m in ensemble.members
+        ] == expected
 
 
 class TestCorrelatedPair:
@@ -538,6 +564,92 @@ class TestAssessRisk:
                 "not-a-design", workload, ensemble, requirements
             )
 
+    def test_digest_computed_once_per_distinct_scenario(
+        self, baseline, workload, requirements, monkeypatch
+    ):
+        calls = []
+        real = aggregate.scenario_digest
+
+        def counted(scenario):
+            calls.append(scenario)
+            return real(scenario)
+
+        monkeypatch.setattr(aggregate, "scenario_digest", counted)
+        ensemble = _mixed_ensemble(
+            object_corruption_grid(40, 6.0, distinct_ages=5)
+        )
+        cache = ResultCache(memory_entries=64)
+        for _ in ("cold", "warm"):
+            calls.clear()
+            assessment = assess_risk(
+                baseline, workload, ensemble, requirements, cache=cache
+            )
+            # 5 grid ages + array + site (cascade primary and escalation).
+            assert assessment.unique_scenarios == 7
+            assert len(calls) == assessment.unique_scenarios
+            assert len(assessment.members) == 43
+
+    def test_shared_and_fresh_scenario_objects_byte_identical(
+        self, baseline, workload, requirements
+    ):
+        shared = _mixed_ensemble(
+            object_corruption_grid(40, 6.0, distinct_ages=5)
+        )
+        fresh = ScenarioEnsemble(
+            shared.name,
+            tuple(
+                EnsembleMember(
+                    m.member_id, _copy(m.scenario), m.occurrence_rate
+                )
+                for m in shared.members
+            ),
+            tuple(
+                CascadeSpec(
+                    c.member_id,
+                    _copy(c.primary),
+                    c.occurrence_rate,
+                    _copy(c.escalated),
+                    secondary_rate=c.secondary_rate,
+                )
+                for c in shared.cascades
+            ),
+        )
+        assert len({id(m.scenario) for m in fresh.members}) == len(
+            fresh.members
+        )
+
+        def run(ensemble):
+            assessment = assess_risk(
+                baseline, workload, ensemble, requirements,
+                samples=200, seed=5,
+            )
+            return canonical_json(assessment.to_dict())
+
+        assert run(shared) == run(fresh)
+
+    def test_signed_zero_age_is_one_scenario(
+        self, baseline, workload, requirements
+    ):
+        size = 1 * MB
+        ensemble = ScenarioEnsemble(
+            "signed-zero",
+            (
+                EnsembleMember.per_year(
+                    "neg", FailureScenario.object_corruption(size, -0.0), 1.0
+                ),
+                EnsembleMember.per_year(
+                    "pos", FailureScenario.object_corruption(size, 0.0), 1.0
+                ),
+            ),
+        )
+        assessment = assess_risk(baseline, workload, ensemble, requirements)
+        assert assessment.unique_scenarios == 1
+        first, second = assessment.members
+        assert first.scenario_digest == second.scenario_digest
+        assert first.scenario_digest == scenario_digest(
+            FailureScenario.object_corruption(size, 0.0)
+        )
+
     def test_to_dict_shape(self, baseline, workload, requirements):
         ensemble = ScenarioEnsemble(
             "shape", (EnsembleMember.per_year("arr", array(), 1.0),)
@@ -551,6 +663,23 @@ class TestAssessRisk:
         assert data["per_member"][0]["member_id"] == "arr"
         # Round-trips through the canonical encoder (inf allowed).
         assert canonical_json(data)
+
+
+def _mixed_ensemble(grid):
+    """``grid`` plus a k-of-n member and a cascade over array/site."""
+    raid = KofNModel(2, 1, 2.0 / YEAR, 8 * HOUR).member("raid", array())
+    cascade = CascadeSpec(
+        "site-during-recovery", array(), 0.2 / YEAR, site(),
+        secondary_rate=0.5 / YEAR,
+    )
+    return ScenarioEnsemble(
+        "mixed", grid.members + (raid,), (cascade,)
+    )
+
+
+def _copy(scenario):
+    """An equal scenario that is a different object."""
+    return scenario_from_dict(scenario_to_dict(scenario))
 
 
 def _same_outcome(outcome, expected):
@@ -592,6 +721,24 @@ class TestScenarioDigest:
         )
         assert scenario_digest(array()) != scenario_digest(site())
         assert len(scenario_digest(array())) == 16
+
+    @pytest.mark.parametrize("negative", [-0.0, "-0 hr"])
+    def test_equal_scenarios_share_digest_and_task_key(
+        self, baseline, workload, requirements, negative
+    ):
+        zero = FailureScenario.object_corruption(1 * MB, 0.0)
+        signed = FailureScenario.object_corruption(1 * MB, negative)
+        assert signed == zero and hash(signed) == hash(zero)
+        assert math.copysign(1.0, signed.recovery_target_age) == 1.0
+        assert scenario_digest(signed) == scenario_digest(zero)
+
+        def key(scenario):
+            task = EvaluationTask(
+                "t", workload, (scenario,), requirements, design=baseline
+            )
+            return task_key(task.key_payload())
+
+        assert key(signed) == key(zero)
 
 
 class TestSimulatedLossCheck:
