@@ -101,12 +101,16 @@ def compute_costs(
     requirements: BusinessRequirements,
     loss: Optional[DataLossResult] = None,
     plan: Optional[RecoveryPlan] = None,
+    outlays: "Optional[Dict[str, float]]" = None,
 ) -> CostBreakdown:
     """Outlays plus the penalties of the evaluated failure scenario.
 
     Either result may be omitted (e.g. when only normal-mode costs are
     wanted); missing results contribute zero penalty.  A total-loss
     scenario has an unbounded loss penalty, represented as ``inf``.
+    ``outlays`` is the design's precomputed :func:`compute_outlays` map
+    (it does not depend on the scenario); the breakdown holds its own
+    copy of it.  It is computed here when not given.
     """
     tracer = get_tracer()
     with tracer.span("cost.compute", design=design.name) as span:
@@ -120,7 +124,9 @@ def compute_costs(
             else:
                 loss_penalty = requirements.loss_penalty(loss.data_loss)
         breakdown = CostBreakdown(
-            outlays_by_technique=compute_outlays(design),
+            outlays_by_technique=(
+                compute_outlays(design) if outlays is None else dict(outlays)
+            ),
             outage_penalty=outage_penalty,
             loss_penalty=loss_penalty,
         )

@@ -22,7 +22,7 @@ lost in its entirety.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..exceptions import RecoveryError
 from ..scenarios.failures import FailureScenario
@@ -96,11 +96,40 @@ def level_range(design: StorageDesign, level: Level) -> LevelRange:
     )
 
 
-def _loss_for_level(
-    design: StorageDesign, level: Level, target_age: float
-) -> Optional[float]:
+@dataclass(frozen=True)
+class LevelEntry:
+    """One level's scenario-independent facts: its range and RP spacing."""
+
+    rp_range: LevelRange
+    worst_spacing: float
+
+
+class LevelTable(Dict[int, LevelEntry]):
+    """A design's :class:`LevelEntry` per secondary level index.
+
+    Ranges and spacings depend only on the techniques' windows and the
+    hierarchy, never on demands or the failure scenario, so one table
+    serves every scenario evaluated against the design.  Entries are
+    computed on first lookup, so a level is ranged at most once per
+    table and levels no scenario reaches are never ranged.
+    """
+
+    def __init__(self, design: StorageDesign) -> None:
+        super().__init__()
+        self._design = design
+
+    def __missing__(self, index: int) -> LevelEntry:
+        level = self._design.level(index)
+        entry = self[index] = LevelEntry(
+            rp_range=level_range(self._design, level),
+            worst_spacing=level.technique.worst_spacing(),
+        )
+        return entry
+
+
+def _loss_for_level(entry: LevelEntry, target_age: float) -> Optional[float]:
     """Worst-case loss using this level, or None when it cannot serve."""
-    rng = level_range(design, level)
+    rng = entry.rp_range
     if target_age < rng.newest_age:
         # Case 1: the wanted RP hasn't propagated here yet; restore the
         # newest RP present and lose the level's whole time lag.
@@ -108,34 +137,59 @@ def _loss_for_level(
     if target_age <= rng.oldest_age:
         # Case 2: RPs bracketing the target are retained; lose at most
         # one RP spacing relative to the target.
-        return level.technique.worst_spacing()
+        return entry.worst_spacing
     # Case 3: too old — already expired from this level.
     return None
 
 
+def usable_levels(
+    design: StorageDesign,
+    scenario: FailureScenario,
+    levels: Optional[LevelTable] = None,
+) -> "Tuple[Tuple[LevelRange, ...], List[Tuple[Level, float]]]":
+    """The surviving levels' ranges, and each one able to serve the target.
+
+    The second item pairs every level that can serve the scenario with
+    its worst-case loss, closest level first.  ``levels`` is the design's
+    :class:`LevelTable`; a fresh one is used when not given.
+    """
+    if levels is None:
+        levels = LevelTable(design)
+    target_age = scenario.recovery_target_age
+    survivors = design.surviving_levels(scenario)
+    ranges = tuple(levels[level.index].rp_range for level in survivors)
+    usable: "List[Tuple[Level, float]]" = []
+    for level in survivors:
+        loss = _loss_for_level(levels[level.index], target_age)
+        if loss is not None:
+            usable.append((level, loss))
+    return ranges, usable
+
+
 def find_recovery_source(
-    design: StorageDesign, scenario: FailureScenario
+    design: StorageDesign,
+    scenario: FailureScenario,
+    levels: Optional[LevelTable] = None,
 ) -> DataLossResult:
     """Pick the recovery source level and its worst-case data loss.
 
     Surviving levels are considered closest-first (they hold the most
     recent RPs on the fastest media).  A level whose guaranteed range
     has expired past the target is skipped; if every level has, the
-    object is a total loss.
+    object is a total loss.  ``levels`` is the design's
+    :class:`LevelTable`; a fresh one is used when not given.
     """
     target_age = scenario.recovery_target_age
-    survivors = design.surviving_levels(scenario)
-    ranges = tuple(level_range(design, level) for level in survivors)
-    for level in survivors:
-        loss = _loss_for_level(design, level, target_age)
-        if loss is not None:
-            return DataLossResult(
-                source_level=level,
-                data_loss=loss,
-                total_loss=False,
-                target_age=target_age,
-                ranges=ranges,
-            )
+    ranges, usable = usable_levels(design, scenario, levels)
+    if usable:
+        level, loss = usable[0]
+        return DataLossResult(
+            source_level=level,
+            data_loss=loss,
+            total_loss=False,
+            target_age=target_age,
+            ranges=ranges,
+        )
     return DataLossResult(
         source_level=None,
         data_loss=float("inf"),
@@ -149,14 +203,16 @@ def compute_data_loss(
     design: StorageDesign,
     scenario: FailureScenario,
     allow_total_loss: bool = True,
+    levels: Optional[LevelTable] = None,
 ) -> DataLossResult:
     """Worst-case recent data loss for the scenario.
 
     With ``allow_total_loss=False`` an unrecoverable scenario raises
     :class:`~repro.exceptions.RecoveryError` instead of returning an
-    infinite loss.
+    infinite loss.  ``levels`` is the design's :class:`LevelTable`, as
+    for :func:`find_recovery_source`.
     """
-    result = find_recovery_source(design, scenario)
+    result = find_recovery_source(design, scenario, levels)
     if result.total_loss and not allow_total_loss:
         raise RecoveryError(
             f"design {design.name!r} retains no RP usable for "

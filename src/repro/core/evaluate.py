@@ -11,7 +11,10 @@ failure scenario and set of business requirements:
 6. price outlays and penalties.
 
 :func:`evaluate_scenarios` amortizes steps 1–3 across several scenarios
-(the case study evaluates object / array / site failures of one design).
+(the case study evaluates object / array / site failures of one design),
+together with the scenario-independent parts of steps 4 and 6: each
+level's guaranteed RP range and worst RP spacing, and the design's
+outlays.  Every scenario's steps 4–6 read that one per-design table.
 
 Every step emits spans and metrics through :mod:`repro.obs` (no-ops
 unless a tracer/registry is installed), and each returned
@@ -23,6 +26,7 @@ which used to be swallowed silently.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -32,8 +36,8 @@ from ..obs.provenance import EvaluationProvenance
 from ..scenarios.failures import FailureScenario
 from ..scenarios.requirements import BusinessRequirements
 from ..workload.spec import Workload
-from .cost import compute_costs
-from .dataloss import compute_data_loss
+from .cost import compute_costs, compute_outlays
+from .dataloss import LevelTable, compute_data_loss
 from .demands import register_design_demands
 from .hierarchy import StorageDesign
 from .recovery import RecoveryPlan, plan_recovery
@@ -49,15 +53,32 @@ def _utilization_driver(utilization: SystemUtilization) -> str:
     return f"capacity of {utilization.max_capacity_device}"
 
 
+@dataclass(frozen=True)
+class _Prepared:
+    """The per-design work every scenario of one call shares.
+
+    ``phase_ms`` holds (when tracing) the shared phases' wall-clock
+    timings in milliseconds; ``levels`` is the design's level table and
+    ``outlays`` its outlay map, which each assessment copies.
+    """
+
+    utilization: SystemUtilization
+    warnings: "Tuple[str, ...]"
+    phase_ms: "Dict[str, float]"
+    levels: LevelTable
+    outlays: "Dict[str, float]"
+
+
 def _prepare(
     design: StorageDesign,
     workload: Workload,
     strict_utilization: bool,
-) -> "Tuple[SystemUtilization, List[str], Dict[str, float]]":
-    """Shared steps 1–3: validate, register demands, utilization.
+) -> _Prepared:
+    """Steps 1–3 plus the scenario-independent parts of steps 4 and 6.
 
-    Returns the utilization, the validation warnings and (when tracing)
-    the per-phase wall-clock timings in milliseconds.
+    Validates, registers demands and computes utilization, then starts
+    the level table (ranges and spacings need no demands, and each is
+    computed on first use) and computes the outlay map (which does).
     """
     tracer = get_tracer()
     timed = tracer.enabled
@@ -80,7 +101,13 @@ def _prepare(
     utilization = compute_utilization(design, strict=strict_utilization)
     if timed:
         phase_ms["utilization"] = (perf_counter() - t0) * 1e3
-    return utilization, warnings, phase_ms
+    return _Prepared(
+        utilization=utilization,
+        warnings=tuple(warnings),
+        phase_ms=phase_ms,
+        levels=LevelTable(design),
+        outlays=compute_outlays(design),
+    )
 
 
 def _assess(
@@ -88,21 +115,22 @@ def _assess(
     workload: Workload,
     scenario: FailureScenario,
     requirements: BusinessRequirements,
-    utilization: SystemUtilization,
-    validation_warnings: "Iterable[str]" = (),
-    shared_phase_ms: "Optional[Dict[str, float]]" = None,
+    prepared: _Prepared,
 ) -> Assessment:
-    """Steps 4–6 for one scenario, given the shared normal-mode state."""
+    """Steps 4–6 for one scenario, given the shared per-design state."""
     tracer = get_tracer()
     metrics = get_metrics()
     timed = tracer.enabled
-    phase_ms: "Dict[str, float]" = dict(shared_phase_ms or {})
+    utilization = prepared.utilization
+    phase_ms: "Dict[str, float]" = dict(prepared.phase_ms)
     metrics.inc("evaluate.assessments")
 
     with tracer.span("assess", scenario=scenario.describe()) as span:
         if timed:
             t0 = perf_counter()
-        loss = compute_data_loss(design, scenario, allow_total_loss=True)
+        loss = compute_data_loss(
+            design, scenario, allow_total_loss=True, levels=prepared.levels
+        )
         if timed:
             phase_ms["dataloss"] = (perf_counter() - t0) * 1e3
 
@@ -128,7 +156,9 @@ def _assess(
 
         if timed:
             t0 = perf_counter()
-        costs = compute_costs(design, requirements, loss=loss, plan=plan)
+        costs = compute_costs(
+            design, requirements, loss=loss, plan=plan, outlays=prepared.outlays
+        )
         if timed:
             phase_ms["cost"] = (perf_counter() - t0) * 1e3
 
@@ -162,7 +192,7 @@ def _assess(
         dominant_penalty = None
     if dominant_outlay is not None:
         decisions.append(f"dominant outlay: {dominant_outlay}")
-    warnings = tuple(validation_warnings)
+    warnings = prepared.warnings
     if warnings:
         decisions.append(f"{len(warnings)} validation warning(s)")
 
@@ -210,18 +240,8 @@ def evaluate(
     with tracer.span(
         "evaluate", design=design.name, scenario=scenario.describe()
     ):
-        utilization, warnings, phase_ms = _prepare(
-            design, workload, strict_utilization
-        )
-        return _assess(
-            design,
-            workload,
-            scenario,
-            requirements,
-            utilization,
-            validation_warnings=warnings,
-            shared_phase_ms=phase_ms,
-        )
+        prepared = _prepare(design, workload, strict_utilization)
+        return _assess(design, workload, scenario, requirements, prepared)
 
 
 def evaluate_scenarios(
@@ -234,25 +254,18 @@ def evaluate_scenarios(
     """Evaluate one design against several scenarios.
 
     Returns ``{scenario description: assessment}`` in input order.
-    Validation, demand registration and utilization run once.
+    Validation, demand registration, utilization, the level ranges and
+    RP spacings, and the outlays are computed once for all scenarios.
     """
     tracer = get_tracer()
     metrics = get_metrics()
     metrics.inc("evaluate.calls")
     with tracer.span("evaluate_scenarios", design=design.name):
-        utilization, warnings, phase_ms = _prepare(
-            design, workload, strict_utilization
-        )
+        prepared = _prepare(design, workload, strict_utilization)
         results: "Dict[str, Assessment]" = {}
         for scenario in scenarios:
             metrics.inc("evaluate.scenarios")
             results[scenario.describe()] = _assess(
-                design,
-                workload,
-                scenario,
-                requirements,
-                utilization,
-                validation_warnings=warnings,
-                shared_phase_ms=phase_ms,
+                design, workload, scenario, requirements, prepared
             )
         return results

@@ -21,7 +21,7 @@ from typing import List, Optional
 from ..exceptions import RecoveryError
 from ..scenarios.failures import FailureScenario
 from ..workload.spec import Workload
-from .dataloss import DataLossResult, _loss_for_level, level_range
+from .dataloss import DataLossResult, usable_levels
 from .hierarchy import Level, StorageDesign
 from .recovery import RecoveryPlan, plan_recovery
 
@@ -57,12 +57,8 @@ def recovery_options(
     omitted; an empty list means the scenario is a total loss.
     """
     options: "List[RecoveryOption]" = []
-    survivors = design.surviving_levels(scenario)
-    ranges = tuple(level_range(design, level) for level in survivors)
-    for level in survivors:
-        loss = _loss_for_level(design, level, scenario.recovery_target_age)
-        if loss is None:
-            continue
+    ranges, usable = usable_levels(design, scenario)
+    for level, loss in usable:
         loss_result = DataLossResult(
             source_level=level,
             data_loss=loss,

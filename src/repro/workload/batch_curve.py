@@ -19,6 +19,7 @@ between sample windows, which preserves both monotonicity properties.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Tuple, Union
 
@@ -89,13 +90,24 @@ class BatchUpdateCurve:
                 "short_window_rate must be at least the rate of the smallest "
                 "sample window (rates are non-increasing in the window)"
             )
-        self._check_monotonicity(normalized)
-        object.__setattr__(self, "points", normalized)
+        object.__setattr__(self, "points", self._monotone(normalized))
         object.__setattr__(self, "short_window_rate", short_rate)
 
     @staticmethod
-    def _check_monotonicity(points: "Tuple[Tuple[float, float], ...]") -> None:
-        """Unique bytes must be non-decreasing; the rate non-increasing."""
+    def _monotone(
+        points: "Tuple[Tuple[float, float], ...]",
+    ) -> "Tuple[Tuple[float, float], ...]":
+        """Check that unique bytes are non-decreasing and the rate is
+        non-increasing; return the points with rounding noise removed.
+
+        Decreases in unique bytes within the 1e-12 relative tolerance
+        are float rounding of a flat curve (e.g. rates computed as
+        ``bytes / window``).  Such a rate is raised to the smallest float
+        whose ``window * rate`` does not fall, so the curve's unique
+        bytes are exactly non-decreasing in floats, as interpolation
+        needs.
+        """
+        result = [points[0]]
         previous_window, previous_rate = points[0]
         for window, rate in points[1:]:
             if rate > previous_rate * (1 + 1e-12):
@@ -104,12 +116,19 @@ class BatchUpdateCurve:
                     f"rate at {window}s ({rate} B/s) exceeds rate at "
                     f"{previous_window}s ({previous_rate} B/s)"
                 )
-            if window * rate < previous_window * previous_rate * (1 - 1e-12):
+            previous_bytes = previous_window * previous_rate
+            if window * rate < previous_bytes * (1 - 1e-12):
                 raise WorkloadError(
                     "unique updated bytes must be non-decreasing in the window: "
                     f"{window}s gives fewer unique bytes than {previous_window}s"
                 )
+            if window * rate < previous_bytes:
+                rate = previous_bytes / window
+                while window * rate < previous_bytes:
+                    rate = math.nextafter(rate, math.inf)
+            result.append((window, rate))
             previous_window, previous_rate = window, rate
+        return tuple(result)
 
     # -- queries ------------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """The batch update rate curve: interpolation, monotonicity, errors."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import WorkloadError
@@ -45,6 +45,16 @@ class TestConstruction:
         # 1 min at 100 B/s = 6000 B; 2 min at 40 B/s = 4800 B < 6000.
         with pytest.raises(WorkloadError):
             BatchUpdateCurve({"1 min": 100, "2 min": 40})
+
+    def test_rounding_drop_in_unique_bytes_is_removed(self):
+        # 499993 s * 67111.86228007192 B/s is one ulp below 401857 s *
+        # 83501 B/s: accepted as rounding, and the rate is raised so
+        # unique bytes do not fall.
+        curve = BatchUpdateCurve({401857.0: 83501.0, 499993.0: 67111.86228007192})
+        (w0, r0), (w1, r1) = curve.points
+        assert w1 * r1 >= w0 * r0
+        assert r1 == pytest.approx(67111.86228007192, rel=1e-15)
+        assert curve.unique_bytes(w1) >= curve.unique_bytes(w0)
 
     def test_negative_rate_rejected(self):
         with pytest.raises(WorkloadError):
@@ -151,6 +161,14 @@ class TestCurveInvariants:
 
     @given(curve=curves(), fraction=st.floats(min_value=0.0, max_value=2.0))
     @settings(max_examples=80, deadline=None)
+    # A rate drawn at the strategy's lower bound: 499993 * 67111.86228007192
+    # is one ulp below 401857 * 83501 in floats.
+    @example(
+        curve=BatchUpdateCurve(
+            {401857.0: 83501.0, 499993.0: 67111.86228007192, 803714.0: 41750.5}
+        ),
+        fraction=0.5,
+    )
     def test_unique_bytes_monotone_in_window(self, curve, fraction):
         w_max = curve.sample_windows()[-1]
         a = fraction * w_max

@@ -7,6 +7,7 @@ from repro.core import compute_costs
 from repro.core.cost import RECOVERY_FACILITY, compute_outlays
 from repro.core.demands import register_design_demands
 from repro.core.dataloss import compute_data_loss
+from repro.core.evaluate import evaluate_scenarios
 from repro.core.recovery import plan_recovery
 from repro.scenarios import BusinessRequirements, FailureScenario
 from repro.scenarios.locations import PRIMARY_SITE
@@ -127,3 +128,24 @@ class TestPenalties:
 
     def test_describe(self, baseline, requirements):
         assert "outlays" in compute_costs(baseline, requirements).describe()
+
+
+class TestSharedOutlays:
+    def test_precomputed_outlays_are_copied(self, baseline, requirements):
+        outlays = compute_outlays(baseline)
+        costs = compute_costs(baseline, requirements, outlays=outlays)
+        assert costs.outlays_by_technique == outlays
+        assert costs.outlays_by_technique is not outlays
+
+    def test_sibling_assessments_do_not_share_outlays(self, workload, requirements):
+        results = evaluate_scenarios(
+            casestudy.baseline_design(),
+            workload,
+            casestudy.case_study_scenarios(),
+            requirements,
+        )
+        first, *siblings = results.values()
+        before = [dict(a.costs.outlays_by_technique) for a in siblings]
+        first.costs.outlays_by_technique["split mirror"] = -1.0
+        first.costs.outlays_by_technique["added"] = 1.0
+        assert [a.costs.outlays_by_technique for a in siblings] == before
