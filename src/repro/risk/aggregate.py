@@ -17,7 +17,9 @@ Two properties make large generated ensembles cheap:
   result cache makes repeat runs nearly free.  Members are keyed
   structurally: each call keeps one :class:`_ScenarioKeys` map from
   scenario *value* to its digest and label, so the digest is computed
-  once per distinct scenario and per-member work is a dict lookup;
+  once per distinct scenario.  Members are first collapsed to their
+  distinct scenario *objects* by identity, so the value map is hashed
+  once per object, not once per member;
 * **two-round cascades** — cascade splits need the *evaluator's own*
   recovery time for the primary fault, so primaries are evaluated
   first, every :class:`~repro.risk.ensemble.CascadeSpec` is expanded
@@ -34,7 +36,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..core.hierarchy import StorageDesign
 from ..core.results import Assessment
@@ -229,54 +231,71 @@ def assess_risk(
 
         # Round 2: escalated scenarios the splits introduced (already
         # in ``assessments`` if any declared member shares them).
-        evaluate([m.scenario for m, _ in expanded])
+        scenarios = _by_identity(m.scenario for m, _ in expanded)
+        evaluate(scenarios.values())
 
-        outcomes = []
-        for member, from_cascade in expanded:
-            digest, label = keys[member.scenario]
+        # Per scenario object: digest, label and the three per-event
+        # severities.  ``scenarios`` keeps the objects (and so their
+        # ids) alive until the member pass below is done.
+        facts = {}
+        for key, scenario in scenarios.items():
+            digest, label = keys[scenario]
             assessment = assessments[digest]
+            facts[key] = (
+                digest,
+                label,
+                assessment.recovery_time,
+                assessment.recent_data_loss,
+                assessment.costs.total_penalties,
+            )
+        # One pass builds the outcomes (in member-id order), the Monte
+        # Carlo rows and the three severity columns.
+        expanded.sort(key=lambda pair: pair[0].member_id)
+        outcomes = []
+        rows: "List[SeverityRow]" = []
+        downtime_entries: "List[Tuple[float, float]]" = []
+        loss_entries: "List[Tuple[float, float]]" = []
+        penalty_entries: "List[Tuple[float, float]]" = []
+        for member, from_cascade in expanded:
+            digest, label, recovery_time, data_loss, penalty_cost = facts[
+                id(member.scenario)
+            ]
+            rate_per_year = member.rate_per_year
+            rate = rate_per_year / YEAR
             outcomes.append(
                 MemberOutcome(
                     member_id=member.member_id,
                     scenario=label,
                     scenario_digest=digest,
-                    rate_per_year=member.rate_per_year,
-                    recovery_time=assessment.recovery_time,
-                    data_loss=assessment.recent_data_loss,
-                    penalty=assessment.costs.total_penalties,
+                    rate_per_year=rate_per_year,
+                    recovery_time=recovery_time,
+                    data_loss=data_loss,
+                    penalty=penalty_cost,
                     from_cascade=from_cascade,
                 )
             )
-        outcomes.sort(key=lambda outcome: outcome.member_id)
-
-        severity = {
-            "downtime": [], "loss": [], "penalty": [],
-        }  # type: Dict[str, List[Tuple[float, float]]]
-        rows: "List[SeverityRow]" = []
-        for outcome in outcomes:
-            rate = outcome.rate_per_year / YEAR
-            severity["downtime"].append((rate, outcome.recovery_time))
-            severity["loss"].append((rate, outcome.data_loss))
-            severity["penalty"].append((rate, outcome.penalty))
             rows.append(
                 (
-                    outcome.member_id,
+                    member.member_id,
                     rate,
-                    outcome.recovery_time,
-                    outcome.data_loss,
-                    outcome.penalty,
+                    recovery_time,
+                    data_loss,
+                    penalty_cost,
                 )
             )
+            downtime_entries.append((rate, recovery_time))
+            loss_entries.append((rate, data_loss))
+            penalty_entries.append((rate, penalty_cost))
 
         with tracer.span("risk.fold", entries=len(outcomes)):
             downtime = compound_poisson_distribution(
-                severity["downtime"], horizon, grid_bins
+                downtime_entries, horizon, grid_bins
             )
             loss = compound_poisson_distribution(
-                severity["loss"], horizon, grid_bins
+                loss_entries, horizon, grid_bins
             )
             penalty = compound_poisson_distribution(
-                severity["penalty"], horizon, grid_bins
+                penalty_entries, horizon, grid_bins
             )
 
         monte_carlo = None
@@ -303,6 +322,19 @@ def assess_risk(
         )
 
 
+def _by_identity(
+    scenarios: "Iterable[FailureScenario]",
+) -> "Dict[int, FailureScenario]":
+    """``id(scenario) -> scenario`` per distinct object, in first-seen order.
+
+    Members share scenario objects (a generated grid holds one per
+    distinct age), so looking each object up once in
+    :class:`_ScenarioKeys` hashes per object rather than per member.
+    The dict holds the objects, so their ids stay unique while it lives.
+    """
+    return {id(scenario): scenario for scenario in scenarios}
+
+
 def _make_evaluator(
     design: DesignOrFactory,
     workload: Workload,
@@ -311,7 +343,7 @@ def _make_evaluator(
     cache: "Optional[ResultCache]",
     keys: _ScenarioKeys,
     assessments: "Dict[str, Assessment]",
-) -> "Callable[[Sequence[FailureScenario]], None]":
+) -> "Callable[[Iterable[FailureScenario]], None]":
     """An incremental evaluator that fills ``assessments`` by digest.
 
     Each call evaluates only scenarios whose digest (read from
@@ -330,9 +362,9 @@ def _make_evaluator(
             f"design must be a StorageDesign or a factory, got {design!r}"
         )
 
-    def evaluate(scenarios: "Sequence[FailureScenario]") -> None:
+    def evaluate(scenarios: "Iterable[FailureScenario]") -> None:
         fresh: "Dict[str, FailureScenario]" = {}
-        for scenario in scenarios:
+        for scenario in _by_identity(scenarios).values():
             digest = keys[scenario][0]
             if digest not in assessments and digest not in fresh:
                 fresh[digest] = scenario

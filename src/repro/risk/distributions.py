@@ -23,6 +23,12 @@ the distributions here fold the whole ensemble into one such sum:
   ``Lambda_inf`` the probability that the total stays finite is
   ``exp(-Lambda_inf)``, and quantiles above it are infinite.
 
+The recursion runs only as far as the report reads: it stops at the
+first grid index whose CDF reaches the highest finite quantile's
+probability (p99 unless that one is infinite), and runs the whole
+grid only when the grid's mass never gets there.  Every value it
+computes is bit-identical to a full-grid run.
+
 For very large ``Lambda`` the recursion's starting term underflows;
 there the central limit theorem is already excellent and the quantiles
 switch to the matched normal approximation.  Everything is
@@ -33,7 +39,10 @@ counts — which is what lets the CLI diff serial/parallel/cached output.
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress, repeat
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -97,30 +106,50 @@ def compound_poisson_distribution(
         raise RiskError(f"risk horizon must be positive, got {horizon!r}")
     if bins < 2:
         raise RiskError(f"severity grid needs >= 2 bins, got {bins}")
-    for rate, severity in entries:
-        if not rate > 0:
-            raise RiskError(f"severity entry has non-positive rate {rate!r}")
-        if math.isnan(severity) or severity < 0:
-            raise RiskError(f"per-event severity {severity!r} is not >= 0")
+    rates, severities = tuple(zip(*entries)) or ((), ())
+    # One C-level pass per column; only a failure pays for the
+    # per-entry loop that names the first bad entry.
+    if not (
+        all(map(operator.gt, rates, repeat(0)))
+        and all(map(operator.ge, severities, repeat(0)))
+    ):
+        _reject_entry(entries)
 
-    finite = [(r, s) for r, s in entries if math.isfinite(s)]
-    lam_inf = sum(r for r, s in entries if not math.isfinite(s)) * horizon
+    is_finite = list(map(math.isfinite, severities))
+    finite_rates = list(compress(rates, is_finite))
+    finite_severities = list(compress(severities, is_finite))
+    lam_inf = sum(compress(rates, map(operator.not_, is_finite))) * horizon
     p_finite = math.exp(-lam_inf)
 
-    lam = sum(r for r, _ in finite) * horizon
-    mean_total = horizon * sum(r * s for r, s in finite)
+    lam = sum(finite_rates) * horizon
+    products = list(map(operator.mul, finite_rates, finite_severities))
+    mean_total = horizon * sum(products)
     mean = float("inf") if lam_inf > 0 else mean_total
 
-    quantiles = _finite_quantiles(finite, horizon, lam, mean_total, bins)
     values = {}
+    targets = {}
     for label, prob in PERCENTILES:
         if prob > p_finite or (prob == p_finite and lam_inf > 0):
             values[label] = float("inf")
         else:
             # Quantile of the full distribution = quantile of the
             # finite part at the conditional probability.
-            values[label] = quantiles(min(1.0, prob / p_finite))
+            targets[label] = min(1.0, prob / p_finite)
+    quantiles = _finite_quantiles(
+        finite_rates, finite_severities, products,
+        horizon, lam, mean_total, bins, list(targets.values()),
+    )
+    values.update(zip(targets, quantiles))
     return RiskDistribution(mean=mean, **values)
+
+
+def _reject_entry(entries: "Sequence[Tuple[PerSecond, float]]") -> None:
+    """Raise for the first invalid entry, checking rate before severity."""
+    for rate, severity in entries:
+        if not rate > 0:
+            raise RiskError(f"severity entry has non-positive rate {rate!r}")
+        if math.isnan(severity) or severity < 0:
+            raise RiskError(f"per-event severity {severity!r} is not >= 0")
 
 
 def empirical_distribution(samples: "np.ndarray") -> RiskDistribution:
@@ -148,48 +177,51 @@ def empirical_distribution(samples: "np.ndarray") -> RiskDistribution:
 
 
 def _finite_quantiles(
-    finite: "List[Tuple[PerSecond, float]]",
+    rates: "List[PerSecond]",
+    severities: "List[float]",
+    products: "List[float]",
     horizon: Seconds,
     lam: float,
     mean_total: float,
     bins: int,
-):
-    """A quantile function for the finite-severity compound sum."""
-    positive = [(r, s) for r, s in finite if s > 0]
-    if lam == 0 or not positive:
-        return lambda prob: 0.0
+    probs: "List[float]",
+) -> "List[float]":
+    """The finite-severity compound sum's quantiles at ``probs``.
 
-    second_moment = horizon * sum(r * s * s for r, s in finite)
+    ``rates`` and ``severities`` are the finite entries as columns and
+    ``products`` their rate x severity terms.
+    """
+    if not probs:
+        return []
+    if lam == 0 or not any(map(operator.gt, severities, repeat(0))):
+        return [0.0] * len(probs)
+
+    second_moment = horizon * sum(map(operator.mul, products, severities))
     if lam > NORMAL_APPROX_INTENSITY:
         sigma = math.sqrt(second_moment)
+        return [
+            max(0.0, mean_total + _probit(prob) * sigma) for prob in probs
+        ]
 
-        def normal_quantile(prob: float) -> float:
-            return max(0.0, mean_total + _probit(prob) * sigma)
-
-        return normal_quantile
-
-    max_sev = max(s for _, s in finite)
+    max_sev = max(severities)
     # Generous upper edge: mean + 10 sigma of the compound sum plus a
     # few single worst events; mass beyond it is far below 1e-6.
     grid_max = mean_total + 10.0 * math.sqrt(second_moment) + 4.0 * max_sev
     step = grid_max / (bins - 1)
-    severity_mass = np.zeros(bins)
-    total_rate = sum(r for r, _ in finite)
-    for rate, severity in finite:
-        index = min(bins - 1, int(round(severity / step)))
-        severity_mass[index] += rate / total_rate
+    # Nearest grid point (rint rounds half to even, as round() does);
+    # bincount adds each bin's weights in entry order, as a loop of
+    # ``mass[index] += rate / total_rate`` would.
+    indices = np.rint(np.asarray(severities, float) / step)
+    severity_mass = np.bincount(
+        np.minimum(bins - 1, indices).astype(np.intp),
+        weights=np.asarray(rates, float) / sum(rates),
+        minlength=bins,
+    )
 
-    total_mass = _panjer(lam, severity_mass)
-    cdf = np.cumsum(total_mass)
-    grid = np.arange(bins) * step
-
-    def grid_quantile(prob: float) -> float:
-        index = int(np.searchsorted(cdf, prob, side="left"))
-        if index >= bins:
-            return float(grid[-1])
-        return float(grid[index])
-
-    return grid_quantile
+    cdf = _panjer(lam, severity_mass, max(probs))
+    return [
+        float(min(bisect_left(cdf, prob), bins - 1) * step) for prob in probs
+    ]
 
 
 def _probit(prob: float) -> float:
@@ -227,14 +259,29 @@ def _probit(prob: float) -> float:
                             + b[4]) * r + 1)
 
 
-def _panjer(lam: float, severity_mass: "np.ndarray") -> "np.ndarray":
-    """The Panjer recursion for a compound Poisson on a grid."""
+def _panjer(
+    lam: float, severity_mass: "np.ndarray", target: float
+) -> "List[float]":
+    """The Panjer recursion's running CDF for a compound Poisson on a grid.
+
+    The recursion stops at the first grid index whose CDF reaches
+    ``target`` (the largest probability the caller searches for), so
+    the returned prefix may be shorter than the grid; when the grid's
+    total mass never reaches ``target`` it runs to the end.  Each step
+    keeps the dense dot product and the CDF adds the terms one by one,
+    as ``np.cumsum`` would, so every value matches the full-grid fold.
+    """
     bins = severity_mass.shape[0]
     total = np.zeros(bins)
-    total[0] = math.exp(-lam * (1.0 - severity_mass[0]))
+    total[0] = cumulative = math.exp(-lam * (1.0 - severity_mass[0]))
     weighted = severity_mass * np.arange(bins)
+    cdf = [cumulative]
     for j in range(1, bins):
-        total[j] = (lam / j) * float(
+        if cumulative >= target:
+            break
+        total[j] = mass = (lam / j) * float(
             np.dot(weighted[1 : j + 1], total[j - 1 :: -1])
         )
-    return total
+        cumulative += mass
+        cdf.append(cumulative)
+    return cdf

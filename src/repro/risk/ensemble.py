@@ -173,6 +173,17 @@ class ScenarioEnsemble:
                     f"{member_id!r}"
                 )
             seen.add(member_id)
+        # A cascade expands into its own id plus ``{id}.cascade``; the
+        # latter must not meet another member, or two expanded members
+        # would share one id (and one Monte Carlo substream).
+        for cascade in self.cascades:
+            escalated_id = f"{cascade.member_id}.cascade"
+            if escalated_id in seen:
+                raise RiskError(
+                    f"ensemble {self.name!r}: member id {escalated_id!r} "
+                    f"collides with the escalated member of cascade "
+                    f"{cascade.member_id!r}"
+                )
 
     def __len__(self) -> int:
         return len(self.members) + len(self.cascades)

@@ -13,6 +13,7 @@ The load-bearing contracts:
 
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -37,7 +38,12 @@ from repro.risk import (
     scenario_digest,
     simulated_loss_check,
 )
-from repro.risk import aggregate
+from repro.risk import aggregate, distributions
+from repro.risk.distributions import (
+    NORMAL_APPROX_INTENSITY,
+    PERCENTILES,
+    _probit,
+)
 from repro.scenarios import FailureScenario
 from repro.serialization import (
     canonical_json,
@@ -106,6 +112,27 @@ class TestEnsemble:
                 (EnsembleMember.per_year("twin", array(), 1.0),),
                 (cascade,),
             )
+
+    def test_escalated_cascade_id_is_reserved(self):
+        # Cascade "c" expands into "c" and "c.cascade"; a declared
+        # "c.cascade" would share that id and its Monte Carlo substream.
+        cascade = CascadeSpec(
+            "c", array(), 0.1 / YEAR, site(), probability=0.5
+        )
+        declared = (EnsembleMember.per_year("c.cascade", array(), 1.0),)
+        with pytest.raises(RiskError, match=r"'c\.cascade'.*'c'"):
+            ScenarioEnsemble("e", declared, (cascade,))
+        nested = CascadeSpec(
+            "c.cascade", array(), 0.1 / YEAR, site(), probability=0.5
+        )
+        with pytest.raises(RiskError, match=r"'c\.cascade'.*'c'"):
+            ScenarioEnsemble("e", (), (cascade, nested))
+        # Ids that only look alike are fine.
+        ScenarioEnsemble(
+            "e",
+            (EnsembleMember.per_year("c.cascade2", array(), 1.0),),
+            (cascade,),
+        )
 
     def test_empty_ensemble_rejected(self):
         with pytest.raises(RiskError, match="no members"):
@@ -350,6 +377,150 @@ class TestCompoundPoisson:
             dist.quantile("p17")
 
 
+def _dense_fold(entries, horizon, bins):
+    """The full-grid fold: every Panjer step, full cumsum, searchsorted.
+
+    A plain reference for :func:`compound_poisson_distribution`, which
+    must agree with it bit for bit.
+    """
+    finite = [(r, s) for r, s in entries if math.isfinite(s)]
+    lam_inf = sum(r for r, s in entries if not math.isfinite(s)) * horizon
+    p_finite = math.exp(-lam_inf)
+    lam = sum(r for r, _ in finite) * horizon
+    mean_total = horizon * sum(r * s for r, s in finite)
+    values = {"mean": float("inf") if lam_inf > 0 else mean_total}
+
+    positive = [(r, s) for r, s in finite if s > 0]
+    second_moment = horizon * sum(r * s * s for r, s in finite)
+    if lam == 0 or not positive:
+        quantile = lambda prob: 0.0  # noqa: E731
+    elif lam > NORMAL_APPROX_INTENSITY:
+        sigma = math.sqrt(second_moment)
+        quantile = lambda prob: max(  # noqa: E731
+            0.0, mean_total + _probit(prob) * sigma
+        )
+    else:
+        max_sev = max(s for _, s in finite)
+        grid_max = (
+            mean_total + 10.0 * math.sqrt(second_moment) + 4.0 * max_sev
+        )
+        step = grid_max / (bins - 1)
+        severity_mass = np.zeros(bins)
+        total_rate = sum(r for r, _ in finite)
+        for rate, severity in finite:
+            index = min(bins - 1, int(round(severity / step)))
+            severity_mass[index] += rate / total_rate
+        total = np.zeros(bins)
+        total[0] = math.exp(-lam * (1.0 - severity_mass[0]))
+        weighted = severity_mass * np.arange(bins)
+        for j in range(1, bins):
+            total[j] = (lam / j) * float(
+                np.dot(weighted[1 : j + 1], total[j - 1 :: -1])
+            )
+        cdf = np.cumsum(total)
+        grid = np.arange(bins) * step
+
+        def quantile(prob):
+            index = int(np.searchsorted(cdf, prob, side="left"))
+            return float(grid[min(index, bins - 1)])
+
+    for label, prob in PERCENTILES:
+        if prob > p_finite or (prob == p_finite and lam_inf > 0):
+            values[label] = float("inf")
+        else:
+            values[label] = quantile(min(1.0, prob / p_finite))
+    return values
+
+
+def _generated_entries(rng, intensity, horizon):
+    """1-200 seeded entries over a few shared severities."""
+    pool = [0.0, float("inf")] + [
+        rng.choice((rng.uniform(1.0, 1e5), rng.expovariate(1e-3)))
+        for _ in range(rng.randint(1, 6))
+    ]
+    count = rng.randint(1, 200)
+    return [
+        (rng.uniform(0.1, 2.0) * intensity / count / horizon, rng.choice(pool))
+        for _ in range(count)
+    ]
+
+
+class TestFoldOracle:
+    """The early-stopping fold against the full-grid reference."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_dense_fold_exactly(self, seed):
+        rng = random.Random(seed)
+        intensities = (0.01, 0.5, 3.0, 40.0, 590.0, 610.0, 2000.0)
+        for _ in range(40):
+            horizon = YEAR * rng.choice((1.0, 2.5))
+            bins = rng.choice((2, 3, 7, 64, 300, 1024, 2048))
+            entries = _generated_entries(
+                rng, rng.choice(intensities), horizon
+            )
+            if rng.random() < 0.5:
+                # Half the cases have no infinite severity at all.
+                entries = [
+                    (r, s if math.isfinite(s) else rng.uniform(1.0, 1e4))
+                    for r, s in entries
+                ]
+            got = compound_poisson_distribution(entries, horizon, bins)
+            # repr tells -0.0 from 0.0 and an int from a float.
+            assert repr(got.to_dict()) == repr(
+                _dense_fold(entries, horizon, bins)
+            )
+
+    def test_all_infinite_quantiles_run_no_recursion(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            distributions, "_panjer", lambda *a: calls.append(a) or [1.0]
+        )
+        entries = [(3.0 / YEAR, float("inf")), (1.0 / YEAR, HOUR)]
+        got = compound_poisson_distribution(entries, YEAR)
+        assert got.to_dict() == _dense_fold(entries, YEAR, 2048)
+        assert got.p50 == float("inf") and calls == []
+
+    def test_stops_at_the_p99_index(self, monkeypatch):
+        lengths = []
+        real = distributions._panjer
+
+        def traced(lam, severity_mass, target):
+            cdf = real(lam, severity_mass, target)
+            lengths.append(len(cdf))
+            return cdf
+
+        monkeypatch.setattr(distributions, "_panjer", traced)
+        entries = [(4.0 / YEAR, HOUR), (1.0 / YEAR, 6 * HOUR)]
+        bins = 2048
+        got = compound_poisson_distribution(entries, YEAR, bins)
+        assert got.to_dict() == _dense_fold(entries, YEAR, bins)
+        step = _grid_step_of(entries, YEAR, bins)
+        p99_index = round(got.p99 / step)
+        assert lengths == [p99_index + 1]
+        assert p99_index + 1 < bins // 2
+
+    def test_target_above_grid_mass_runs_the_full_grid(self, monkeypatch):
+        # On 366 bins the one severity rounds up to a whole grid step
+        # (~2x its size), so 500 events a year overrun the grid: no
+        # target is reached, the recursion runs to the end and every
+        # quantile falls back to the grid edge.
+        lengths = []
+        real = distributions._panjer
+
+        def traced(lam, severity_mass, target):
+            cdf = real(lam, severity_mass, target)
+            lengths.append((len(cdf), cdf[-1] < target))
+            return cdf
+
+        monkeypatch.setattr(distributions, "_panjer", traced)
+        entries, bins = [(500.0 / YEAR, HOUR)], 366
+        got = compound_poisson_distribution(entries, YEAR, bins)
+        assert got.to_dict() == _dense_fold(entries, YEAR, bins)
+        assert lengths == [(bins, True)]
+        edge = (bins - 1) * _grid_step_of(entries, YEAR, bins)
+        assert got.p50 == got.p99 == edge
+
+
 class TestEmpiricalDistribution:
     def test_inverted_cdf_quantiles(self):
         samples = np.arange(10, dtype=float)
@@ -589,6 +760,31 @@ class TestAssessRisk:
             assert len(calls) == assessment.unique_scenarios
             assert len(assessment.members) == 43
 
+    def test_scenario_hashes_do_not_grow_with_members(
+        self, baseline, workload, requirements, monkeypatch
+    ):
+        ensembles = [
+            object_corruption_grid(count, 6.0, distinct_ages=16)
+            for count in (500, 4000)
+        ]
+        calls = []
+        real = FailureScenario.__hash__
+
+        def counted(scenario):
+            calls.append(1)
+            return real(scenario)
+
+        monkeypatch.setattr(FailureScenario, "__hash__", counted)
+        counts = []
+        for ensemble in ensembles:
+            calls.clear()
+            assessment = assess_risk(
+                baseline, workload, ensemble, requirements
+            )
+            assert assessment.unique_scenarios == 16
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
     def test_shared_and_fresh_scenario_objects_byte_identical(
         self, baseline, workload, requirements
     ):
@@ -705,13 +901,19 @@ def _grid_step(assessment, metric):
             severities.append((member.rate_per_year / YEAR, value))
     if not any(s > 0 for _, s in severities):
         return 0.0
-    horizon = assessment.years * YEAR
-    mean = horizon * sum(r * s for r, s in severities)
-    second = horizon * sum(r * s * s for r, s in severities)
-    grid_max = mean + 10.0 * math.sqrt(second) + 4.0 * max(
-        s for _, s in severities
+    return _grid_step_of(
+        severities, assessment.years * YEAR, assessment.grid_bins
     )
-    return grid_max / (assessment.grid_bins - 1)
+
+
+def _grid_step_of(entries, horizon, bins):
+    """The severity-grid step the fold uses for finite ``entries``."""
+    mean = horizon * sum(r * s for r, s in entries)
+    second = horizon * sum(r * s * s for r, s in entries)
+    grid_max = mean + 10.0 * math.sqrt(second) + 4.0 * max(
+        s for _, s in entries
+    )
+    return grid_max / (bins - 1)
 
 
 class TestScenarioDigest:
