@@ -261,12 +261,13 @@ def bench_lint_codelint():
     import inspect
 
     from ..core import evaluate as evaluate_module
-    from ..lint.codelint import lint_source
+    from ..lint import codelint
+    from ..lint.loader import load_source
 
     source = inspect.getsource(evaluate_module)
 
     def run():
-        lint_source(source, filename="bench/evaluate.py", allowlist=())
+        codelint.lint_paths([load_source("bench/evaluate.py", source)])
 
     return run
 
@@ -277,11 +278,12 @@ def bench_lint_dimcheck():
 
     from ..core import evaluate as evaluate_module
     from ..lint import dimcheck
+    from ..lint.loader import load_source
 
     source = inspect.getsource(evaluate_module)
 
     def run():
-        dimcheck.lint_source(source, filename="bench/evaluate.py", allowlist=())
+        dimcheck.lint_paths([load_source("bench/evaluate.py", source)])
 
     return run
 
@@ -295,6 +297,7 @@ def bench_lint_parcheck():
 
     from ..engine import cache, executor, keys, sweep
     from ..lint import parcheck
+    from ..lint.loader import load_source
 
     # The whole engine package as one project: real worker-boundary
     # roots (executor submits chunks) plus the modules reachable from
@@ -306,7 +309,7 @@ def bench_lint_parcheck():
     ]
 
     def run():
-        parcheck.analyze_sources(sources, allowlist=())
+        parcheck.lint_paths([load_source(*pair) for pair in sources])
 
     return run
 
@@ -320,6 +323,7 @@ def bench_lint_exncheck():
 
     from ..engine import cache, executor, keys, sweep
     from ..lint import exncheck
+    from ..lint.loader import load_source
 
     # The same project parcheck benchmarks: real worker-boundary roots
     # plus real try/except structure — exercises summary construction,
@@ -330,7 +334,7 @@ def bench_lint_exncheck():
     ]
 
     def run():
-        exncheck.analyze_sources(sources, allowlist=())
+        exncheck.lint_paths([load_source(*pair) for pair in sources])
 
     return run
 

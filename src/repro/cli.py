@@ -6,6 +6,11 @@ Usage::
     python -m repro evaluate spec.json         # evaluate a JSON spec
     python -m repro list-designs               # named designs available
     python -m repro bench --check              # hot-path benchmarks
+    python -m repro lint [all] TARGET...       # specs + code, one report
+
+``lint`` is the only lint entry point: ``.json`` targets get the
+design rules, every other target is a Python file or tree for the four
+code passes (:mod:`repro.lint.allcheck`).
 
 ``case-study``, ``evaluate``, ``optimize`` and ``lint`` additionally
 accept observability flags: ``--trace`` prints a per-phase span tree
@@ -250,51 +255,19 @@ def _cmd_risk(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    """Statically check spec files for dependability anti-patterns.
+    """Lint design specs and Python source as one merged report.
 
-    A leading sub-analyzer name dispatches over Python source instead:
-    ``repro lint dim|code|par|exn [PATHS]`` runs the dimensional
-    dataflow checker, the units/exception code linter, the
-    parallel-safety analyzer, or the exception-flow analyzer;
-    ``repro lint all [SPEC...] [PATHS...]`` runs everything as one
-    merged pass.  Flags and exit codes match the analyzers'
-    ``python -m repro.lint.<module>`` entry points exactly.
+    ``.json`` targets get the design rules; every other target is a
+    Python file or tree for the four code passes.  A leading ``all``
+    is accepted (``repro lint all`` alone checks the default trees).
     """
-    sub = args.specs[0] if args.specs else None
-    rest = args.specs[1:]
-    if sub == "dim":
-        from .lint.dimcheck import lint_paths
+    from .lint.allcheck import DEFAULT_PATHS, lint_targets, split_targets
 
-        diagnostics = lint_paths(
-            rest or ["src/repro"], max_pragmas=args.max_pragmas
-        )
-    elif sub == "code":
-        from .lint.codelint import DEFAULT_PATHS, lint_paths
-
-        diagnostics = lint_paths(
-            rest or list(DEFAULT_PATHS), max_pragmas=args.max_pragmas
-        )
-    elif sub == "par":
-        from .lint.parcheck import lint_paths
-
-        diagnostics = lint_paths(
-            rest or ["src/repro"], max_pragmas=args.max_pragmas
-        )
-    elif sub == "exn":
-        from .lint.exncheck import lint_paths
-
-        diagnostics = lint_paths(
-            rest or ["src/repro"], max_pragmas=args.max_pragmas
-        )
-    elif sub == "all":
-        from .lint.allcheck import lint_targets, split_targets
-
-        specs, paths = split_targets(rest or ["src/repro"])
-        diagnostics = lint_targets(specs, paths, max_pragmas=args.max_pragmas)
-    else:
-        from .lint.engine import lint_files
-
-        diagnostics = lint_files(args.specs)
+    targets = args.targets
+    if targets[0] == "all":
+        targets = targets[1:] or list(DEFAULT_PATHS)
+    specs, paths = split_targets(targets)
+    diagnostics = lint_targets(specs, paths, max_pragmas=args.max_pragmas)
     print(render_diagnostics(diagnostics, args.format))
     return lint_exit_code(diagnostics, strict=args.strict)
 
@@ -689,16 +662,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="statically check spec files for dependability anti-patterns",
+        help="statically check spec files and Python source",
     )
     lint.add_argument(
-        "specs",
+        "targets",
         nargs="+",
-        help="JSON spec files to lint; or a sub-analyzer over Python "
-        "source: `dim [PATHS]` (dimensional dataflow), `code [PATHS]` "
-        "(units/exception hygiene), `par [PATHS]` (parallel-safety & "
-        "determinism), `exn [PATHS]` (exception-flow contract), "
-        "`all [SPEC...] [PATHS...]` (everything, merged)",
+        metavar="TARGET",
+        help="JSON spec files (design rules) and Python files or trees "
+        "(units, dimensions, parallel safety, exception flow), merged "
+        "into one report; a leading `all` is accepted",
     )
     lint.add_argument(
         "--strict",
@@ -710,8 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="(dim/code/par/exn/all) fail when an analyzer's pragma "
-        "count exceeds N",
+        help="fail when a code pass's pragma count exceeds N",
     )
     lint.add_argument(
         "--format",

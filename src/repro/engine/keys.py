@@ -24,7 +24,7 @@ a foreign extension type) raises
 as uncacheable rather than guessing.
 
 The purity assumption itself is enforced statically:
-:mod:`repro.lint.parcheck` (``repro lint par``) propagates inferred
+:mod:`repro.lint.parcheck` (run by ``repro lint``) propagates inferred
 effects — nondeterminism, global mutation, I/O, unordered iteration —
 from the engine's worker boundaries and fails CI when evaluation code
 breaks the contract this module's keys depend on (DESIGN.md §11).

@@ -1,38 +1,41 @@
 """Static analysis for designs and code (no evaluation involved).
 
 Five analyzers share one :class:`~repro.lint.diagnostics.Diagnostic`
-model:
+model, and ``repro lint [all] TARGET...`` runs them all as one merged
+report with one exit code: ``.json`` targets get the design rules,
+every other target is a Python file or tree for the four code passes
+(:mod:`repro.lint.allcheck`).
 
 * **Design lint** — ``DEP###`` rules over a
   :class:`~repro.core.hierarchy.StorageDesign` + workload + scenarios +
   requirements (and the raw spec dictionary, for structure rules).  Run
   them with :func:`~repro.lint.engine.lint_design` /
-  ``lint_spec`` / ``lint_file`` from :mod:`repro.lint.engine`, or via
-  the ``repro lint`` CLI subcommand.
+  ``lint_spec`` / ``lint_file`` from :mod:`repro.lint.engine`.
 * **Code lint** — ``UNI###``/``EXC###`` AST rules over Python source
-  (:mod:`repro.lint.codelint`, ``python -m repro.lint.codelint``).
-* **Dimension check** — ``DIM###`` dimensional dataflow analysis over
-  Python source (:mod:`repro.lint.dimcheck`, ``repro lint dim``): a
-  flow-sensitive abstract interpreter inferring bytes/seconds/$ for
-  every expression and flagging mismatched arithmetic, arguments and
-  returns.
+  (:mod:`repro.lint.codelint`).
+* **Dimension check** — ``DIM###`` dimensional dataflow analysis
+  (:mod:`repro.lint.dimcheck`): a flow-sensitive abstract interpreter
+  inferring bytes/seconds/$ for every expression and flagging
+  mismatched arithmetic, arguments and returns.
 * **Parallel-safety check** — ``PAR###`` interprocedural effect
-  inference over Python source (:mod:`repro.lint.parcheck`,
-  ``repro lint par``): a project-wide call graph anchored at
-  pool-submission worker boundaries and lock-disciplined shared state,
-  flagging nondeterminism, global mutation/I-O, order-dependent set
-  iteration, lock-discipline violations and pickle-hostile payloads.
+  inference (:mod:`repro.lint.parcheck`): a project-wide call graph
+  anchored at pool-submission worker boundaries and lock-disciplined
+  shared state, flagging nondeterminism, global mutation/I-O,
+  order-dependent set iteration, lock-discipline violations and
+  pickle-hostile payloads.
 * **Exception-flow check** — ``EXN###`` interprocedural escape-set
-  analysis over Python source (:mod:`repro.lint.exncheck`,
-  ``repro lint exn``): a fixpoint over the same call graph computing
-  which exception types can escape each function, flagging
-  unpicklable worker-reachable errors, broad handlers that absorb
-  :class:`~repro.exceptions.ReproError`, non-framework leaks from the
-  public API, provably dead handlers and chain-dropping re-raises.
+  analysis (:mod:`repro.lint.exncheck`): a fixpoint over the same call
+  graph computing which exception types can escape each function,
+  flagging unpicklable worker-reachable errors, broad handlers that
+  absorb :class:`~repro.exceptions.ReproError`, non-framework leaks
+  from the public API, provably dead handlers and chain-dropping
+  re-raises.
 
-``repro lint all`` (:mod:`repro.lint.allcheck`) runs every analyzer —
-design rules over ``.json`` specs, the four code analyzers over
-Python paths — in one pass with a single merged report and exit code.
+The four code passes share one front end, :mod:`repro.lint.loader`:
+each target file is read and parsed once per run, and ``# lint:
+allow-*`` pragmas are recognised only in comments.  The two
+interprocedural passes share the project model in
+:mod:`repro.lint.callgraph`.
 
 This package root intentionally imports only the registry, the rules
 and the renderers — never :mod:`repro.lint.engine` — so that

@@ -2,7 +2,8 @@
 
 :mod:`repro.lint.parcheck` (parallel safety) and
 :mod:`repro.lint.exncheck` (exception flow) both need the same
-front half: parse every file of one invocation into a symbol table
+front half: turn every parsed file of one invocation (the
+:class:`~repro.lint.loader.SourceFile` list) into a symbol table
 (imports resolved across modules, classes with their methods and lock
 attributes, nested functions), then resolve call edges — direct names,
 ``self.method()`` within the class, locally constructed receivers
@@ -17,16 +18,22 @@ This module holds that front half once: the dataclasses
 that builds one :class:`ModuleInfo` per file, and the :class:`Project`
 base class with the resolution machinery and the worker-boundary root
 discovery (pool-submission call sites plus ``# lint: worker-boundary``
-markers).  Each analyzer subclasses :class:`Project`, sets its own
-suppression ``pragma``, and layers its domain analysis — effect
-propagation for parcheck, escape-set fixpoints for exncheck — on top.
+markers).  Each analyzer subclasses :class:`Project`, hands it a
+:class:`~repro.lint.loader.Report` carrying its pragma, and layers its
+domain analysis — effect propagation for parcheck, escape-set
+fixpoints for exncheck — on top.  Each pass builds its own project
+from the shared trees: the :class:`FunctionInfo` edges and effects
+are per pass, the trees are only read.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
+
+from .diagnostics import Diagnostic
+from .loader import Report, SourceFile
 
 #: Marks a function as a worker boundary even when no ``.submit`` call
 #: site is visible to the analyzer (the engine marks ``_execute_chunk``).
@@ -236,10 +243,10 @@ class SubmitSite:
 class ModuleInfo:
     """One parsed file of the project."""
 
+    source: SourceFile
     filename: str
     modname: str
     tree: ast.Module
-    lines: "Sequence[str]"
     sanctioned: bool
     imports: "Dict[str, str]" = field(default_factory=dict)
     global_names: "Set[str]" = field(default_factory=set)
@@ -247,8 +254,6 @@ class ModuleInfo:
     functions: "Dict[str, FunctionInfo]" = field(default_factory=dict)
     classes: "Dict[str, ClassInfo]" = field(default_factory=dict)
     global_accesses: "List[AttrAccess]" = field(default_factory=list)
-    pragma_lines: "Set[int]" = field(default_factory=set)
-    used_pragma_lines: "Set[int]" = field(default_factory=set)
 
     @property
     def is_package_init(self) -> bool:
@@ -297,33 +302,15 @@ def local_names(node: FuncNode) -> "Set[str]":
 
 
 class ModuleCollector:
-    """Builds the :class:`ModuleInfo` symbol table for one file.
+    """Builds the :class:`ModuleInfo` symbol table for one file."""
 
-    ``pragma`` is the analyzer's suppression comment (the ``allow-par``
-    or ``allow-exn`` marker): lines carrying it are recorded so the
-    analyzer can honour and stale-check them.
-    """
-
-    def __init__(
-        self,
-        filename: str,
-        source: str,
-        tree: ast.Module,
-        pragma: str,
-        sanctioned: bool = False,
-    ) -> None:
-        lines = source.splitlines()
+    def __init__(self, source: SourceFile, sanctioned: bool = False) -> None:
         self.module = ModuleInfo(
-            filename=filename,
-            modname=module_name(filename),
-            tree=tree,
-            lines=lines,
+            source=source,
+            filename=source.filename,
+            modname=module_name(source.filename),
+            tree=source.tree,
             sanctioned=sanctioned,
-            pragma_lines={
-                number
-                for number, line in enumerate(lines, 1)
-                if pragma and pragma in line
-            },
         )
 
     def collect(self) -> ModuleInfo:
@@ -372,11 +359,8 @@ class ModuleCollector:
                     module.imports[bound] = dotted
 
     def _marked_boundary(self, node: FuncNode) -> bool:
-        lineno = node.lineno
-        lines = self.module.lines
-        if 1 <= lineno <= len(lines):
-            return WORKER_BOUNDARY_MARKER in lines[lineno - 1]
-        return False
+        marked = self.module.source.pragma_lines(WORKER_BOUNDARY_MARKER)
+        return node.lineno in marked
 
     def _collect_function(
         self,
@@ -454,19 +438,17 @@ class ModuleCollector:
 class Project:
     """All modules of one analyzer invocation, resolved together.
 
-    Subclasses set :attr:`pragma` (their suppression comment) and may
+    Subclasses pass their :class:`~repro.lint.loader.Report` and may
     override :meth:`sanctioned` (path fragments whose effects the
     analyzer deliberately ignores) and :attr:`skip_method_names` (the
     CHA-union exclusion list).
     """
 
-    #: The analyzer's suppression pragma (collected per line).
-    pragma: str = ""
-
     #: Method names excluded from the CHA fallback union.
     skip_method_names: "FrozenSet[str]" = COMMON_METHOD_NAMES
 
-    def __init__(self) -> None:
+    def __init__(self, report: Report) -> None:
+        self.report = report
         self.modules: "List[ModuleInfo]" = []
         self.modules_by_name: "Dict[str, ModuleInfo]" = {}
         self.submit_sites: "List[SubmitSite]" = []
@@ -477,17 +459,27 @@ class Project:
         """Is this file's *effect* analysis waived?  Default: never."""
         return False
 
-    def add_module(self, filename: str, source: str) -> None:
-        tree = ast.parse(source, filename=filename)
+    def add_module(self, source: SourceFile) -> None:
         module = ModuleCollector(
-            filename,
-            source,
-            tree,
-            pragma=self.pragma,
-            sanctioned=self.sanctioned(filename),
+            source, sanctioned=self.sanctioned(source.filename)
         ).collect()
         self.modules.append(module)
         self.modules_by_name[module.modname] = module
+
+    def emit(
+        self, module: ModuleInfo, code: str, message: str, hint: str, node: ast.AST
+    ) -> None:
+        """Report a finding in ``module`` (pragma-suppressed, de-duplicated)."""
+        self.report.emit(module.source, code, message, hint, node)
+
+    def finish(self) -> "List[Diagnostic]":
+        """Stale pragmas, then every finding in file/line/code order."""
+        for module in self.modules:
+            self.report.stale(module.source)
+        self.report.findings.sort(
+            key=lambda d: (d.file or "", d.line or 0, d.code, d.message)
+        )
+        return self.report.finish()
 
     def all_functions(self, module: ModuleInfo) -> "List[FunctionInfo]":
         result: "List[FunctionInfo]" = []

@@ -1,12 +1,9 @@
-"""Units-discipline and exception-hygiene AST checker for the codebase.
+"""Units-discipline and exception-hygiene AST pass for the codebase.
 
-Run as::
-
-    python -m repro.lint.codelint          # checks src/ examples/ benchmarks/
-    python -m repro.lint.codelint src/     # or an explicit path list
-
-Three rules, sharing the :class:`~repro.lint.diagnostics.Diagnostic`
-model with the design linter:
+Run it, with the other code passes, as ``repro lint src/ examples/
+benchmarks/``.  Three rules, sharing the
+:class:`~repro.lint.diagnostics.Diagnostic` model with the design
+linter:
 
 ``UNI001`` (error)
     A raw *time* magnitude literal (3600, 86400, 604800, 31536000)
@@ -30,20 +27,16 @@ flagged line; EXC001 honours ``# lint: allow-broad-except`` on the
 ``except`` line (use it only on deliberate boundaries, with a comment
 stating the contract).  ``--max-pragmas`` budgets the total number of
 allow-raw-unit pragmas so the escape hatch cannot quietly become the
-norm (CI pins it at 5).
+norm (CI pins it at 3).
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
-import os
-import sys
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from ..obs import get_metrics
-from .diagnostics import Diagnostic, Severity, exit_code
-from .output import FORMATS, render
+from .diagnostics import Diagnostic, Severity
+from .loader import Report, SourceFile, analyzed
 from .registry import RuleInfo
 
 #: The code-lint rule table (not in the design registry: these rules
@@ -87,14 +80,9 @@ BROAD_EXCEPT_PRAGMA = "lint: allow-broad-except"
 #: syntactic broad-except rule too, so one comment covers the family.
 EXN_FAMILY_PRAGMA = "lint: allow-exn"
 
-#: Files the UNI rules never apply to: the module that *defines* the
+#: Files the pass never applies to: the module that *defines* the
 #: magnitudes, and this checker (which must name them to detect them).
-DEFAULT_ALLOWLIST = ("repro/units.py", "repro/lint/codelint.py")
-
-#: The trees a bare ``python -m repro.lint.codelint`` checks.  Examples
-#: and benchmarks import :mod:`repro.units` and carry the same raw-
-#: magnitude risk as the library, so they are checked by default too.
-DEFAULT_PATHS = ("src/", "examples/", "benchmarks/")
+ALLOWLIST = ("repro/units.py", "repro/lint/codelint.py")
 
 #: Time magnitudes in seconds -> the repro.units constant to use.
 TIME_LITERALS: "Dict[float, str]" = {
@@ -139,17 +127,6 @@ def _numeric(node: ast.AST) -> Optional[float]:
     return float(value)
 
 
-def _is_allowlisted(filename: str, allowlist: "Sequence[str]") -> bool:
-    normalized = filename.replace(os.sep, "/")
-    return any(normalized.endswith(suffix) for suffix in allowlist)
-
-
-def _has_pragma(lines: "Sequence[str]", lineno: int, pragma: str) -> bool:
-    if 1 <= lineno <= len(lines):
-        return pragma in lines[lineno - 1]
-    return False
-
-
 def _broad_handler_name(handler: ast.ExceptHandler) -> Optional[str]:
     """The broad class a handler catches, or None for a narrow one."""
     if handler.type is None:
@@ -172,28 +149,18 @@ def _broad_handler_name(handler: ast.ExceptHandler) -> Optional[str]:
 class _Checker(ast.NodeVisitor):
     """One file's worth of UNI/EXC findings."""
 
-    def __init__(self, filename: str, lines: "Sequence[str]") -> None:
-        self.filename = filename
-        self.lines = lines
-        self.findings: "List[Diagnostic]" = []
+    def __init__(self, source: SourceFile, report: Report) -> None:
+        self.source = source
+        self.report = report
+
+    def _allowed(self, line: int, *pragmas: str) -> bool:
+        """Does ``line`` carry one of ``pragmas``?"""
+        return any(line in self.source.pragma_lines(pragma) for pragma in pragmas)
 
     def _emit(
         self, code: str, message: str, hint: str, node: ast.AST
     ) -> None:
-        info = CODE_RULES[code]
-        self.findings.append(
-            Diagnostic(
-                code=code,
-                severity=info.severity,
-                message=message,
-                hint=hint,
-                category=info.category,
-                source="code",
-                file=self.filename,
-                line=getattr(node, "lineno", None),
-                column=getattr(node, "col_offset", None),
-            )
-        )
+        self.report.add(self.source, code, message, hint, node)
 
     # -- UNI001/UNI002: raw magnitudes ---------------------------------------
 
@@ -201,7 +168,7 @@ class _Checker(ast.NodeVisitor):
         value = _numeric(node)
         if value is None:
             return
-        if _has_pragma(self.lines, node.lineno, RAW_UNIT_PRAGMA):
+        if self._allowed(node.lineno, RAW_UNIT_PRAGMA):
             return
         if value in TIME_LITERALS:
             constant = TIME_LITERALS[value]
@@ -232,7 +199,7 @@ class _Checker(ast.NodeVisitor):
                 base is not None
                 and exponent is not None
                 and (base, exponent) in POWER_LITERALS
-                and not _has_pragma(self.lines, node.lineno, RAW_UNIT_PRAGMA)
+                and not self._allowed(node.lineno, RAW_UNIT_PRAGMA)
             ):
                 constant = POWER_LITERALS[(base, exponent)]
                 self._emit(
@@ -250,10 +217,8 @@ class _Checker(ast.NodeVisitor):
 
     def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
         broad = _broad_handler_name(node)
-        if (
-            broad is not None
-            and not _has_pragma(self.lines, node.lineno, BROAD_EXCEPT_PRAGMA)
-            and not _has_pragma(self.lines, node.lineno, EXN_FAMILY_PRAGMA)
+        if broad is not None and not self._allowed(
+            node.lineno, BROAD_EXCEPT_PRAGMA, EXN_FAMILY_PRAGMA
         ):
             self._emit(
                 "EXC001",
@@ -267,116 +232,9 @@ class _Checker(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def lint_source(
-    source: str,
-    filename: str = "<string>",
-    allowlist: "Sequence[str]" = DEFAULT_ALLOWLIST,
-) -> "List[Diagnostic]":
-    """Lint one Python source text."""
-    if _is_allowlisted(filename, allowlist):
-        return []
-    tree = ast.parse(source, filename=filename)
-    checker = _Checker(filename, source.splitlines())
-    checker.visit(tree)
-    metrics = get_metrics()
-    for finding in checker.findings:
-        metrics.inc(f"lint.diagnostics.{finding.severity.value}")
-    return checker.findings
-
-
-def _python_files(path: str) -> "Iterator[str]":
-    if os.path.isfile(path):
-        yield path
-        return
-    for root, dirs, files in os.walk(path):
-        dirs[:] = sorted(d for d in dirs if d != "__pycache__")
-        for name in sorted(files):
-            if name.endswith(".py"):
-                yield os.path.join(root, name)
-
-
-def count_pragmas(
-    paths: "Sequence[str]", pragma: str = RAW_UNIT_PRAGMA
-) -> int:
-    """Occurrences of a pragma across the given files/trees."""
-    count = 0
-    for path in paths:
-        for filename in _python_files(path):
-            with open(filename, encoding="utf-8") as handle:
-                count += sum(1 for line in handle if pragma in line)
-    return count
-
-
-def lint_paths(
-    paths: "Sequence[str]",
-    allowlist: "Sequence[str]" = DEFAULT_ALLOWLIST,
-    max_pragmas: Optional[int] = None,
-) -> "List[Diagnostic]":
-    """Lint files and/or directory trees of Python source."""
-    metrics = get_metrics()
-    findings: "List[Diagnostic]" = []
-    for path in paths:
-        for filename in _python_files(path):
-            metrics.inc("lint.codelint.files")
-            with open(filename, encoding="utf-8") as handle:
-                source = handle.read()
-            findings.extend(lint_source(source, filename, allowlist))
-    if max_pragmas is not None:
-        pragmas = count_pragmas(paths)
-        if pragmas > max_pragmas:
-            info = CODE_RULES["UNI003"]
-            findings.append(
-                Diagnostic(
-                    code="UNI003",
-                    severity=info.severity,
-                    message=(
-                        f"{pragmas} `# {RAW_UNIT_PRAGMA}` pragmas in the "
-                        f"tree, over the budget of {max_pragmas}: the "
-                        "escape hatch is becoming the norm"
-                    ),
-                    hint="convert pragma'd literals to repro.units "
-                    "constants (or raise the budget deliberately)",
-                    category=info.category,
-                    source="code",
-                )
-            )
-    return findings
-
-
-def main(argv: "Optional[Sequence[str]]" = None) -> int:
-    """Entry point for ``python -m repro.lint.codelint``."""
-    parser = argparse.ArgumentParser(
-        prog="repro.lint.codelint",
-        description="units-discipline and exception-hygiene checker",
-    )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        default=list(DEFAULT_PATHS),
-        help="Python files or directories to check "
-        f"(default: {' '.join(DEFAULT_PATHS)})",
-    )
-    parser.add_argument(
-        "--format", choices=FORMATS, default="human", help="output format"
-    )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="warnings also fail (symmetric with `repro lint code`; "
-        "the UNI/EXC rules are all errors today)",
-    )
-    parser.add_argument(
-        "--max-pragmas",
-        type=int,
-        default=None,
-        metavar="N",
-        help=f"fail when more than N `# {RAW_UNIT_PRAGMA}` pragmas exist",
-    )
-    args = parser.parse_args(argv)
-    findings = lint_paths(args.paths, max_pragmas=args.max_pragmas)
-    print(render(findings, args.format))
-    return exit_code(findings, strict=args.strict)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+def lint_paths(sources: "Sequence[SourceFile]") -> "List[Diagnostic]":
+    """The UNI/EXC pass over loaded sources, in file order."""
+    report = Report(CODE_RULES, unique=False)
+    for source in analyzed(sources, ALLOWLIST, "codelint"):
+        _Checker(source, report).visit(source.tree)
+    return report.finish()

@@ -1,9 +1,5 @@
 """Dimensional dataflow analysis: a units typechecker for the pipeline.
 
-Run as::
-
-    python -m repro.lint.dimcheck src/repro
-
 Everything the framework computes — utilization, recovery time, data
 loss, cost (Keeton & Merchant section 3) — is arithmetic over quantities
 in four physical dimensions: bytes, seconds, bytes/s and dollars.  The
@@ -55,18 +51,15 @@ Rules (sharing the :class:`~repro.lint.diagnostics.Diagnostic` model):
 The pragma ``# lint: allow-dim`` on the flagged line suppresses
 DIM001–DIM003 (use it only with a comment stating the dimensional
 contract the checker cannot see); ``--max-pragmas`` budgets the total
-so the escape hatch cannot quietly become the norm (CI pins it at 5).
+so the escape hatch cannot quietly become the norm (CI pins it at 3).
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
-import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from ..obs import get_metrics
 from ..units import (
     ANNOTATION_DIMENSIONS,
     DECIMAL_SIZE_CONSTANTS,
@@ -80,8 +73,8 @@ from ..units import (
     TIME,
     Dimension,
 )
-from .diagnostics import Diagnostic, Severity, exit_code
-from .output import FORMATS, render
+from .diagnostics import Diagnostic, Severity
+from .loader import Report, SourceFile, analyzed
 from .registry import RuleInfo
 
 #: The dimension-rule table, merged into SARIF metadata and the
@@ -126,7 +119,7 @@ ALLOW_DIM_PRAGMA = "lint: allow-dim"
 
 #: Files the checker never applies to: the module that *defines* the
 #: dimension vocabulary, and this analyzer itself.
-DEFAULT_ALLOWLIST = ("repro/units.py", "repro/lint/dimcheck.py")
+ALLOWLIST = ("repro/units.py", "repro/lint/dimcheck.py")
 
 _DECIMAL_NAMES = frozenset(DECIMAL_SIZE_CONSTANTS)
 
@@ -373,52 +366,19 @@ class _FuncCtx:
 class _FileAnalyzer:
     """One file's worth of DIM findings."""
 
-    def __init__(self, filename: str, lines: "Sequence[str]") -> None:
-        self.filename = filename
-        self.lines = lines
-        self.findings: "List[Diagnostic]" = []
+    def __init__(self, source: SourceFile, report: Report) -> None:
+        self.source = source
+        self.report = report
         self.units_aliases: "Set[str]" = set()
         self.module_env: Env = {}
         self.functions: "Dict[str, Signature]" = {}
         self.methods: "Dict[str, Dict[str, Signature]]" = {}
-        self.pragma_lines: "Set[int]" = {
-            number
-            for number, line in enumerate(lines, 1)
-            if ALLOW_DIM_PRAGMA in line
-        }
-        self.used_pragma_lines: "Set[int]" = set()
         self._current_class: Optional[str] = None
 
     # -- diagnostics ---------------------------------------------------------
 
-    def _suppressed(self, node: ast.AST) -> bool:
-        first = getattr(node, "lineno", None)
-        if first is None:
-            return False
-        last = getattr(node, "end_lineno", None) or first
-        covered = self.pragma_lines.intersection(range(first, last + 1))
-        if covered:
-            self.used_pragma_lines.update(covered)
-            return True
-        return False
-
     def _emit(self, code: str, message: str, hint: str, node: ast.AST) -> None:
-        if self._suppressed(node):
-            return
-        info = DIM_RULES[code]
-        self.findings.append(
-            Diagnostic(
-                code=code,
-                severity=info.severity,
-                message=message,
-                hint=hint,
-                category=info.category,
-                source="code",
-                file=self.filename,
-                line=getattr(node, "lineno", None),
-                column=getattr(node, "col_offset", None),
-            )
-        )
+        self.report.emit(self.source, code, message, hint, node)
 
     # -- seeding: imports, annotations, signatures ---------------------------
 
@@ -488,7 +448,8 @@ class _FileAnalyzer:
 
     # -- the run -------------------------------------------------------------
 
-    def run(self, tree: ast.Module) -> None:
+    def run(self) -> None:
+        tree = self.source.tree
         self._collect_imports(tree)
         self._collect_signatures(tree)
         for node in tree.body:
@@ -499,23 +460,7 @@ class _FileAnalyzer:
                 self._analyze_function(node, None)
             elif isinstance(node, ast.ClassDef):
                 self._analyze_class(node)
-        for line in sorted(self.pragma_lines - self.used_pragma_lines):
-            info = DIM_RULES["DIM099"]
-            self.findings.append(
-                Diagnostic(
-                    code="DIM099",
-                    severity=info.severity,
-                    message=(
-                        f"stale `# {ALLOW_DIM_PRAGMA}` pragma: it no longer "
-                        "suppresses any diagnostic"
-                    ),
-                    hint="delete the pragma (the code it excused is gone)",
-                    category=info.category,
-                    source="code",
-                    file=self.filename,
-                    line=line,
-                )
-            )
+        self.report.stale(self.source)
 
     def _is_property(self, node: FuncNode) -> bool:
         for decorator in node.decorator_list:
@@ -1072,100 +1017,9 @@ class _FileAnalyzer:
             )
 
 
-# ---------------------------------------------------------------------------
-# Entry points (mirror repro.lint.codelint).
-# ---------------------------------------------------------------------------
-
-
-def lint_source(
-    source: str,
-    filename: str = "<string>",
-    allowlist: "Sequence[str]" = DEFAULT_ALLOWLIST,
-) -> "List[Diagnostic]":
-    """Dimension-check one Python source text."""
-    from .codelint import _is_allowlisted
-
-    if _is_allowlisted(filename, allowlist):
-        return []
-    tree = ast.parse(source, filename=filename)
-    analyzer = _FileAnalyzer(filename, source.splitlines())
-    analyzer.run(tree)
-    metrics = get_metrics()
-    for finding in analyzer.findings:
-        metrics.inc(f"lint.diagnostics.{finding.severity.value}")
-    return analyzer.findings
-
-
-def lint_paths(
-    paths: "Sequence[str]",
-    allowlist: "Sequence[str]" = DEFAULT_ALLOWLIST,
-    max_pragmas: Optional[int] = None,
-) -> "List[Diagnostic]":
-    """Dimension-check files and/or directory trees of Python source."""
-    from .codelint import _python_files, count_pragmas
-
-    metrics = get_metrics()
-    findings: "List[Diagnostic]" = []
-    for path in paths:
-        for filename in _python_files(path):
-            metrics.inc("lint.dimcheck.files")
-            with open(filename, encoding="utf-8") as handle:
-                source = handle.read()
-            findings.extend(lint_source(source, filename, allowlist))
-    if max_pragmas is not None:
-        pragmas = count_pragmas(paths, ALLOW_DIM_PRAGMA)
-        if pragmas > max_pragmas:
-            info = DIM_RULES["DIM004"]
-            findings.append(
-                Diagnostic(
-                    code="DIM004",
-                    severity=info.severity,
-                    message=(
-                        f"{pragmas} `# {ALLOW_DIM_PRAGMA}` pragmas in the "
-                        f"tree, over the budget of {max_pragmas}: the "
-                        "escape hatch is becoming the norm"
-                    ),
-                    hint="fix the pragma'd expressions (or raise the "
-                    "budget deliberately)",
-                    category=info.category,
-                    source="code",
-                )
-            )
-    return findings
-
-
-def main(argv: "Optional[Sequence[str]]" = None) -> int:
-    """Entry point for ``python -m repro.lint.dimcheck``."""
-    parser = argparse.ArgumentParser(
-        prog="repro.lint.dimcheck",
-        description="dimensional dataflow checker (bytes/seconds/$)",
-    )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        default=["src/repro"],
-        help="Python files or directories to check (default: src/repro)",
-    )
-    parser.add_argument(
-        "--format", choices=FORMATS, default="human", help="output format"
-    )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="warnings (stale pragmas) also fail",
-    )
-    parser.add_argument(
-        "--max-pragmas",
-        type=int,
-        default=None,
-        metavar="N",
-        help=f"fail when more than N `# {ALLOW_DIM_PRAGMA}` pragmas exist",
-    )
-    args = parser.parse_args(argv)
-    findings = lint_paths(args.paths, max_pragmas=args.max_pragmas)
-    print(render(findings, args.format))
-    return exit_code(findings, strict=args.strict)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+def lint_paths(sources: "Sequence[SourceFile]") -> "List[Diagnostic]":
+    """The DIM pass over loaded sources, in file order."""
+    report = Report(DIM_RULES, ALLOW_DIM_PRAGMA, "DIM099", unique=False)
+    for source in analyzed(sources, ALLOWLIST, "dimcheck"):
+        _FileAnalyzer(source, report).run()
+    return report.finish()

@@ -1,9 +1,5 @@
 """Interprocedural exception-flow analyzer for the error contract.
 
-Run as::
-
-    python -m repro.lint.exncheck src/repro
-
 Everything the evaluation pipeline reports rests on its own failure
 paths being correct: :mod:`repro.engine` encodes "``ReproError`` =
 model outcome, never retried; anything else = infrastructure fault,
@@ -68,14 +64,11 @@ safe); ``--max-pragmas`` budgets the total (CI pins it at 3).
 
 from __future__ import annotations
 
-import argparse
 import ast
 import builtins
-import sys
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..obs import get_metrics
 from .callgraph import (
     COMMON_METHOD_NAMES,
     FUNC_NODES as _FUNC_NODES,
@@ -90,8 +83,8 @@ from .callgraph import (
     dotted_chain as _dotted_chain,
     local_names as _local_names,
 )
-from .diagnostics import Diagnostic, Severity, exit_code
-from .output import FORMATS, render
+from .diagnostics import Diagnostic, Severity
+from .loader import Report, SourceFile, analyzed
 from .registry import RuleInfo
 
 #: The exception-flow rule table, merged into SARIF metadata and the
@@ -147,13 +140,8 @@ EXN_RULES: "Dict[str, RuleInfo]" = {
 ALLOW_EXN_PRAGMA = "lint: allow-exn"
 
 #: Files the checker never applies to: this analyzer itself (its stub
-#: tables and hint strings name the very patterns it flags) and
-#: codelint, whose ``EXN_FAMILY_PRAGMA`` constant spells the pragma
-#: out as a string literal.
-DEFAULT_ALLOWLIST = (
-    "repro/lint/exncheck.py",
-    "repro/lint/codelint.py",
-)
+#: tables and hint strings name the very patterns it flags).
+ALLOWLIST = ("repro/lint/exncheck.py",)
 
 #: The framework's error-contract root class.
 REPRO_ERROR = "ReproError"
@@ -634,17 +622,13 @@ _EMPTY: Escape = (frozenset(), False)
 class _ExnProject(Project):
     """All modules of one invocation, analyzed together."""
 
-    pragma = ALLOW_EXN_PRAGMA
-
     #: ``decode``/``encode`` stay resolvable (the cache's codec decode
     #: is a load-bearing EXN002 flow); the rest of the shared container
     #: vocabulary is excluded from CHA as usual.
     skip_method_names = frozenset(COMMON_METHOD_NAMES - {"decode", "encode"})
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.findings: "List[Diagnostic]" = []
-        self._emitted: "Set[Tuple[str, Optional[int], str, str]]" = set()
+    def __init__(self, report: Report) -> None:
+        super().__init__(report)
         self.hierarchy = _Hierarchy()
         self.summaries: "Dict[str, Block]" = {}
         self.escapes: "Dict[str, FrozenSet[str]]" = {}
@@ -654,43 +638,6 @@ class _ExnProject(Project):
         #: field name ``decode`` to that function, so the later
         #: ``codec.decode(...)`` attr call resolves through it.
         self._field_bindings: "Dict[str, List[FunctionInfo]]" = {}
-
-    # -- emission ------------------------------------------------------------
-
-    def emit(
-        self,
-        module: ModuleInfo,
-        code: str,
-        message: str,
-        hint: str,
-        node: "Optional[ast.AST]",
-        line: "Optional[int]" = None,
-    ) -> None:
-        first = getattr(node, "lineno", None) if node is not None else line
-        if node is not None and first is not None:
-            last = getattr(node, "end_lineno", None) or first
-            covered = module.pragma_lines.intersection(range(first, int(last) + 1))
-            if covered:
-                module.used_pragma_lines.update(covered)
-                return
-        key = (module.filename, first, code, message)
-        if key in self._emitted:
-            return
-        self._emitted.add(key)
-        info = EXN_RULES[code]
-        self.findings.append(
-            Diagnostic(
-                code=code,
-                severity=info.severity,
-                message=message,
-                hint=hint,
-                category=info.category,
-                source="code",
-                file=module.filename,
-                line=first,
-                column=getattr(node, "col_offset", None) if node is not None else None,
-            )
-        )
 
     # -- analysis ------------------------------------------------------------
 
@@ -715,12 +662,7 @@ class _ExnProject(Project):
         self._report_handlers()
         self._check_worker_pickling()
         self._check_public_leaks()
-        for module in self.modules:
-            self._stale_pragmas(module)
-        self.findings.sort(
-            key=lambda d: (d.file or "", d.line or 0, d.code, d.message)
-        )
-        return self.findings
+        return self.finish()
 
     def _collect_field_bindings(self, module: ModuleInfo) -> None:
         """Record ``SomeClass(field=module_function)`` keyword bindings
@@ -1147,140 +1089,14 @@ class _ExnProject(Project):
                                     )
         return roots
 
-    # -- pragmas --------------------------------------------------------------
-
-    def _stale_pragmas(self, module: ModuleInfo) -> None:
-        for line in sorted(module.pragma_lines - module.used_pragma_lines):
-            info = EXN_RULES["EXN099"]
-            self.findings.append(
-                Diagnostic(
-                    code="EXN099",
-                    severity=info.severity,
-                    message=(
-                        f"stale `# {ALLOW_EXN_PRAGMA}` pragma: it no "
-                        "longer suppresses any diagnostic"
-                    ),
-                    hint="delete the pragma (the code it excused is gone)",
-                    category=info.category,
-                    source="code",
-                    file=module.filename,
-                    line=line,
-                )
-            )
-
 
 def _builtin_names() -> "FrozenSet[str]":
     return frozenset(_builtin_exception_bases())
 
 
-# ---------------------------------------------------------------------------
-# Entry points (mirror repro.lint.parcheck / dimcheck / codelint).
-# ---------------------------------------------------------------------------
-
-
-def analyze_sources(
-    sources: "Sequence[Tuple[str, str]]",
-    allowlist: "Sequence[str]" = DEFAULT_ALLOWLIST,
-) -> "List[Diagnostic]":
-    """Analyze ``(filename, source)`` pairs as one project."""
-    from .codelint import _is_allowlisted
-
-    project = _ExnProject()
-    for filename, source in sources:
-        if _is_allowlisted(filename, allowlist):
-            continue
-        project.add_module(filename, source)
-    findings = project.analyze()
-    metrics = get_metrics()
-    for finding in findings:
-        metrics.inc(f"lint.diagnostics.{finding.severity.value}")
-    return findings
-
-
-def lint_source(
-    source: str,
-    filename: str = "<string>",
-    allowlist: "Sequence[str]" = DEFAULT_ALLOWLIST,
-) -> "List[Diagnostic]":
-    """Analyze one Python source text as a single-file project."""
-    return analyze_sources([(filename, source)], allowlist)
-
-
-def lint_paths(
-    paths: "Sequence[str]",
-    allowlist: "Sequence[str]" = DEFAULT_ALLOWLIST,
-    max_pragmas: Optional[int] = None,
-) -> "List[Diagnostic]":
-    """Analyze files and/or directory trees as one project."""
-    from .codelint import _is_allowlisted, _python_files
-
-    metrics = get_metrics()
-    sources: "List[Tuple[str, str]]" = []
-    for path in paths:
-        for filename in _python_files(path):
-            if _is_allowlisted(filename, allowlist):
-                continue
-            metrics.inc("lint.exncheck.files")
-            with open(filename, encoding="utf-8") as handle:
-                sources.append((filename, handle.read()))
-    findings = analyze_sources(sources, allowlist)
-    if max_pragmas is not None:
-        pragmas = sum(
-            sum(1 for line in source.splitlines() if ALLOW_EXN_PRAGMA in line)
-            for _, source in sources
-        )
-        if pragmas > max_pragmas:
-            info = EXN_RULES["EXN006"]
-            findings.append(
-                Diagnostic(
-                    code="EXN006",
-                    severity=info.severity,
-                    message=(
-                        f"{pragmas} `# {ALLOW_EXN_PRAGMA}` pragmas in the "
-                        f"tree, over the budget of {max_pragmas}: the "
-                        "escape hatch is becoming the norm"
-                    ),
-                    hint="fix the pragma'd sites (or raise the budget "
-                    "deliberately)",
-                    category=info.category,
-                    source="code",
-                )
-            )
-    return findings
-
-
-def main(argv: "Optional[Sequence[str]]" = None) -> int:
-    """Entry point for ``python -m repro.lint.exncheck``."""
-    parser = argparse.ArgumentParser(
-        prog="repro.lint.exncheck",
-        description="interprocedural exception-flow analyzer",
-    )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        default=["src/repro"],
-        help="Python files or directories to check (default: src/repro)",
-    )
-    parser.add_argument(
-        "--format", choices=FORMATS, default="human", help="output format"
-    )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="warnings (EXN004/EXN005, stale pragmas) also fail",
-    )
-    parser.add_argument(
-        "--max-pragmas",
-        type=int,
-        default=None,
-        metavar="N",
-        help=f"fail when more than N `# {ALLOW_EXN_PRAGMA}` pragmas exist",
-    )
-    args = parser.parse_args(argv)
-    findings = lint_paths(args.paths, max_pragmas=args.max_pragmas)
-    print(render(findings, args.format))
-    return exit_code(findings, strict=args.strict)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+def lint_paths(sources: "Sequence[SourceFile]") -> "List[Diagnostic]":
+    """The EXN pass: the analyzed sources as one project."""
+    project = _ExnProject(Report(EXN_RULES, ALLOW_EXN_PRAGMA, "EXN099"))
+    for source in analyzed(sources, ALLOWLIST, "exncheck"):
+        project.add_module(source)
+    return project.analyze()

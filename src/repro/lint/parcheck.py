@@ -1,9 +1,5 @@
 """Parallel-safety and determinism analyzer for the sweep engine.
 
-Run as::
-
-    python -m repro.lint.parcheck src/repro
-
 Everything :mod:`repro.engine` promises — byte-identical serial,
 parallel and cached sweeps — rests on an invariant no runtime test can
 fully enforce: a task shipped to a worker process must be a
@@ -97,22 +93,16 @@ at 3).
 
 from __future__ import annotations
 
-import argparse
 import ast
-import sys
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Union
 
-from ..obs import get_metrics
 from .callgraph import (
-    COMMON_METHOD_NAMES,
     FUNC_NODES as _FUNC_NODES,
     SUBMIT_METHODS,
-    WORKER_BOUNDARY_MARKER,
     AttrAccess,
     CallRef,
     ClassInfo,
     Effect,
-    FuncNode,
     FunctionInfo,
     ModuleInfo,
     Project,
@@ -120,8 +110,8 @@ from .callgraph import (
     dotted_chain as _dotted_chain,
     local_names as _local_names,
 )
-from .diagnostics import Diagnostic, Severity, exit_code
-from .output import FORMATS, render
+from .diagnostics import Diagnostic, Severity
+from .loader import Report, SourceFile, analyzed
 from .registry import RuleInfo
 
 #: The parallel-safety rule table, merged into SARIF metadata and the
@@ -178,7 +168,7 @@ ALLOW_PAR_PRAGMA = "lint: allow-par"
 
 #: Files the checker never applies to: this analyzer itself (its stub
 #: tables and corpus snippets name the very patterns it flags).
-DEFAULT_ALLOWLIST = ("repro/lint/parcheck.py",)
+ALLOWLIST = ("repro/lint/parcheck.py",)
 
 #: The sanctioned telemetry fabric: effects (PAR001/PAR002) inside
 #: these path fragments are not findings; lock discipline still is.
@@ -700,15 +690,6 @@ class _FunctionScanner:
             self._expr(keyword.value)
         if isinstance(node.func, ast.Attribute):
             self._expr(node.func.value)
-            if (
-                isinstance(node.func.value, ast.Name)
-                and node.func.value.id in ("self", "cls")
-                and self.cls is not None
-                and node.func.attr in MUTATOR_METHODS
-            ):
-                # self.items.append(...) is not what we track here; a
-                # direct mutator on self.X counts as a write to X.
-                pass
 
     def _check_effect_call(
         self, node: ast.Call, dotted: Optional[str], bare: Optional[str]
@@ -911,52 +892,8 @@ class _FunctionScanner:
 class _Project(Project):
     """All modules of one invocation, analyzed together."""
 
-    pragma = ALLOW_PAR_PRAGMA
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.findings: "List[Diagnostic]" = []
-        self._emitted: "Set[Tuple[str, Optional[int], str, str]]" = set()
-
     def sanctioned(self, filename: str) -> bool:
         return _is_sanctioned(filename)
-
-    # -- emission ------------------------------------------------------------
-
-    def emit(
-        self,
-        module: ModuleInfo,
-        code: str,
-        message: str,
-        hint: str,
-        node: "Optional[ast.AST]",
-        line: "Optional[int]" = None,
-    ) -> None:
-        first = getattr(node, "lineno", None) if node is not None else line
-        if node is not None and first is not None:
-            last = getattr(node, "end_lineno", None) or first
-            covered = module.pragma_lines.intersection(range(first, int(last) + 1))
-            if covered:
-                module.used_pragma_lines.update(covered)
-                return
-        key = (module.filename, first, code, message)
-        if key in self._emitted:
-            return
-        self._emitted.add(key)
-        info = PAR_RULES[code]
-        self.findings.append(
-            Diagnostic(
-                code=code,
-                severity=info.severity,
-                message=message,
-                hint=hint,
-                category=info.category,
-                source="code",
-                file=module.filename,
-                line=first,
-                column=getattr(node, "col_offset", None) if node is not None else None,
-            )
-        )
 
     # -- analysis ------------------------------------------------------------
 
@@ -969,12 +906,7 @@ class _Project(Project):
         self.resolve_edges()
         self._propagate_from_roots()
         self._check_lock_discipline()
-        for module in self.modules:
-            self._stale_pragmas(module)
-        self.findings.sort(
-            key=lambda d: (d.file or "", d.line or 0, d.code, d.message)
-        )
-        return self.findings
+        return self.finish()
 
     # -- reachability from worker boundaries ---------------------------------
 
@@ -1101,138 +1033,10 @@ class _Project(Project):
                 access.node,
             )
 
-    # -- pragmas --------------------------------------------------------------
 
-    def _stale_pragmas(self, module: ModuleInfo) -> None:
-        for line in sorted(module.pragma_lines - module.used_pragma_lines):
-            info = PAR_RULES["PAR099"]
-            self.findings.append(
-                Diagnostic(
-                    code="PAR099",
-                    severity=info.severity,
-                    message=(
-                        f"stale `# {ALLOW_PAR_PRAGMA}` pragma: it no "
-                        "longer suppresses any diagnostic"
-                    ),
-                    hint="delete the pragma (the code it excused is gone)",
-                    category=info.category,
-                    source="code",
-                    file=module.filename,
-                    line=line,
-                )
-            )
-
-
-# ---------------------------------------------------------------------------
-# Entry points (mirror repro.lint.dimcheck / codelint).
-# ---------------------------------------------------------------------------
-
-
-def analyze_sources(
-    sources: "Sequence[Tuple[str, str]]",
-    allowlist: "Sequence[str]" = DEFAULT_ALLOWLIST,
-) -> "List[Diagnostic]":
-    """Analyze ``(filename, source)`` pairs as one project."""
-    from .codelint import _is_allowlisted
-
-    project = _Project()
-    for filename, source in sources:
-        if _is_allowlisted(filename, allowlist):
-            continue
-        project.add_module(filename, source)
-    findings = project.analyze()
-    metrics = get_metrics()
-    for finding in findings:
-        metrics.inc(f"lint.diagnostics.{finding.severity.value}")
-    return findings
-
-
-def lint_source(
-    source: str,
-    filename: str = "<string>",
-    allowlist: "Sequence[str]" = DEFAULT_ALLOWLIST,
-) -> "List[Diagnostic]":
-    """Analyze one Python source text as a single-file project."""
-    return analyze_sources([(filename, source)], allowlist)
-
-
-def lint_paths(
-    paths: "Sequence[str]",
-    allowlist: "Sequence[str]" = DEFAULT_ALLOWLIST,
-    max_pragmas: Optional[int] = None,
-) -> "List[Diagnostic]":
-    """Analyze files and/or directory trees as one project."""
-    from .codelint import _is_allowlisted, _python_files
-
-    metrics = get_metrics()
-    sources: "List[Tuple[str, str]]" = []
-    for path in paths:
-        for filename in _python_files(path):
-            if _is_allowlisted(filename, allowlist):
-                continue
-            metrics.inc("lint.parcheck.files")
-            with open(filename, encoding="utf-8") as handle:
-                sources.append((filename, handle.read()))
-    findings = analyze_sources(sources, allowlist)
-    if max_pragmas is not None:
-        # Budget only the analyzed files: the analyzer's own source
-        # names the pragma in its hint strings.
-        pragmas = sum(
-            sum(1 for line in source.splitlines() if ALLOW_PAR_PRAGMA in line)
-            for _, source in sources
-        )
-        if pragmas > max_pragmas:
-            info = PAR_RULES["PAR006"]
-            findings.append(
-                Diagnostic(
-                    code="PAR006",
-                    severity=info.severity,
-                    message=(
-                        f"{pragmas} `# {ALLOW_PAR_PRAGMA}` pragmas in the "
-                        f"tree, over the budget of {max_pragmas}: the "
-                        "escape hatch is becoming the norm"
-                    ),
-                    hint="fix the pragma'd sites (or raise the budget "
-                    "deliberately)",
-                    category=info.category,
-                    source="code",
-                )
-            )
-    return findings
-
-
-def main(argv: "Optional[Sequence[str]]" = None) -> int:
-    """Entry point for ``python -m repro.lint.parcheck``."""
-    parser = argparse.ArgumentParser(
-        prog="repro.lint.parcheck",
-        description="parallel-safety & determinism analyzer",
-    )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        default=["src/repro"],
-        help="Python files or directories to check (default: src/repro)",
-    )
-    parser.add_argument(
-        "--format", choices=FORMATS, default="human", help="output format"
-    )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="warnings (PAR003, stale pragmas) also fail",
-    )
-    parser.add_argument(
-        "--max-pragmas",
-        type=int,
-        default=None,
-        metavar="N",
-        help=f"fail when more than N `# {ALLOW_PAR_PRAGMA}` pragmas exist",
-    )
-    args = parser.parse_args(argv)
-    findings = lint_paths(args.paths, max_pragmas=args.max_pragmas)
-    print(render(findings, args.format))
-    return exit_code(findings, strict=args.strict)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+def lint_paths(sources: "Sequence[SourceFile]") -> "List[Diagnostic]":
+    """The PAR pass: the analyzed sources as one project."""
+    project = _Project(Report(PAR_RULES, ALLOW_PAR_PRAGMA, "PAR099"))
+    for source in analyzed(sources, ALLOWLIST, "parcheck"):
+        project.add_module(source)
+    return project.analyze()

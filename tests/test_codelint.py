@@ -4,20 +4,23 @@ import json
 
 import pytest
 
-from repro.lint.codelint import (
-    BROAD_EXCEPT_PRAGMA,
-    DEFAULT_PATHS,
-    RAW_UNIT_PRAGMA,
-    count_pragmas,
-    lint_paths,
-    lint_source,
-    main,
-)
+from repro.cli import main as cli_main
+from repro.lint.allcheck import DEFAULT_PATHS, lint_targets
+from repro.lint.codelint import BROAD_EXCEPT_PRAGMA, RAW_UNIT_PRAGMA, lint_paths
 from repro.lint.diagnostics import Severity
+from repro.lint.loader import load_paths, load_source
 
 
 def codes(findings):
     return [f.code for f in findings]
+
+
+def lint_source(source, filename="<string>"):
+    return lint_paths([load_source(filename, source)])
+
+
+def lint_cli(argv):
+    return cli_main(["lint", *argv])
 
 
 class TestRawUnitLiterals:
@@ -136,11 +139,11 @@ class TestBroadExcept:
 
 class TestTreeAndCli:
     def test_repro_tree_is_clean(self):
-        assert lint_paths(["src/repro"]) == []
+        assert lint_paths(load_paths(["src/repro"])) == []
 
     def test_examples_and_benchmarks_are_clean(self):
         # The linter's default sweep covers the runnable trees too.
-        assert lint_paths(["examples", "benchmarks"]) == []
+        assert lint_paths(load_paths(["examples", "benchmarks"])) == []
 
     def test_default_paths_cover_all_three_trees(self):
         assert DEFAULT_PATHS == ("src/", "examples/", "benchmarks/")
@@ -155,36 +158,37 @@ class TestTreeAndCli:
             package.mkdir()
             (package / "planted.py").write_text("duration = 4 * 3600.0\n")
         monkeypatch.chdir(tmp_path)
-        findings = lint_paths(list(DEFAULT_PATHS))
+        findings = lint_paths(load_paths(DEFAULT_PATHS))
         assert codes(findings) == ["UNI001"] * len(DEFAULT_PATHS)
         flagged = {f.file for f in findings}
         assert len(flagged) == len(DEFAULT_PATHS)
 
     def test_tree_pragma_budget(self):
-        assert count_pragmas(["src/repro"]) <= 5
+        findings = lint_targets([], ["src/repro"], max_pragmas=3)
+        assert "UNI003" not in codes(findings)
 
     def test_max_pragmas_gate(self, tmp_path):
         path = tmp_path / "m.py"
         path.write_text(f"a = 3600  # {RAW_UNIT_PRAGMA}\n")
-        ok = lint_paths([str(path)], max_pragmas=1)
+        ok = lint_targets([], [str(path)], max_pragmas=1)
         assert ok == []
-        over = lint_paths([str(path)], max_pragmas=0)
+        over = lint_targets([], [str(path)], max_pragmas=0)
         assert codes(over) == ["UNI003"]
 
     def test_cli_exit_codes(self, tmp_path, capsys):
         clean = tmp_path / "clean.py"
         clean.write_text("from repro.units import HOUR\nx = 4 * HOUR\n")
-        assert main([str(clean)]) == 0
+        assert lint_cli([str(clean)]) == 0
         assert "clean" in capsys.readouterr().out
         dirty = tmp_path / "dirty.py"
         dirty.write_text("x = 86400\n")
-        assert main([str(dirty)]) == 1
+        assert lint_cli([str(dirty)]) == 1
         assert "UNI001" in capsys.readouterr().out
 
     def test_cli_json_format(self, tmp_path, capsys):
         dirty = tmp_path / "dirty.py"
         dirty.write_text("x = 3600\n")
-        assert main([str(dirty), "--format", "json"]) == 1
+        assert lint_cli([str(dirty), "--format", "json"]) == 1
         document = json.loads(capsys.readouterr().out)
         record = document["diagnostics"][0]
         assert record["code"] == "UNI001"
@@ -195,7 +199,7 @@ class TestTreeAndCli:
     def test_cli_sarif_format(self, tmp_path, capsys):
         dirty = tmp_path / "dirty.py"
         dirty.write_text("x = 3600\n")
-        assert main([str(dirty), "--format", "sarif"]) == 1
+        assert lint_cli([str(dirty), "--format", "sarif"]) == 1
         log = json.loads(capsys.readouterr().out)
         result = log["runs"][0]["results"][0]
         assert result["ruleId"] == "UNI001"
@@ -210,5 +214,5 @@ class TestTreeAndCli:
         cache.mkdir(parents=True)
         (package / "m.py").write_text("x = 3600\n")
         (cache / "m.py").write_text("x = 3600\n")
-        findings = lint_paths([str(package)])
+        findings = lint_paths(load_paths([str(package)]))
         assert len(findings) == 1

@@ -10,16 +10,17 @@ import json
 
 import pytest
 
+from repro.cli import main as cli_main
+from repro.lint.allcheck import lint_targets
 from repro.lint.dimcheck import (
     ALLOW_DIM_PRAGMA,
     DIM_RULES,
     DimValue,
     lint_paths,
-    lint_source,
-    main,
     unit_value,
 )
 from repro.lint.diagnostics import Severity
+from repro.lint.loader import load_paths, load_source
 from repro.lint.output import diagnostics_from_sarif, render_sarif
 from repro.units import MONEY, MONEY_RATE, RATE, SIZE, TIME
 
@@ -33,6 +34,14 @@ IMPORTS = (
 
 def codes(findings):
     return [f.code for f in findings]
+
+
+def lint_source(source, filename="<string>"):
+    return lint_paths([load_source(filename, source)])
+
+
+def lint_cli(argv):
+    return cli_main(["lint", *argv])
 
 
 def check(body):
@@ -253,8 +262,8 @@ class TestPragmas:
             "from repro.units import GB, HOUR\n"
             f"x = 4 * GB + 2 * HOUR  # {ALLOW_DIM_PRAGMA}\n"
         )
-        assert lint_paths([str(path)], max_pragmas=1) == []
-        over = lint_paths([str(path)], max_pragmas=0)
+        assert lint_targets([], [str(path)], max_pragmas=1) == []
+        over = lint_targets([], [str(path)], max_pragmas=0)
         assert codes(over) == ["DIM004"]
         assert "budget" in over[0].message
 
@@ -263,10 +272,10 @@ class TestTreeAndCli:
     def test_shipped_tree_is_clean(self):
         # The acceptance criterion: src/repro passes strict with zero
         # findings (and therefore zero pragmas in use).
-        assert lint_paths(["src/repro"]) == []
+        assert lint_paths(load_paths(["src/repro"])) == []
 
     def test_examples_and_benchmarks_are_clean(self):
-        assert lint_paths(["examples", "benchmarks"]) == []
+        assert lint_paths(load_paths(["examples", "benchmarks"])) == []
 
     def test_units_and_checker_are_allowlisted(self):
         source = "x = 4\n"
@@ -276,21 +285,21 @@ class TestTreeAndCli:
     def test_cli_exit_codes(self, tmp_path, capsys):
         clean = tmp_path / "clean.py"
         clean.write_text("from repro.units import HOUR\nx = 4 * HOUR\n")
-        assert main([str(clean)]) == 0
+        assert lint_cli([str(clean)]) == 0
         assert "clean" in capsys.readouterr().out
         dirty = tmp_path / "dirty.py"
         dirty.write_text(
             "from repro.units import GB, HOUR\nx = 4 * GB + 2 * HOUR\n"
         )
-        assert main([str(dirty)]) == 1
+        assert lint_cli([str(dirty)]) == 1
         assert "DIM001" in capsys.readouterr().out
 
     def test_cli_strict_promotes_warnings(self, tmp_path, capsys):
         stale = tmp_path / "stale.py"
         stale.write_text(f"x = 4  # {ALLOW_DIM_PRAGMA}\n")
-        assert main([str(stale)]) == 0
+        assert lint_cli([str(stale)]) == 0
         capsys.readouterr()
-        assert main([str(stale), "--strict"]) == 1
+        assert lint_cli([str(stale), "--strict"]) == 1
         assert "DIM099" in capsys.readouterr().out
 
     def test_cli_json_format(self, tmp_path, capsys):
@@ -298,7 +307,7 @@ class TestTreeAndCli:
         dirty.write_text(
             "from repro.units import GB, HOUR\nx = 4 * GB + 2 * HOUR\n"
         )
-        assert main([str(dirty), "--format", "json"]) == 1
+        assert lint_cli([str(dirty), "--format", "json"]) == 1
         record = json.loads(capsys.readouterr().out)["diagnostics"][0]
         assert record["code"] == "DIM001"
         assert record["file"] == str(dirty)
@@ -344,7 +353,7 @@ class TestMetrics:
         path = tmp_path / "m.py"
         path.write_text("x = 1\n")
         with obs.use_metrics(obs.MetricsRegistry()) as registry:
-            lint_paths([str(path)])
+            lint_paths(load_paths([str(path)]))
             counters = registry.snapshot()["counters"]
         assert counters.get("lint.dimcheck.files") == 1
 

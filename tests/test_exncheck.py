@@ -18,17 +18,13 @@ import pickle
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.exceptions import ReproError
+from repro.lint.allcheck import lint_targets
 from repro.lint.diagnostics import Severity
+from repro.lint.loader import load_paths, load_source
 from repro.lint.output import diagnostics_from_sarif, render_sarif
-from repro.lint.exncheck import (
-    ALLOW_EXN_PRAGMA,
-    EXN_RULES,
-    analyze_sources,
-    lint_paths,
-    lint_source,
-    main,
-)
+from repro.lint.exncheck import ALLOW_EXN_PRAGMA, EXN_RULES, lint_paths
 from repro.obs import MetricsRegistry, use_metrics
 
 #: Every corpus file opens with the framework's error-contract shape:
@@ -56,6 +52,18 @@ SUBMIT = (
 
 def codes(findings):
     return [f.code for f in findings]
+
+
+def analyze_sources(pairs):
+    return lint_paths([load_source(name, text) for name, text in pairs])
+
+
+def lint_source(source, filename="<string>"):
+    return analyze_sources([(filename, source)])
+
+
+def lint_cli(argv):
+    return cli_main(["lint", *argv])
 
 
 def check(body, submit=True):
@@ -449,8 +457,8 @@ class TestPragmas:
             f"    except Exception:  # {ALLOW_EXN_PRAGMA}\n"
             "        return None\n"
         )
-        assert lint_paths([str(path)], max_pragmas=1) == []
-        over = lint_paths([str(path)], max_pragmas=0)
+        assert lint_targets([], [str(path)], max_pragmas=1) == []
+        over = lint_targets([], [str(path)], max_pragmas=0)
         assert codes(over) == ["EXN006"]
         assert "budget" in over[0].message
 
@@ -459,10 +467,10 @@ class TestTreeAndCli:
     def test_shipped_tree_is_clean(self):
         # The acceptance criterion: src/repro passes strict with zero
         # findings (and, today, zero pragmas in use).
-        assert lint_paths(["src/repro"]) == []
+        assert lint_paths(load_paths(["src/repro"])) == []
 
     def test_examples_and_benchmarks_are_clean(self):
-        assert lint_paths(["examples", "benchmarks"]) == []
+        assert lint_paths(load_paths(["examples", "benchmarks"])) == []
 
     def test_analyzer_is_allowlisted(self):
         assert lint_source("x = 4\n", "src/repro/lint/exncheck.py") == []
@@ -470,7 +478,7 @@ class TestTreeAndCli:
     def test_cli_exit_codes(self, tmp_path, capsys):
         clean = tmp_path / "clean.py"
         clean.write_text("def load(raw):\n    return raw\n")
-        assert main([str(clean)]) == 0
+        assert lint_cli([str(clean)]) == 0
         assert "clean" in capsys.readouterr().out
         dirty = tmp_path / "dirty.py"
         dirty.write_text(
@@ -483,20 +491,20 @@ class TestTreeAndCli:
             "    except Exception:\n"
             "        return None\n"
         )
-        assert main([str(dirty)]) == 1
+        assert lint_cli([str(dirty)]) == 1
         assert "EXN002" in capsys.readouterr().out
 
     def test_cli_strict_promotes_warnings(self, tmp_path, capsys):
         stale = tmp_path / "stale.py"
         stale.write_text(f"x = 1  # {ALLOW_EXN_PRAGMA}\n")
-        assert main([str(stale)]) == 0
+        assert lint_cli([str(stale)]) == 0
         capsys.readouterr()
-        assert main([str(stale), "--strict"]) == 1
+        assert lint_cli([str(stale), "--strict"]) == 1
         capsys.readouterr()
 
     def test_module_and_cli_subcommand_agree(self, tmp_path, capsys):
-        from repro.cli import main as cli_main
-
+        # The pass over loaded sources and `repro lint` report the same
+        # EXN findings.
         dirty = tmp_path / "dirty.py"
         dirty.write_text(
             "class ReproError(Exception):\n    pass\n"
@@ -508,12 +516,13 @@ class TestTreeAndCli:
             "    except Exception:\n"
             "        return None\n"
         )
-        module_exit = main([str(dirty)])
-        module_out = capsys.readouterr().out
-        cli_exit = cli_main(["lint", "exn", str(dirty)])
-        cli_out = capsys.readouterr().out
-        assert module_exit == cli_exit == 1
-        assert "EXN002" in module_out and "EXN002" in cli_out
+        module_findings = lint_paths(load_paths([str(dirty)]))
+        assert lint_cli([str(dirty), "--format", "json"]) == 1
+        records = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert "EXN002" in codes(module_findings)
+        assert [f.to_dict() for f in module_findings] == [
+            r for r in records if r["code"].startswith("EXN")
+        ]
 
     def test_sarif_round_trip(self):
         findings = check(
@@ -548,15 +557,13 @@ class TestTreeAndCli:
         )
         registry = MetricsRegistry()
         with use_metrics(registry):
-            findings = lint_paths([str(dirty)])
+            findings = lint_paths(load_paths([str(dirty)]))
         assert findings
         counters = registry.snapshot()["counters"]
         assert counters["lint.exncheck.files"] == 1
         assert counters["lint.diagnostics.error"] >= 1
 
     def test_lint_all_includes_exn_findings(self, tmp_path, capsys):
-        from repro.lint.allcheck import main as all_main
-
         path = tmp_path / "messy.py"
         path.write_text(
             "class ReproError(Exception):\n    pass\n"
@@ -568,7 +575,7 @@ class TestTreeAndCli:
             "    except Exception:\n"
             "        return None\n"
         )
-        assert all_main([str(path)]) == 1
+        assert lint_cli(["all", str(path)]) == 1
         out = capsys.readouterr().out
         assert "EXN002" in out
 

@@ -559,25 +559,25 @@ class TestLintCommand:
         log = json.loads(capsys.readouterr().out)
         assert log["runs"][0]["results"][0]["ruleId"] == "DEP003"
 
-    def test_dim_subcommand_clean_tree(self, capsys):
-        assert main(["lint", "dim", "src/repro", "--strict"]) == 0
+    def test_python_tree_clean_under_strict(self, capsys):
+        assert main(["lint", "src/repro", "--strict"]) == 0
         assert "clean" in capsys.readouterr().out
 
-    def test_dim_subcommand_flags_mismatch(self, tmp_path, capsys):
+    def test_python_target_flags_dim_mismatch(self, tmp_path, capsys):
         dirty = tmp_path / "dirty.py"
         dirty.write_text(
             "from repro.units import GB, HOUR\nx = 4 * GB + 2 * HOUR\n"
         )
-        assert main(["lint", "dim", str(dirty)]) == 1
+        assert main(["lint", str(dirty)]) == 1
         assert "DIM001" in capsys.readouterr().out
 
-    def test_dim_subcommand_pragma_budget(self, tmp_path, capsys):
+    def test_python_target_dim_pragma_budget(self, tmp_path, capsys):
         dirty = tmp_path / "dirty.py"
         dirty.write_text(
             "from repro.units import GB, HOUR\n"
             "x = 4 * GB + 2 * HOUR  # lint: allow-dim\n"
         )
-        assert main(["lint", "dim", str(dirty), "--max-pragmas", "0"]) == 1
+        assert main(["lint", str(dirty), "--max-pragmas", "0"]) == 1
         assert "DIM004" in capsys.readouterr().out
 
     def test_unparseable_spec_reports_dep000(self, tmp_path, capsys):

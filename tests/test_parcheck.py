@@ -12,16 +12,16 @@ import json
 
 import pytest
 
+from repro.cli import main as cli_main
+from repro.lint.allcheck import lint_targets
+from repro.lint.callgraph import WORKER_BOUNDARY_MARKER
 from repro.lint.diagnostics import Severity
+from repro.lint.loader import load_paths, load_source
 from repro.lint.output import diagnostics_from_sarif, render_sarif
 from repro.lint.parcheck import (
     ALLOW_PAR_PRAGMA,
     PAR_RULES,
-    WORKER_BOUNDARY_MARKER,
-    analyze_sources,
     lint_paths,
-    lint_source,
-    main,
 )
 from repro.obs import MetricsRegistry, use_metrics
 
@@ -49,6 +49,18 @@ SUBMIT = (
 
 def codes(findings):
     return [f.code for f in findings]
+
+
+def analyze_sources(pairs):
+    return lint_paths([load_source(name, text) for name, text in pairs])
+
+
+def lint_source(source, filename="<string>"):
+    return analyze_sources([(filename, source)])
+
+
+def lint_cli(argv):
+    return cli_main(["lint", *argv])
 
 
 def check(body, submit=True):
@@ -396,8 +408,8 @@ class TestPragmas:
             "def sweep(pool, items):\n"
             "    return [pool.submit(task, i) for i in items]\n"
         )
-        assert lint_paths([str(path)], max_pragmas=1) == []
-        over = lint_paths([str(path)], max_pragmas=0)
+        assert lint_targets([], [str(path)], max_pragmas=1) == []
+        over = lint_targets([], [str(path)], max_pragmas=0)
         assert codes(over) == ["PAR006"]
         assert "budget" in over[0].message
 
@@ -406,10 +418,10 @@ class TestTreeAndCli:
     def test_shipped_tree_is_clean(self):
         # The acceptance criterion: src/repro passes strict with zero
         # findings (and, today, zero pragmas in use).
-        assert lint_paths(["src/repro"]) == []
+        assert lint_paths(load_paths(["src/repro"])) == []
 
     def test_examples_and_benchmarks_are_clean(self):
-        assert lint_paths(["examples", "benchmarks"]) == []
+        assert lint_paths(load_paths(["examples", "benchmarks"])) == []
 
     def test_analyzer_is_allowlisted(self):
         assert lint_source("x = 4\n", "src/repro/lint/parcheck.py") == []
@@ -438,7 +450,7 @@ class TestTreeAndCli:
     def test_cli_exit_codes(self, tmp_path, capsys):
         clean = tmp_path / "clean.py"
         clean.write_text("def task(x):\n    return x\n")
-        assert main([str(clean)]) == 0
+        assert lint_cli([str(clean)]) == 0
         assert "clean" in capsys.readouterr().out
         dirty = tmp_path / "dirty.py"
         dirty.write_text(
@@ -447,20 +459,20 @@ class TestTreeAndCli:
             "def sweep(pool, items):\n"
             "    return [pool.submit(task, i) for i in items]\n"
         )
-        assert main([str(dirty)]) == 1
+        assert lint_cli([str(dirty)]) == 1
         assert "PAR001" in capsys.readouterr().out
 
     def test_cli_strict_promotes_warnings(self, tmp_path, capsys):
         stale = tmp_path / "stale.py"
         stale.write_text(f"x = 1  # {ALLOW_PAR_PRAGMA}\n")
-        assert main([str(stale)]) == 0
+        assert lint_cli([str(stale)]) == 0
         capsys.readouterr()
-        assert main([str(stale), "--strict"]) == 1
+        assert lint_cli([str(stale), "--strict"]) == 1
         capsys.readouterr()
 
     def test_module_and_cli_subcommand_agree(self, tmp_path, capsys):
-        from repro.cli import main as cli_main
-
+        # The pass over loaded sources and `repro lint` report the same
+        # PAR findings.
         dirty = tmp_path / "dirty.py"
         dirty.write_text(
             "import time\n"
@@ -468,12 +480,13 @@ class TestTreeAndCli:
             "def sweep(pool, items):\n"
             "    return [pool.submit(task, i) for i in items]\n"
         )
-        module_exit = main([str(dirty)])
-        module_out = capsys.readouterr().out
-        cli_exit = cli_main(["lint", "par", str(dirty)])
-        cli_out = capsys.readouterr().out
-        assert module_exit == cli_exit == 1
-        assert "PAR001" in module_out and "PAR001" in cli_out
+        module_findings = lint_paths(load_paths([str(dirty)]))
+        assert lint_cli([str(dirty), "--format", "json"]) == 1
+        records = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert "PAR001" in codes(module_findings)
+        assert [f.to_dict() for f in module_findings] == [
+            r for r in records if r["code"].startswith("PAR")
+        ]
 
     def test_sarif_round_trip(self):
         findings = check("def task(x):\n    return time.time()\n")
@@ -496,7 +509,7 @@ class TestTreeAndCli:
         )
         registry = MetricsRegistry()
         with use_metrics(registry):
-            findings = lint_paths([str(dirty)])
+            findings = lint_paths(load_paths([str(dirty)]))
         assert findings
         counters = registry.snapshot()["counters"]
         assert counters["lint.parcheck.files"] == 1
@@ -505,8 +518,6 @@ class TestTreeAndCli:
 
 class TestUmbrella:
     def test_lint_all_merges_every_analyzer(self, tmp_path, capsys):
-        from repro.lint.allcheck import main as all_main
-
         path = tmp_path / "messy.py"
         path.write_text(
             "import time\n"
@@ -517,33 +528,28 @@ class TestUmbrella:
             "def sweep(pool, items):\n"
             "    return [pool.submit(task, i) for i in items]\n"
         )
-        assert all_main([str(path)]) == 1
+        assert lint_cli(["all", str(path)]) == 1
         out = capsys.readouterr().out
         for expected in ("UNI001", "DIM001", "PAR001"):
             assert expected in out
 
     def test_lint_all_clean_tree_exits_zero(self, capsys):
-        from repro.lint.allcheck import main as all_main
-
-        assert all_main(["src/repro/engine", "--strict"]) == 0
+        assert lint_cli(["all", "src/repro/engine", "--strict"]) == 0
         capsys.readouterr()
 
     def test_missing_spec_is_dep000_not_a_traceback(self, tmp_path, capsys):
-        from repro.lint.allcheck import main as all_main
-
-        assert all_main([str(tmp_path / "missing.json")]) == 1
+        assert lint_cli(["all", str(tmp_path / "missing.json")]) == 1
         out = capsys.readouterr().out
         assert "DEP000" in out and "unreadable" in out
 
     def test_cli_all_subcommand_matches_module(self, tmp_path, capsys):
-        from repro.cli import main as cli_main
-        from repro.lint.allcheck import main as all_main
-
+        # `repro lint all X` and `repro lint X` are one entry point, and
+        # both report what `lint_targets` returns.
         path = tmp_path / "messy.py"
         path.write_text("retention = 86400\n")
-        module_exit = all_main([str(path)])
-        module_out = capsys.readouterr().out
-        cli_exit = cli_main(["lint", "all", str(path)])
-        cli_out = capsys.readouterr().out
-        assert module_exit == cli_exit == 1
-        assert "UNI001" in module_out and "UNI001" in cli_out
+        expected = [f.to_dict() for f in lint_targets([], [str(path)])]
+        assert codes(lint_targets([], [str(path)])) == ["UNI001"]
+        for argv in (["all", str(path)], [str(path)]):
+            assert lint_cli([*argv, "--format", "json"]) == 1
+            out = capsys.readouterr().out
+            assert json.loads(out)["diagnostics"] == expected
