@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..exceptions import RecoveryError
 from ..scenarios.failures import FailureScenario
+from ..techniques.facts import FactsTable
 from .hierarchy import Level, StorageDesign
 
 
@@ -78,21 +79,25 @@ class DataLossResult:
         return self.source_technique
 
 
-def level_range(design: StorageDesign, level: Level) -> LevelRange:
-    """The Figure 3 guaranteed range for one level of a design."""
-    upstream = design.upstream_delay(level.index)
-    technique = level.technique
-    newest_age = upstream + technique.worst_lag()
-    oldest_age = (
-        upstream
-        + technique.full_availability_delay()
-        + technique.retention_span()
-    )
+def level_range(
+    design: StorageDesign, level: Level, facts: Optional[FactsTable] = None
+) -> LevelRange:
+    """The Figure 3 guaranteed range for one level of a design.
+
+    ``facts`` is the caller's technique-facts table; a fresh one is
+    used when not given.
+    """
+    if facts is None:
+        facts = FactsTable()
+    upstream = design.upstream_delay(level.index, facts)
+    own = facts.of(level.technique)
+    newest_age = upstream + own.worst_lag
+    oldest_age = upstream + own.full_availability_delay + own.retention_span
     return LevelRange(
         level_index=level.index,
-        technique_name=technique.name,
+        technique_name=level.technique.name,
         newest_age=newest_age,
-        oldest_age=max(oldest_age, newest_age - technique.worst_spacing()),
+        oldest_age=max(oldest_age, newest_age - own.worst_spacing),
     )
 
 
@@ -111,18 +116,23 @@ class LevelTable(Dict[int, LevelEntry]):
     hierarchy, never on demands or the failure scenario, so one table
     serves every scenario evaluated against the design.  Entries are
     computed on first lookup, so a level is ranged at most once per
-    table and levels no scenario reaches are never ranged.
+    table and levels no scenario reaches are never ranged.  Technique
+    facts come from ``facts``, which may be shared with other designs'
+    tables; a fresh one is used when not given.
     """
 
-    def __init__(self, design: StorageDesign) -> None:
+    def __init__(
+        self, design: StorageDesign, facts: Optional[FactsTable] = None
+    ) -> None:
         super().__init__()
         self._design = design
+        self._facts = FactsTable() if facts is None else facts
 
     def __missing__(self, index: int) -> LevelEntry:
         level = self._design.level(index)
         entry = self[index] = LevelEntry(
-            rp_range=level_range(self._design, level),
-            worst_spacing=level.technique.worst_spacing(),
+            rp_range=level_range(self._design, level, self._facts),
+            worst_spacing=self._facts.of(level.technique).worst_spacing,
         )
         return entry
 

@@ -15,6 +15,10 @@ failure scenario and set of business requirements:
 together with the scenario-independent parts of steps 4 and 6: each
 level's guaranteed RP range and worst RP spacing, and the design's
 outlays.  Every scenario's steps 4–6 read that one per-design table.
+Technique timeline facts come from a
+:class:`~repro.techniques.facts.FactsTable`, which the engine shares
+across every design of one sweep so each distinct technique's cycle is
+built once.
 
 Every step emits spans and metrics through :mod:`repro.obs` (no-ops
 unless a tracer/registry is installed), and each returned
@@ -35,6 +39,7 @@ from ..obs import get_metrics, get_tracer
 from ..obs.provenance import EvaluationProvenance
 from ..scenarios.failures import FailureScenario
 from ..scenarios.requirements import BusinessRequirements
+from ..techniques.facts import FactsTable
 from ..workload.spec import Workload
 from .cost import compute_costs, compute_outlays
 from .dataloss import LevelTable, compute_data_loss
@@ -73,12 +78,14 @@ def _prepare(
     design: StorageDesign,
     workload: Workload,
     strict_utilization: bool,
+    facts: FactsTable,
 ) -> _Prepared:
     """Steps 1–3 plus the scenario-independent parts of steps 4 and 6.
 
     Validates, registers demands and computes utilization, then starts
     the level table (ranges and spacings need no demands, and each is
     computed on first use) and computes the outlay map (which does).
+    Validation and the level table read technique facts from ``facts``.
     """
     tracer = get_tracer()
     timed = tracer.enabled
@@ -87,7 +94,7 @@ def _prepare(
     with tracer.span("validate", design=design.name):
         if timed:
             t0 = perf_counter()
-        warnings = validate_design(design, workload, strict=True)
+        warnings = validate_design(design, workload, strict=True, facts=facts)
         if timed:
             phase_ms["validate"] = (perf_counter() - t0) * 1e3
     with tracer.span("demands", design=design.name):
@@ -105,7 +112,7 @@ def _prepare(
         utilization=utilization,
         warnings=tuple(warnings),
         phase_ms=phase_ms,
-        levels=LevelTable(design),
+        levels=LevelTable(design, facts),
         outlays=compute_outlays(design),
     )
 
@@ -116,8 +123,13 @@ def _assess(
     scenario: FailureScenario,
     requirements: BusinessRequirements,
     prepared: _Prepared,
+    label: str,
 ) -> Assessment:
-    """Steps 4–6 for one scenario, given the shared per-design state."""
+    """Steps 4–6 for one scenario, given the shared per-design state.
+
+    ``label`` is the scenario's ``describe()``, computed once by the
+    caller.
+    """
     tracer = get_tracer()
     metrics = get_metrics()
     timed = tracer.enabled
@@ -125,7 +137,7 @@ def _assess(
     phase_ms: "Dict[str, float]" = dict(prepared.phase_ms)
     metrics.inc("evaluate.assessments")
 
-    with tracer.span("assess", scenario=scenario.describe()) as span:
+    with tracer.span("assess", scenario=label) as span:
         if timed:
             t0 = perf_counter()
         loss = compute_data_loss(
@@ -198,7 +210,7 @@ def _assess(
 
     provenance = EvaluationProvenance(
         design_name=design.name,
-        scenario=scenario.describe(),
+        scenario=label,
         scenario_scope=scenario.scope.value,
         recovery_target_age=scenario.recovery_target_age,
         recovery_size=None if plan is None else plan.recovery_size,
@@ -237,11 +249,10 @@ def evaluate(
     """Evaluate one design against one failure scenario."""
     tracer = get_tracer()
     get_metrics().inc("evaluate.calls")
-    with tracer.span(
-        "evaluate", design=design.name, scenario=scenario.describe()
-    ):
-        prepared = _prepare(design, workload, strict_utilization)
-        return _assess(design, workload, scenario, requirements, prepared)
+    label = scenario.describe()
+    with tracer.span("evaluate", design=design.name, scenario=label):
+        prepared = _prepare(design, workload, strict_utilization, FactsTable())
+        return _assess(design, workload, scenario, requirements, prepared, label)
 
 
 def evaluate_scenarios(
@@ -250,22 +261,29 @@ def evaluate_scenarios(
     scenarios: Iterable[FailureScenario],
     requirements: BusinessRequirements,
     strict_utilization: bool = True,
+    facts: Optional[FactsTable] = None,
 ) -> "Dict[str, Assessment]":
     """Evaluate one design against several scenarios.
 
     Returns ``{scenario description: assessment}`` in input order.
     Validation, demand registration, utilization, the level ranges and
     RP spacings, and the outlays are computed once for all scenarios.
+    ``facts`` is the technique-facts table to read and fill; callers
+    evaluating many designs share one, and a fresh one is used when
+    not given.  It never changes a result.
     """
     tracer = get_tracer()
     metrics = get_metrics()
     metrics.inc("evaluate.calls")
+    if facts is None:
+        facts = FactsTable()
     with tracer.span("evaluate_scenarios", design=design.name):
-        prepared = _prepare(design, workload, strict_utilization)
+        prepared = _prepare(design, workload, strict_utilization, facts)
         results: "Dict[str, Assessment]" = {}
         for scenario in scenarios:
             metrics.inc("evaluate.scenarios")
-            results[scenario.describe()] = _assess(
-                design, workload, scenario, requirements, prepared
+            label = scenario.describe()
+            results[label] = _assess(
+                design, workload, scenario, requirements, prepared, label
             )
         return results

@@ -19,6 +19,7 @@ from ..exceptions import DesignError
 from ..scenarios.failures import FailureScenario, FailureScope
 from ..units import HOUR
 from ..techniques.base import ProtectionTechnique
+from ..techniques.facts import FactsTable
 
 
 @dataclass(frozen=True)
@@ -283,21 +284,26 @@ class StorageDesign:
 
     # -- upstream delay sums (paper section 3.3.2) ----------------------------------------
 
-    def upstream_delay(self, index: int) -> float:
+    def upstream_delay(
+        self, index: int, facts: Optional[FactsTable] = None
+    ) -> float:
         """Sum of ``holdW + propW`` along the ancestor chain.
 
         The delay an RP accumulates traversing the hierarchy *before*
         reaching the given level; the level's own windows are accounted
         by its technique's cycle model.  For linear hierarchies this is
         the paper's sum over levels ``1..index-1``; for branching ones
-        only the actual ancestors contribute.
+        only the actual ancestors contribute.  Each ancestor's delay is
+        read from ``facts`` (a fresh table when not given).
         """
+        if facts is None:
+            facts = FactsTable()
         total = 0.0
         current = self._levels[index]
         while current.index > 0:
             parent = self._levels[current.parent_index]
             if parent.index > 0:
-                total += parent.technique.full_availability_delay()
+                total += facts.of(parent.technique).full_availability_delay
             current = parent
         return total
 

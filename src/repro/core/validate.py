@@ -32,7 +32,7 @@ from typing import List, Optional, Tuple
 from ..exceptions import DesignError, ReproError
 from ..lint.diagnostics import Diagnostic, Severity
 from ..lint.registry import RuleContext, run_rules
-from ..lint.rules import cycle_period_of, retention_count_of  # noqa: F401
+from ..techniques.facts import FactsTable
 from ..workload.spec import Workload
 from .hierarchy import StorageDesign
 
@@ -41,15 +41,6 @@ from .hierarchy import StorageDesign
 _VALIDATE_CODES = ("DEP013", "DEP001", "DEP002", "DEP003")
 
 _LEVEL_POINTER = re.compile(r"^/levels/(\d+)")
-
-
-def _cycle_period(level) -> Optional[float]:
-    """A level's cycle period, or None for continuous techniques."""
-    return cycle_period_of(level)
-
-
-def _retention_count(level) -> Optional[int]:
-    return retention_count_of(level)
 
 
 def _report_key(diagnostic: Diagnostic) -> "Tuple[int, int, str]":
@@ -63,14 +54,20 @@ def validate_design(
     design: StorageDesign,
     workload: Optional[Workload] = None,
     strict: bool = True,
+    facts: Optional[FactsTable] = None,
 ) -> List[str]:
     """Check the design's structure and conventions.
 
     Returns the list of warnings; raises
     :class:`~repro.exceptions.DesignError` on hard violations when
-    ``strict`` (the default).
+    ``strict`` (the default).  The timeline checks read technique facts
+    from ``facts`` (a fresh table when not given).
     """
-    context = RuleContext(design=design, workload=workload)
+    context = RuleContext(
+        design=design,
+        workload=workload,
+        facts=FactsTable() if facts is None else facts,
+    )
     diagnostics = sorted(
         run_rules(context, codes=_VALIDATE_CODES), key=_report_key
     )

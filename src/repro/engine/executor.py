@@ -63,6 +63,7 @@ from ..obs.progress import get_progress
 from ..obs.runs import get_task_log
 from ..scenarios.failures import FailureScenario
 from ..scenarios.requirements import BusinessRequirements
+from ..techniques.facts import FactsTable
 from ..workload.spec import Workload
 from .cache import ResultCache
 from .keys import PartMemo, result_digest, task_key
@@ -138,7 +139,9 @@ class EvaluationTask:
             "strict_utilization": self.strict_utilization,
         }
 
-    def run(self) -> "Dict[str, Assessment]":
+    def run(self, facts: Optional[FactsTable] = None) -> "Dict[str, Assessment]":
+        """Evaluate the design, reading technique facts from ``facts``
+        (the engine's per-call or per-chunk table; fresh when None)."""
         if self.design is None:
             raise EngineError(f"task {self.name!r} was not resolved before run()")
         return evaluate_scenarios(
@@ -147,6 +150,7 @@ class EvaluationTask:
             self.scenarios,
             self.requirements,
             strict_utilization=self.strict_utilization,
+            facts=facts,
         )
 
 
@@ -215,15 +219,26 @@ class _TaskTimeout(Exception):
     """Internal: a task exceeded the per-task timeout inside a worker."""
 
 
-def _run_with_timeout(task: EngineTask, timeout: Optional[float]) -> Any:
+def _run(task: EngineTask, facts: Optional[FactsTable]) -> Any:
+    """Run one task; only evaluation tasks read technique facts."""
+    if isinstance(task, EvaluationTask):
+        return task.run(facts)
+    return task.run()
+
+
+def _run_with_timeout(
+    task: EngineTask, timeout: Optional[float], facts: Optional[FactsTable]
+) -> Any:
     """Run one task, preempting it after ``timeout`` seconds.
 
     Uses ``SIGALRM``/``setitimer``, which only works on the main thread
     of a process — exactly where pool workers run tasks.  Called on any
-    other thread (or with no timeout), it runs the task unguarded.
+    other thread (or with no timeout), it runs the task unguarded.  A
+    preempted task leaves no partial entry in ``facts``: entries are
+    stored only once computed.
     """
     if timeout is None or threading.current_thread() is not threading.main_thread():
-        return task.run()
+        return _run(task, facts)
 
     def _on_alarm(signum: int, frame: Any) -> None:
         raise _TaskTimeout(f"task {task.name!r} exceeded {timeout:g}s")
@@ -231,18 +246,20 @@ def _run_with_timeout(task: EngineTask, timeout: Optional[float]) -> Any:
     previous = signal.signal(signal.SIGALRM, _on_alarm)
     signal.setitimer(signal.ITIMER_REAL, timeout)
     try:
-        return task.run()
+        return _run(task, facts)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
 
 
 def _execute_one(
-    task: EngineTask, timeout: Optional[float]
+    task: EngineTask,
+    timeout: Optional[float],
+    facts: Optional[FactsTable],
 ) -> "Tuple[str, Any, Optional[BaseException], bool]":
     """``(name, value, error, retryable)`` for one task, never raising."""
     try:
-        return task.name, _run_with_timeout(task, timeout), None, False
+        return task.name, _run_with_timeout(task, timeout, facts), None, False
     except ReproError as exc:
         return task.name, None, exc, False
     except _TaskTimeout as exc:
@@ -254,7 +271,9 @@ def _execute_one(
 
 
 def _execute_one_traced(
-    task: EngineTask, timeout: Optional[float]
+    task: EngineTask,
+    timeout: Optional[float],
+    facts: FactsTable,
 ) -> "Tuple[str, Any, Optional[BaseException], bool]":
     """:func:`_execute_one` wrapped in an ``engine.task`` span.
 
@@ -265,7 +284,7 @@ def _execute_one_traced(
     never raises, so failures are recorded as attributes here.
     """
     with get_tracer().span("engine.task", task=task.name) as span:
-        row = _execute_one(task, timeout)
+        row = _execute_one(task, timeout, facts)
         error = row[2]
         if error is not None:
             span.set(
@@ -285,13 +304,15 @@ def _execute_chunk(  # lint: worker-boundary
     installs a capturing tracer/registry for the chunk and returns
     everything it recorded as a telemetry capsule alongside the rows;
     without one (telemetry off in the parent) capture is skipped
-    entirely and the capsule is None.
+    entirely and the capsule is None.  The chunk's tasks share one
+    technique-facts table, which dies with the chunk.
     """
+    facts = FactsTable()
     if ctx is None or not ctx.enabled:
-        return [_execute_one(task, timeout) for task in tasks], None
+        return [_execute_one(task, timeout, facts) for task in tasks], None
     capture = TelemetryCapture(ctx)
     try:
-        rows = [_execute_one_traced(task, timeout) for task in tasks]
+        rows = [_execute_one_traced(task, timeout, facts) for task in tasks]
     finally:
         capsule = capture.finish()
     return rows, capsule
@@ -374,8 +395,11 @@ def _retry_inline(
         attempts += 1
         # Keep enforcing the per-task timeout (works on the parent's
         # main thread too): a genuinely hung task must never block the
-        # sweep just because its worker died first.
-        name, value, error_now, retryable = _execute_one(task, config.task_timeout)
+        # sweep just because its worker died first.  A retry gets a
+        # fresh facts table (None), sharing nothing with the failed try.
+        name, value, error_now, retryable = _execute_one(
+            task, config.task_timeout, None
+        )
         if error_now is None:
             return TaskOutcome(name=name, value=value, attempts=attempts)
         error = error_now
@@ -577,10 +601,13 @@ def map_evaluations(
             )
 
         if pending:
+            # Tasks run in this process share one technique-facts
+            # table; it lives only as long as this call.
+            facts = FactsTable()
             if config.workers <= 1:
                 for index, resolved in pending:
                     name, value, error, retryable = _execute_one_traced(
-                        resolved, None
+                        resolved, None, facts
                     )
                     outcomes[index] = TaskOutcome(
                         name=name, value=value, error=error, retryable=retryable
@@ -595,7 +622,7 @@ def map_evaluations(
                     metrics.inc("engine.tasks_inline", len(inline))
                     for index, resolved in inline:
                         name, value, error, retryable = _execute_one_traced(
-                            resolved, None
+                            resolved, None, facts
                         )
                         outcomes[index] = TaskOutcome(
                             name=name, value=value, error=error, retryable=retryable

@@ -20,7 +20,7 @@ counters are emitted by the engine over the *reported* set (after
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
@@ -34,6 +34,7 @@ from typing import (
 )
 
 from ..obs import get_metrics, get_tracer
+from ..techniques.facts import FactsTable
 from .diagnostics import Diagnostic, LintError, Severity
 
 RuleFunction = Callable[["RuleContext"], Iterable[Diagnostic]]
@@ -67,7 +68,9 @@ class RuleContext:
     All fields are optional: rules guard on what they need and emit
     nothing when their inputs are absent.  ``spec`` is the raw JSON
     dictionary when linting a spec file (spec-structure rules use it);
-    the rest are built framework objects.
+    the rest are built framework objects.  ``facts`` is the technique
+    facts table the timeline rules read; callers evaluating many
+    designs pass a shared one, everyone else gets a fresh table.
     """
 
     design: Optional[Any] = None  # StorageDesign
@@ -75,6 +78,7 @@ class RuleContext:
     scenarios: "Tuple[Any, ...]" = ()  # FailureScenario, ...
     requirements: Optional[Any] = None  # BusinessRequirements
     spec: "Optional[Mapping[str, Any]]" = None
+    facts: FactsTable = field(default_factory=FactsTable)
 
 
 def rule(

@@ -62,32 +62,6 @@ register_code(
     "An expected diagnostic (lint.expect) did not fire: stale suppression.",
 )
 
-# ---------------------------------------------------------------------------
-# Cycle helpers.
-#
-# Continuous techniques (primary copy, sync/async mirrors) signal "no RP
-# cycle" by raising NoCycleError, which is a NotImplementedError; any
-# *other* exception out of cycle() is a bug in the technique and must
-# surface instead of silently skipping the check.
-# ---------------------------------------------------------------------------
-
-
-def cycle_period_of(level: Any) -> Optional[float]:
-    """A level's cycle period, or None for continuous techniques."""
-    try:
-        return float(level.technique.cycle().period)
-    except (AttributeError, NotImplementedError):
-        return None
-
-
-def retention_count_of(level: Any) -> Optional[int]:
-    """A level's retention count, or None for continuous techniques."""
-    try:
-        return int(level.technique.cycle().retention_count)
-    except (AttributeError, NotImplementedError):
-        return None
-
-
 def _secondary_pairs(design: Any) -> "Iterator[Tuple[Any, Any]]":
     """(feeder, level) pairs the 3.2.1 conventions compare.
 
@@ -131,8 +105,8 @@ def retention_count_inversion(ctx: RuleContext) -> "Iterator[Diagnostic]":
     if ctx.design is None:
         return
     for previous, current in _secondary_pairs(ctx.design):
-        prev_ret = retention_count_of(previous)
-        curr_ret = retention_count_of(current)
+        prev_ret = ctx.facts.of(previous.technique).retention_count
+        curr_ret = ctx.facts.of(current.technique).retention_count
         if prev_ret is None or curr_ret is None or curr_ret >= prev_ret:
             continue
         yield make(
@@ -155,8 +129,8 @@ def accumulation_window_inversion(ctx: RuleContext) -> "Iterator[Diagnostic]":
     if ctx.design is None:
         return
     for previous, current in _secondary_pairs(ctx.design):
-        prev_period = cycle_period_of(previous)
-        curr_period = cycle_period_of(current)
+        prev_period = ctx.facts.of(previous.technique).period
+        curr_period = ctx.facts.of(current.technique).period
         if prev_period is None or curr_period is None:
             continue
         if curr_period >= prev_period:
@@ -182,14 +156,19 @@ def hold_window_exceeds_retention(ctx: RuleContext) -> "Iterator[Diagnostic]":
     if ctx.design is None:
         return
     for previous, current in _secondary_pairs(ctx.design):
-        hold = getattr(current.technique, "hold_window", None)
-        prev_ret = retention_count_of(previous)
-        prev_period = cycle_period_of(previous)
-        if hold is None or prev_ret is None or prev_period is None:
+        hold = ctx.facts.of(current.technique).full_hold
+        source = ctx.facts.of(previous.technique)
+        if hold is None or source.retention_count is None or source.period is None:
             continue
-        source_retention = prev_ret * prev_period
+        source_retention = source.retention_count * source.period
         if hold <= source_retention:
             continue
+        # Backups name their full RP's hold ``full_hold_window``.
+        hold_field = (
+            "full_hold_window"
+            if hasattr(current.technique, "full_hold_window")
+            else "hold_window"
+        )
         yield make(
             "DEP003",
             f"level {current.index} ({current.technique.name}) holds "
@@ -201,7 +180,7 @@ def hold_window_exceeds_retention(ctx: RuleContext) -> "Iterator[Diagnostic]":
                 f"cut the hold window to {format_duration(source_retention)} "
                 f"or raise level {previous.index}'s retention"
             ),
-            pointer=f"/levels/{current.index}/technique/hold_window",
+            pointer=f"/levels/{current.index}/technique/{hold_field}",
         )
 
 
@@ -312,7 +291,10 @@ def rpo_statically_unreachable(ctx: RuleContext) -> "Iterator[Diagnostic]":
     best_lag = None
     best_level = None
     for level in secondaries:
-        lag = design.upstream_delay(level.index) + level.technique.worst_lag()
+        lag = (
+            design.upstream_delay(level.index, ctx.facts)
+            + ctx.facts.of(level.technique).worst_lag
+        )
         if best_lag is None or lag < best_lag:
             best_lag, best_level = lag, level
     if best_lag is None or best_lag <= requirements.rpo:

@@ -7,7 +7,6 @@ import pytest
 from repro import casestudy
 from repro.cli import main
 from repro.core import StorageDesign, validate_design
-from repro.core.validate import _cycle_period, _retention_count
 from repro.devices import SpareConfig
 from repro.devices.catalog import (
     enterprise_tape_library,
@@ -29,6 +28,7 @@ from repro.lint import (
 from repro.lint.engine import lint_design, lint_file, lint_spec
 from repro.scenarios import BusinessRequirements, FailureScenario
 from repro.techniques import Backup, PrimaryCopy, SplitMirror
+from repro.techniques.facts import FactsTable
 from repro.workload.batch_curve import BatchUpdateCurve
 from repro.workload.presets import cello
 from repro.workload.spec import Workload
@@ -130,6 +130,23 @@ class TestRetentionRules:
 
     def test_dep003_clean_without_vaulting(self, workload):
         assert not only(lint_design(one_site_design(), workload), "DEP003")
+
+    def test_dep003_warns_on_backup_full_hold(self, workload):
+        # Backups hold their full RP under ``full_hold_window``: a 6 hr
+        # hold outlives the feeding split mirror's 2 hr of RPs.
+        design = StorageDesign("late-backup")
+        array = midrange_disk_array()
+        design.add_level(PrimaryCopy(), store=array)
+        design.add_level(SplitMirror("1 hr", 2), store=array)
+        design.add_level(
+            Backup("1 wk", "48 hr", "6 hr", retention_count=2),
+            store=enterprise_tape_library(),
+            transport=san_link(),
+        )
+        found = only(lint_design(design, workload), "DEP003")
+        assert len(found) == 1
+        assert found[0].pointer == "/levels/2/technique/full_hold_window"
+        assert validate_design(design, workload) == [found[0].message]
 
 
 class TestPlacementRules:
@@ -433,9 +450,10 @@ class TestValidateDesignAdapter:
         assert "(paper section 3.2.1)" in message
 
     def test_helpers_return_none_for_continuous_techniques(self, baseline):
-        assert _cycle_period(baseline.levels[0]) is None
-        assert _retention_count(baseline.levels[0]) is None
-        assert _cycle_period(baseline.levels[2]) is not None
+        facts = FactsTable()
+        primary = facts.of(baseline.levels[0].technique)
+        assert primary.period is None and primary.retention_count is None
+        assert facts.of(baseline.levels[2].technique).period is not None
 
     def test_no_cycle_error_is_both_policy_and_not_implemented(self):
         with pytest.raises(PolicyError):
@@ -456,6 +474,18 @@ class TestValidateDesignAdapter:
 
         design.levels[2].technique.cycle = broken_cycle
         with pytest.raises(Broken):
+            validate_design(design, workload)
+
+    def test_cycle_attribute_error_surfaces_instead_of_skipping(self, workload):
+        # Only NoCycleError means "continuous"; an AttributeError out of
+        # a buggy cycle() is a bug, not a reason to skip DEP001-DEP003.
+        design = one_site_design()
+
+        def broken_cycle():
+            raise AttributeError("bug in cycle()")
+
+        design.levels[2].technique.cycle = broken_cycle
+        with pytest.raises(AttributeError, match="bug in cycle"):
             validate_design(design, workload)
 
 
