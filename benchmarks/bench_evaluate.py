@@ -94,7 +94,7 @@ def _emission_count(fn) -> int:
 
 
 def bench_operations():
-    """The benched operations: fresh inputs per call (ledgers are stateful)."""
+    """The benched operations: fresh inputs per call."""
     workload = cello()
     requirements = casestudy.case_study_requirements()
     scenarios = casestudy.case_study_scenarios()

@@ -12,14 +12,15 @@ import pytest
 from repro import casestudy
 from repro.core.demands import register_design_demands
 from repro.core.recovery import plan_recovery
+from repro.techniques.facts import FactsTable
 from repro.units import HOUR
 
 
 def _plan(workload):
     design = casestudy.baseline_design()
-    register_design_demands(design, workload)
+    demands = register_design_demands(design, workload, FactsTable())
     scenario = casestudy.site_failure_scenario()
-    return plan_recovery(design, scenario, workload)
+    return plan_recovery(design, demands, scenario, workload)
 
 
 def test_figure4_recovery_timeline(benchmark, workload):

@@ -11,7 +11,6 @@ is a worst case).
 import pytest
 
 from repro import casestudy
-from repro.core.demands import register_design_demands
 from repro.reporting import Table
 from repro.scenarios import FailureScenario
 from repro.simulation import (
@@ -22,13 +21,12 @@ from repro.simulation import (
     sweep_times,
 )
 from repro.units import HOUR, WEEK
-from repro.workload.presets import cello
 
 
 def _campaign():
-    design = casestudy.baseline_design()
-    register_design_demands(design, cello())
-    simulator = DependabilitySimulator(design, horizon=320 * WEEK)
+    simulator = DependabilitySimulator(
+        casestudy.baseline_design(), horizon=320 * WEEK
+    )
     simulator.build()
     scenario = FailureScenario.array_failure("primary-array")
     start, end = simulator.steady_state_window()

@@ -10,6 +10,7 @@ from repro import casestudy
 from repro.core import compute_utilization
 from repro.core.demands import register_design_demands
 from repro.reporting import utilization_report
+from repro.techniques.facts import FactsTable
 from repro.units import GB, MB, TB
 
 #: Paper Table 5 values: (technique, bw fraction, cap fraction).
@@ -22,8 +23,8 @@ PAPER_ARRAY_ROWS = {
 
 def _compute(workload):
     design = casestudy.baseline_design()
-    register_design_demands(design, workload)
-    return compute_utilization(design, strict=True)
+    demands = register_design_demands(design, workload, FactsTable())
+    return compute_utilization(design, demands, strict=True)
 
 
 def test_table5_normal_mode_utilization(benchmark, workload):

@@ -27,6 +27,7 @@ from repro.design import (
 from repro.reporting import Table
 from repro.scenarios import FailureScenario
 from repro.simulation import exposure_profile
+from repro.techniques.facts import FactsTable
 from repro.units import HOUR, MB, WEEK, format_duration
 from repro.workload.presets import cello
 
@@ -37,13 +38,13 @@ def main() -> None:
 
     # 1. Recovery options for a day-old object rollback.
     design = casestudy.baseline_design()
-    register_design_demands(design, workload)
+    demands = register_design_demands(design, workload, FactsTable())
     scenario = FailureScenario.object_corruption(1 * MB, "24 hr")
     table = Table(
         headers=["recovery source", "worst-case loss", "recovery time"],
         title="Recovery options: 1 MB object, 24 h rollback",
     )
-    for option in recovery_options(design, scenario, workload):
+    for option in recovery_options(design, demands, scenario, workload):
         table.add_row(
             option.source_name,
             format_duration(option.data_loss),
@@ -81,7 +82,6 @@ def main() -> None:
     # 4. Degraded-mode exposure: tape backup down for two weeks.
     profile = exposure_profile(
         casestudy.baseline_design,
-        workload,
         FailureScenario.array_failure("primary-array"),
         level_index=2,
         outage_start=40 * WEEK,

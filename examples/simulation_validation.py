@@ -11,7 +11,6 @@ Run:  python examples/simulation_validation.py
 """
 
 from repro import casestudy
-from repro.core.demands import register_design_demands
 from repro.reporting import Table
 from repro.scenarios import FailureScenario
 from repro.simulation import (
@@ -21,15 +20,12 @@ from repro.simulation import (
     sweep_times,
 )
 from repro.units import HOUR, WEEK
-from repro.workload.presets import cello
 
 
 def main() -> None:
-    workload = cello()
-    design = casestudy.baseline_design()
-    register_design_demands(design, workload)
-
-    simulator = DependabilitySimulator(design, horizon=320 * WEEK)
+    simulator = DependabilitySimulator(
+        casestudy.baseline_design(), horizon=320 * WEEK
+    )
     simulator.build()
     print(
         f"simulated {simulator.horizon / WEEK:.0f} weeks, "
@@ -61,9 +57,9 @@ def main() -> None:
     print()
 
     # Degraded mode: tape backup service down for two weeks.
-    degraded_design = casestudy.baseline_design()
-    register_design_demands(degraded_design, workload)
-    degraded = DependabilitySimulator(degraded_design, horizon=320 * WEEK)
+    degraded = DependabilitySimulator(
+        casestudy.baseline_design(), horizon=320 * WEEK
+    )
     outage_start = start + 2 * WEEK
     degraded.disable_level(2, outage_start, outage_start + 2 * WEEK)
     degraded.build()

@@ -4,9 +4,9 @@ Importing this module populates the registry (:data:`~repro.bench.registry.BENCH
 with the paths the ROADMAP cares about: single/multi-scenario
 evaluation, the design-space optimizer, a sensitivity sweep, the
 recovery simulator, and both linters.  Timed thunks construct their
-designs fresh per call where the device ledgers are stateful — the
-same convention as ``benchmarks/bench_evaluate.py``, so medians are
-comparable with the seeded history.
+designs fresh per call — the same convention as
+``benchmarks/bench_evaluate.py``, so medians are comparable with the
+seeded history.
 """
 
 from __future__ import annotations
@@ -206,12 +206,13 @@ def bench_recovery_simulate():
     from ..core.recovery import plan_recovery
     from ..scenarios.failures import FailureScenario
     from ..simulation import RecoverySimulator
+    from ..techniques.facts import FactsTable
     from ..workload.presets import cello
 
     design = casestudy.baseline_design()
-    register_design_demands(design, cello())
+    ledger = register_design_demands(design, cello(), FactsTable())
     plan = plan_recovery(
-        design, FailureScenario.array_failure("primary-array"), cello()
+        design, ledger, FailureScenario.array_failure("primary-array"), cello()
     )
     devices = {d.name: d for d in design.devices()}
     bandwidths = {
@@ -220,7 +221,7 @@ def bench_recovery_simulate():
         if dev.max_bandwidth != float("inf")
     }
     demands = {
-        name: dev.bandwidth_demand() * dev.recovery_read_efficiency
+        name: dev.bandwidth_demand(ledger[dev]) * dev.recovery_read_efficiency
         for name, dev in devices.items()
         if dev.max_bandwidth != float("inf")
     }

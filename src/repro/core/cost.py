@@ -16,12 +16,13 @@ loss times the loss penalty rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..obs import get_metrics, get_tracer
 from ..scenarios.requirements import BusinessRequirements
 from ..units import format_money
 from .dataloss import DataLossResult
+from .demands import DemandLedger
 from .hierarchy import StorageDesign
 from .recovery import RecoveryPlan
 
@@ -62,17 +63,17 @@ class CostBreakdown:
         return ", ".join(parts)
 
 
-def compute_outlays(design: StorageDesign) -> "Dict[str, float]":
+def compute_outlays(design: StorageDesign, demands: DemandLedger) -> "Dict[str, float]":
     """Annualized outlay dollars per technique for the whole design.
 
-    Demands must already be registered.  The shared recovery facility,
+    ``demands`` is the design's ledger.  The shared recovery facility,
     when present, charges its discount fraction of every primary-site
     storage device's base outlay (it must be able to stand in for all of
     them) under the :data:`RECOVERY_FACILITY` key.
     """
     outlays: "Dict[str, float]" = {}
     for device in design.devices():
-        for technique, dollars in device.outlays_by_technique().items():
+        for technique, dollars in device.outlays_by_technique(demands[device]).items():
             outlays[technique] = outlays.get(technique, 0.0) + dollars
     facility = design.recovery_facility
     if facility is not None and facility.exists and facility.discount > 0:
@@ -84,8 +85,8 @@ def compute_outlays(design: StorageDesign) -> "Dict[str, float]":
         ]
         facility_cost = facility.discount * sum(
             device.cost_model.total_cost(
-                capacity_bytes=device.capacity_demand_raw(),
-                bandwidth_bps=device.bandwidth_demand(),
+                capacity_bytes=device.capacity_demand_raw(demands[device]),
+                bandwidth_bps=device.bandwidth_demand(demands[device]),
             )
             for device in covered
         )
@@ -99,9 +100,9 @@ def compute_outlays(design: StorageDesign) -> "Dict[str, float]":
 def compute_costs(
     design: StorageDesign,
     requirements: BusinessRequirements,
+    outlays: "Dict[str, float]",
     loss: Optional[DataLossResult] = None,
     plan: Optional[RecoveryPlan] = None,
-    outlays: "Optional[Dict[str, float]]" = None,
 ) -> CostBreakdown:
     """Outlays plus the penalties of the evaluated failure scenario.
 
@@ -110,7 +111,7 @@ def compute_costs(
     scenario has an unbounded loss penalty, represented as ``inf``.
     ``outlays`` is the design's precomputed :func:`compute_outlays` map
     (it does not depend on the scenario); the breakdown holds its own
-    copy of it.  It is computed here when not given.
+    copy of it.
     """
     tracer = get_tracer()
     with tracer.span("cost.compute", design=design.name) as span:
@@ -124,9 +125,7 @@ def compute_costs(
             else:
                 loss_penalty = requirements.loss_penalty(loss.data_loss)
         breakdown = CostBreakdown(
-            outlays_by_technique=(
-                compute_outlays(design) if outlays is None else dict(outlays)
-            ),
+            outlays_by_technique=dict(outlays),
             outage_penalty=outage_penalty,
             loss_penalty=loss_penalty,
         )

@@ -4,7 +4,7 @@
 failure scenario and set of business requirements:
 
 1. validate the design against the paper's conventions;
-2. register all workload demands on the devices;
+2. compute the design's demand ledger;
 3. compute normal-mode utilization (raising on over-commitment);
 4. pick the recovery source and worst-case recent data loss;
 5. build the recovery plan and its worst-case recovery time;
@@ -43,7 +43,7 @@ from ..techniques.facts import FactsTable
 from ..workload.spec import Workload
 from .cost import compute_costs, compute_outlays
 from .dataloss import LevelTable, compute_data_loss
-from .demands import register_design_demands
+from .demands import DemandLedger, register_design_demands
 from .hierarchy import StorageDesign
 from .recovery import RecoveryPlan, plan_recovery
 from .results import Assessment
@@ -63,10 +63,12 @@ class _Prepared:
     """The per-design work every scenario of one call shares.
 
     ``phase_ms`` holds (when tracing) the shared phases' wall-clock
-    timings in milliseconds; ``levels`` is the design's level table and
-    ``outlays`` its outlay map, which each assessment copies.
+    timings in milliseconds; ``demands`` is the design's demand ledger,
+    ``levels`` its level table and ``outlays`` its outlay map, which
+    each assessment copies.
     """
 
+    demands: DemandLedger
     utilization: SystemUtilization
     warnings: "Tuple[str, ...]"
     phase_ms: "Dict[str, float]"
@@ -82,10 +84,11 @@ def _prepare(
 ) -> _Prepared:
     """Steps 1–3 plus the scenario-independent parts of steps 4 and 6.
 
-    Validates, registers demands and computes utilization, then starts
+    Validates, computes the demand ledger and utilization, then starts
     the level table (ranges and spacings need no demands, and each is
     computed on first use) and computes the outlay map (which does).
-    Validation and the level table read technique facts from ``facts``.
+    Validation, demands and the level table read technique facts from
+    ``facts``.
     """
     tracer = get_tracer()
     timed = tracer.enabled
@@ -100,20 +103,21 @@ def _prepare(
     with tracer.span("demands", design=design.name):
         if timed:
             t0 = perf_counter()
-        register_design_demands(design, workload)
+        demands = register_design_demands(design, workload, facts)
         if timed:
             phase_ms["demands"] = (perf_counter() - t0) * 1e3
     if timed:
         t0 = perf_counter()
-    utilization = compute_utilization(design, strict=strict_utilization)
+    utilization = compute_utilization(design, demands, strict=strict_utilization)
     if timed:
         phase_ms["utilization"] = (perf_counter() - t0) * 1e3
     return _Prepared(
+        demands=demands,
         utilization=utilization,
         warnings=tuple(warnings),
         phase_ms=phase_ms,
         levels=LevelTable(design, facts),
-        outlays=compute_outlays(design),
+        outlays=compute_outlays(design, demands),
     )
 
 
@@ -157,7 +161,9 @@ def _assess(
             if timed:
                 t0 = perf_counter()
             try:
-                plan = plan_recovery(design, scenario, workload, loss_result=loss)
+                plan = plan_recovery(
+                    design, prepared.demands, scenario, workload, loss_result=loss
+                )
             except RecoveryError as exc:
                 # Record the failure instead of dropping it on the floor:
                 # the assessment's unbounded recovery time stays explainable.
@@ -169,7 +175,7 @@ def _assess(
         if timed:
             t0 = perf_counter()
         costs = compute_costs(
-            design, requirements, loss=loss, plan=plan, outlays=prepared.outlays
+            design, requirements, prepared.outlays, loss=loss, plan=plan
         )
         if timed:
             phase_ms["cost"] = (perf_counter() - t0) * 1e3
@@ -266,7 +272,7 @@ def evaluate_scenarios(
     """Evaluate one design against several scenarios.
 
     Returns ``{scenario description: assessment}`` in input order.
-    Validation, demand registration, utilization, the level ranges and
+    Validation, the demand ledger, utilization, the level ranges and
     RP spacings, and the outlays are computed once for all scenarios.
     ``facts`` is the technique-facts table to read and fill; callers
     evaluating many designs share one, and a fresh one is used when

@@ -22,6 +22,7 @@ from ..exceptions import RecoveryError
 from ..scenarios.failures import FailureScenario
 from ..workload.spec import Workload
 from .dataloss import DataLossResult, usable_levels
+from .demands import DemandLedger
 from .hierarchy import Level, StorageDesign
 from .recovery import RecoveryPlan, plan_recovery
 
@@ -47,12 +48,13 @@ class RecoveryOption:
 
 def recovery_options(
     design: StorageDesign,
+    demands: DemandLedger,
     scenario: FailureScenario,
     workload: Workload,
 ) -> "List[RecoveryOption]":
     """All viable recovery sources, closest (loss-optimal) first.
 
-    Demands must already be registered.  Levels whose retention has
+    ``demands`` is the design's ledger.  Levels whose retention has
     expired past the target, or for which no recovery path exists, are
     omitted; an empty list means the scenario is a total loss.
     """
@@ -67,7 +69,9 @@ def recovery_options(
             ranges=ranges,
         )
         try:
-            plan = plan_recovery(design, scenario, workload, loss_result=loss_result)
+            plan = plan_recovery(
+                design, demands, scenario, workload, loss_result=loss_result
+            )
         except RecoveryError:
             continue
         options.append(RecoveryOption(level=level, data_loss=loss, plan=plan))
@@ -76,6 +80,7 @@ def recovery_options(
 
 def time_optimal_option(
     design: StorageDesign,
+    demands: DemandLedger,
     scenario: FailureScenario,
     workload: Workload,
 ) -> Optional[RecoveryOption]:
@@ -83,7 +88,7 @@ def time_optimal_option(
 
     Returns ``None`` when nothing can serve the scenario.
     """
-    options = recovery_options(design, scenario, workload)
+    options = recovery_options(design, demands, scenario, workload)
     if not options:
         return None
     return min(options, key=lambda option: (option.recovery_time, option.data_loss))

@@ -36,6 +36,7 @@ from ..scenarios.failures import FailureScenario, FailureScope
 from ..units import format_duration, format_size
 from ..workload.spec import Workload
 from .dataloss import DataLossResult, find_recovery_source
+from .demands import DemandLedger
 from .hierarchy import Level, StorageDesign
 
 
@@ -131,8 +132,9 @@ def _transfer_bandwidth(
     source: Device,
     destination: Device,
     transport: Optional[Device],
+    demands: DemandLedger,
 ) -> float:
-    """min(sender, interconnect, receiver) available bandwidth.
+    """min(sender, interconnect, receiver) bandwidth left by ``demands``.
 
     The sender's rate is derated by its recovery read efficiency (tape
     streaming losses); an intra-device copy reads and writes the same
@@ -140,13 +142,14 @@ def _transfer_bandwidth(
     bandwidth.
     """
     if source is destination:
-        return source.available_bandwidth() / 2.0
+        return source.available_bandwidth(demands[source]) / 2.0
     rate = min(
-        source.available_bandwidth() * source.recovery_read_efficiency,
-        destination.available_bandwidth(),
+        source.available_bandwidth(demands[source])
+        * source.recovery_read_efficiency,
+        destination.available_bandwidth(demands[destination]),
     )
     if transport is not None:
-        rate = min(rate, transport.available_bandwidth())
+        rate = min(rate, transport.available_bandwidth(demands[transport]))
     return rate
 
 
@@ -180,15 +183,17 @@ def _recovery_path(
 
 def plan_recovery(
     design: StorageDesign,
+    demands: DemandLedger,
     scenario: FailureScenario,
     workload: Workload,
     loss_result: Optional[DataLossResult] = None,
 ) -> RecoveryPlan:
     """Build the worst-case recovery plan for the scenario.
 
-    Demands must already be registered (available bandwidths depend on
-    them).  Raises :class:`~repro.exceptions.RecoveryError` when the
-    scenario is unrecoverable.
+    ``demands`` is the design's ledger: transfers get the bandwidth its
+    normal-mode demands leave.  Raises
+    :class:`~repro.exceptions.RecoveryError` when the scenario is
+    unrecoverable.
     """
     tracer = get_tracer()
     metrics = get_metrics()
@@ -196,7 +201,7 @@ def plan_recovery(
     if timed:
         t0 = perf_counter()
     with tracer.span("recovery.plan", scenario=scenario.describe()) as span:
-        plan = _build_plan(design, scenario, workload, loss_result)
+        plan = _build_plan(design, demands, scenario, workload, loss_result)
         span.set(
             source=plan.source_name,
             recovery_size=plan.recovery_size,
@@ -212,6 +217,7 @@ def plan_recovery(
 
 def _build_plan(
     design: StorageDesign,
+    demands: DemandLedger,
     scenario: FailureScenario,
     workload: Workload,
     loss_result: Optional[DataLossResult],
@@ -271,7 +277,9 @@ def _build_plan(
         if isinstance(transport, Shipment):
             # Cartridges leave as soon as the sender is ready; the
             # receiving device's provisioning overlaps the transit.
-            arrival = clock + transport.transfer_time(recovery_size)
+            arrival = clock + transport.transfer_time(
+                recovery_size, demands[transport]
+            )
             steps.append(
                 RecoveryStep(
                     label=f"ship media {prev_node.name} -> {node.name}",
@@ -294,7 +302,7 @@ def _build_plan(
         else:
             # A streamed transfer starts only once the receiver exists.
             start = max(clock, ready_gate[hop])
-            rate = _transfer_bandwidth(prev_node, node, transport)
+            rate = _transfer_bandwidth(prev_node, node, transport, demands)
             if rate <= 0:
                 raise RecoveryError(
                     f"no bandwidth available to restore from "

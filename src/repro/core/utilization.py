@@ -2,7 +2,8 @@
 
 Two steps, mirroring the paper's decomposition: each hardware device
 model computes its *local* bandwidth and capacity utilization from its
-demand ledger, then a *global* calculation takes the system utilization
+demands in the design's :class:`~repro.core.demands.DemandLedger`, then
+a *global* calculation takes the system utilization
 as that of the most heavily utilized device and flags over-commitment
 (``capUtil > 1`` or ``bwUtil > 1``).
 """
@@ -10,11 +11,12 @@ as that of the most heavily utilized device and flags over-commitment
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
-from ..devices.base import DeviceUtilization
+from ..devices.base import Device, DeviceUtilization
 from ..exceptions import BandwidthExceededError, CapacityExceededError
 from ..obs import get_metrics, get_tracer
+from .demands import DemandLedger
 from .hierarchy import StorageDesign
 
 
@@ -41,6 +43,27 @@ class SystemUtilization:
             and self.max_bandwidth_utilization <= 1.0
         )
 
+    @classmethod
+    def of(
+        cls, devices: "Iterable[Device]", demands: DemandLedger
+    ) -> "SystemUtilization":
+        """Each device's report under ``demands``, plus the maxima."""
+        reports = tuple(device.utilization(demands[device]) for device in devices)
+        max_cap, max_cap_dev = 0.0, None
+        max_bw, max_bw_dev = 0.0, None
+        for report in reports:
+            if report.capacity_utilization > max_cap:
+                max_cap, max_cap_dev = report.capacity_utilization, report.device_name
+            if report.bandwidth_utilization > max_bw:
+                max_bw, max_bw_dev = report.bandwidth_utilization, report.device_name
+        return cls(
+            devices=reports,
+            max_capacity_utilization=max_cap,
+            max_capacity_device=max_cap_dev,
+            max_bandwidth_utilization=max_bw,
+            max_bandwidth_device=max_bw_dev,
+        )
+
     def device(self, name: str) -> DeviceUtilization:
         """The report for a named device."""
         for report in self.devices:
@@ -60,35 +83,23 @@ class SystemUtilization:
             )
 
 
-def compute_utilization(design: StorageDesign, strict: bool = False) -> SystemUtilization:
-    """Collect per-device utilizations and the global maxima.
+def compute_utilization(
+    design: StorageDesign, demands: DemandLedger, strict: bool = False
+) -> SystemUtilization:
+    """Collect the design's per-device utilizations and the global maxima.
 
-    Demands must already be registered (see
+    ``demands`` is the design's ledger (see
     :func:`~repro.core.demands.register_design_demands`).  With
     ``strict=True`` an over-committed device raises immediately.
     """
     tracer = get_tracer()
     metrics = get_metrics()
     with tracer.span("utilization.compute", design=design.name) as span:
-        reports = tuple(device.utilization() for device in design.devices())
-        max_cap, max_cap_dev = 0.0, None
-        max_bw, max_bw_dev = 0.0, None
-        for report in reports:
-            if report.capacity_utilization > max_cap:
-                max_cap, max_cap_dev = report.capacity_utilization, report.device_name
-            if report.bandwidth_utilization > max_bw:
-                max_bw, max_bw_dev = report.bandwidth_utilization, report.device_name
-        result = SystemUtilization(
-            devices=reports,
-            max_capacity_utilization=max_cap,
-            max_capacity_device=max_cap_dev,
-            max_bandwidth_utilization=max_bw,
-            max_bandwidth_device=max_bw_dev,
-        )
+        result = SystemUtilization.of(design.devices(), demands)
+        max_cap = result.max_capacity_utilization
+        max_bw = result.max_bandwidth_utilization
         span.set(
-            devices=len(reports),
-            max_capacity=max_cap,
-            max_bandwidth=max_bw,
+            devices=len(result.devices), max_capacity=max_cap, max_bandwidth=max_bw
         )
         metrics.inc("utilization.computations")
         metrics.set_gauge("utilization.max_capacity", max_cap)

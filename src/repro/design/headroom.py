@@ -18,6 +18,7 @@ from ..core.demands import register_design_demands
 from ..core.hierarchy import StorageDesign
 from ..core.utilization import compute_utilization
 from ..exceptions import DesignError
+from ..techniques.facts import FactsTable
 from ..workload.spec import Workload
 
 
@@ -26,8 +27,8 @@ def _feasible_at(
     workload: Workload,
     bandwidth_only: bool,
 ) -> bool:
-    register_design_demands(design, workload)
-    utilization = compute_utilization(design, strict=False)
+    demands = register_design_demands(design, workload, FactsTable())
+    utilization = compute_utilization(design, demands, strict=False)
     if bandwidth_only:
         return utilization.max_bandwidth_utilization <= 1.0
     return utilization.feasible
@@ -67,17 +68,12 @@ def max_supported_scale(
     Scaling multiplies the access/update rates and the batch curve;
     the dataset size is held fixed (see
     :func:`max_supported_capacity` for growth in bytes).  Returns
-    ``inf`` when no device's bandwidth ever binds.  The design's demand
-    ledgers are left registered at the *original* workload.
+    ``inf`` when no device's bandwidth ever binds.
     """
-    try:
-        result = _binary_search_scale(
-            lambda x: _feasible_at(design, workload.scaled(x), bandwidth_only=True),
-            tolerance=tolerance,
-        )
-    finally:
-        register_design_demands(design, workload)
-    return result
+    return _binary_search_scale(
+        lambda x: _feasible_at(design, workload.scaled(x), bandwidth_only=True),
+        tolerance=tolerance,
+    )
 
 
 def max_supported_capacity(
@@ -96,8 +92,4 @@ def max_supported_capacity(
         grown = workload.with_capacity(workload.data_capacity * x)
         return _feasible_at(design, grown, bandwidth_only=False)
 
-    try:
-        result = _binary_search_scale(predicate, tolerance=tolerance)
-    finally:
-        register_design_demands(design, workload)
-    return result
+    return _binary_search_scale(predicate, tolerance=tolerance)

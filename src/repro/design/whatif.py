@@ -24,8 +24,8 @@ from ..scenarios.failures import FailureScenario
 from ..scenarios.requirements import BusinessRequirements
 from ..workload.spec import Workload
 
-#: Designs are passed as factories so each evaluation gets fresh device
-#: instances (demand ledgers are stateful).
+#: Designs are passed as zero-argument factories, so a grid builds each
+#: design only when its evaluation is dispatched.
 DesignFactory = Callable[[], StorageDesign]
 
 

@@ -1,8 +1,8 @@
 """Hardware device models (paper sections 3.2.2 and 3.3.1).
 
 Each storage or interconnect device is represented by an *operational
-model* (capacity/bandwidth envelopes plus a demand ledger from which
-normal-mode utilizations are computed) and a *cost model* (annualized
+model* (capacity/bandwidth envelopes over which a design's demands
+give normal-mode utilizations) and a *cost model* (annualized
 outlays, attributed per data protection technique).  Keeping the device
 internals behind this interface is what lets the compositional framework
 swap in more sophisticated device models without change (paper §3).
@@ -12,7 +12,7 @@ Modules:
 * :mod:`repro.devices.costs` — fixed / per-capacity / per-bandwidth /
   per-shipment cost components;
 * :mod:`repro.devices.spares` — spare type, provisioning time, discount;
-* :mod:`repro.devices.base` — the demand ledger and utilization math;
+* :mod:`repro.devices.base` — demands and the utilization math;
 * :mod:`repro.devices.disk_array` / :mod:`~repro.devices.tape_library` /
   :mod:`~repro.devices.vault` — storage devices;
 * :mod:`repro.devices.interconnect` — network links and physical

@@ -1,4 +1,4 @@
-"""Device base model: envelopes, demand ledger, utilization and outlays.
+"""Device base model: envelopes, utilization and outlays.
 
 A device exposes:
 
@@ -7,12 +7,14 @@ A device exposes:
   (The paper's §3.3.1 prints ``max`` here, but its own case-study
   arithmetic — 12.4 MB/s being 2.4% of the array — only holds with
   ``min``; see DESIGN.md §2.)
-* a **demand ledger**: each data protection technique registers the
-  bandwidth and capacity workload demands it places on the device
-  (paper §3.2.3).  Utilizations are the summed demands over the
-  envelopes (§3.3.1).
+* **utilization** over a tuple of :class:`Demand` records — the bandwidth
+  and capacity workload demands data protection techniques place on the
+  device (paper §3.2.3).  Utilizations are the summed demands over the
+  envelopes (§3.3.1).  A device holds no demands itself: a design's
+  demands are a value, :class:`~repro.core.demands.DemandLedger`,
+  which hands each device its tuple.
 * an **outlay model**: the device's fixed cost is attributed to its
-  *primary* technique (the first registered, by the paper's convention
+  *primary* technique (the first demand's, by the paper's convention
   §3.3.5) and each technique additionally pays the per-capacity /
   per-bandwidth / per-shipment costs of its own demands.  Spare
   resources add ``spareDisc`` times the technique's outlay.
@@ -21,7 +23,7 @@ A device exposes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..exceptions import DeviceError
 from ..scenarios.locations import Location, PRIMARY_SITE
@@ -44,7 +46,6 @@ class Demand:
     bandwidth: float = 0.0
     capacity: float = 0.0
     shipments_per_year: float = 0.0
-    note: str = ""
 
     def __post_init__(self) -> None:
         if not self.technique:
@@ -55,6 +56,10 @@ class Demand:
                 f"bw={self.bandwidth}, cap={self.capacity}, "
                 f"ship={self.shipments_per_year})"
             )
+
+
+#: One device's demands, in placement order.
+Demands = Tuple[Demand, ...]
 
 
 @dataclass(frozen=True)
@@ -149,46 +154,6 @@ class Device:
         self.spare = spare if spare is not None else SpareConfig.none()
         self.location = location
         self.access_delay = float(access_delay)
-        self._demands: List[Demand] = []
-
-    # -- demand ledger ----------------------------------------------------------
-
-    def register_demand(
-        self,
-        technique: str,
-        bandwidth: float = 0.0,
-        capacity: float = 0.0,
-        shipments_per_year: float = 0.0,
-        note: str = "",
-    ) -> Demand:
-        """Record a technique's workload demand on this device.
-
-        The first technique registered becomes the device's *primary*
-        technique for cost attribution (paper §3.3.5).
-        """
-        demand = Demand(
-            technique=technique,
-            bandwidth=bandwidth,
-            capacity=capacity,
-            shipments_per_year=shipments_per_year,
-            note=note,
-        )
-        self._demands.append(demand)
-        return demand
-
-    def clear_demands(self) -> None:
-        """Drop all registered demands (used between evaluations)."""
-        self._demands.clear()
-
-    @property
-    def demands(self) -> Tuple[Demand, ...]:
-        """All registered demands, in registration order."""
-        return tuple(self._demands)
-
-    @property
-    def primary_technique(self) -> Optional[str]:
-        """The technique charged this device's fixed cost."""
-        return self._demands[0].technique if self._demands else None
 
     # -- redundancy translation ---------------------------------------------------
 
@@ -203,35 +168,37 @@ class Device:
 
     # -- utilization ---------------------------------------------------------------
 
-    def bandwidth_demand(self) -> float:
-        """Sum of registered bandwidth demands, bytes/s."""
-        return sum(demand.bandwidth for demand in self._demands)
+    def bandwidth_demand(self, demands: Demands) -> float:
+        """Sum of the given bandwidth demands, bytes/s."""
+        return sum(demand.bandwidth for demand in demands)
 
-    def capacity_demand_logical(self) -> float:
-        """Sum of registered (logical) capacity demands, bytes."""
-        return sum(demand.capacity for demand in self._demands)
+    def capacity_demand_logical(self, demands: Demands) -> float:
+        """Sum of the given (logical) capacity demands, bytes."""
+        return sum(demand.capacity for demand in demands)
 
-    def capacity_demand_raw(self) -> float:
+    def capacity_demand_raw(self, demands: Demands) -> float:
         """Raw capacity consumed, after redundancy translation."""
-        return self.raw_capacity(self.capacity_demand_logical())
+        return self.raw_capacity(self.capacity_demand_logical(demands))
 
-    def bandwidth_utilization(self) -> float:
+    def bandwidth_utilization(self, demands: Demands) -> float:
         """``bwUtil`` = summed bandwidth demand over the envelope."""
         if self.max_bandwidth == float("inf"):
             return 0.0
+        bandwidth = self.bandwidth_demand(demands)
         if self.max_bandwidth == 0:
-            return 0.0 if self.bandwidth_demand() == 0 else float("inf")
-        return self.bandwidth_demand() / self.max_bandwidth
+            return 0.0 if bandwidth == 0 else float("inf")
+        return bandwidth / self.max_bandwidth
 
-    def capacity_utilization(self) -> float:
+    def capacity_utilization(self, demands: Demands) -> float:
         """``capUtil`` = raw capacity demand over the envelope."""
         if self.max_capacity == float("inf"):
             return 0.0
+        raw = self.capacity_demand_raw(demands)
         if self.max_capacity == 0:
-            return 0.0 if self.capacity_demand_raw() == 0 else float("inf")
-        return self.capacity_demand_raw() / self.max_capacity
+            return 0.0 if raw == 0 else float("inf")
+        return raw / self.max_capacity
 
-    def available_bandwidth(self) -> float:
+    def available_bandwidth(self, demands: Demands) -> float:
         """Bandwidth left after normal-mode demands (recovery transfers).
 
         The paper's recovery model limits transfers to "the remaining
@@ -240,12 +207,12 @@ class Device:
         """
         if self.max_bandwidth == float("inf"):
             return float("inf")
-        return max(0.0, self.max_bandwidth - self.bandwidth_demand())
+        return max(0.0, self.max_bandwidth - self.bandwidth_demand(demands))
 
-    def utilization(self) -> DeviceUtilization:
-        """Full per-technique utilization report for this device."""
+    def utilization(self, demands: Demands) -> DeviceUtilization:
+        """Full per-technique utilization report under the given demands."""
         by_technique = []
-        for demand in self._demands:
+        for demand in demands:
             raw = self.raw_capacity(demand.capacity)
             by_technique.append(
                 TechniqueUtilization(
@@ -266,34 +233,33 @@ class Device:
             )
         return DeviceUtilization(
             device_name=self.name,
-            bandwidth_demand=self.bandwidth_demand(),
-            bandwidth_utilization=self.bandwidth_utilization(),
-            capacity_demand_raw=self.capacity_demand_raw(),
-            capacity_demand_logical=self.capacity_demand_logical(),
-            capacity_utilization=self.capacity_utilization(),
+            bandwidth_demand=self.bandwidth_demand(demands),
+            bandwidth_utilization=self.bandwidth_utilization(demands),
+            capacity_demand_raw=self.capacity_demand_raw(demands),
+            capacity_demand_logical=self.capacity_demand_logical(demands),
+            capacity_utilization=self.capacity_utilization(demands),
             by_technique=tuple(by_technique),
         )
 
     # -- outlays ---------------------------------------------------------------------
 
-    def outlays_by_technique(self) -> "Dict[str, float]":
+    def outlays_by_technique(self, demands: Demands) -> "Dict[str, float]":
         """Annualized outlay dollars attributed to each technique.
 
-        The primary technique pays the fixed cost plus its variable
-        costs; secondary techniques pay only their *additional* variable
-        costs.  A spare adds ``spareDisc`` times each technique's outlay
-        (the spare mirrors the device, so its cost decomposes the same
-        way).
+        The primary technique (the first demand's) pays the fixed cost
+        plus its variable costs; secondary techniques pay only their
+        *additional* variable costs.  A spare adds ``spareDisc`` times
+        each technique's outlay (the spare mirrors the device, so its
+        cost decomposes the same way).
         """
         outlays: "Dict[str, float]" = {}
-        primary = self.primary_technique
-        for demand in self._demands:
+        for index, demand in enumerate(demands):
             cost = self.cost_model.variable_cost(
                 capacity_bytes=self.raw_capacity(demand.capacity),
                 bandwidth_bps=demand.bandwidth,
                 shipments_per_year=demand.shipments_per_year,
             )
-            if demand.technique == primary and demand is self._demands[0]:
+            if index == 0:
                 cost += self.cost_model.fixed
             outlays[demand.technique] = outlays.get(demand.technique, 0.0) + cost
         if self.spare.exists and self.spare.discount > 0:
@@ -301,11 +267,11 @@ class Device:
                 outlays[technique] *= 1.0 + self.spare.discount
         return outlays
 
-    def total_outlay(self) -> float:
-        """Total annualized outlay for this device across techniques."""
-        return sum(self.outlays_by_technique().values())
-
     # -- misc ---------------------------------------------------------------------------
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r} at {self.location.label()}>"
+
+
+#: One technique demand and the device it lands on.
+Placement = Tuple[Device, Demand]

@@ -12,12 +12,13 @@ raw slot consumption.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Union
 
 from ..exceptions import DeviceError
 from ..scenarios.locations import Location, PRIMARY_SITE
 from ..units import parse_duration, parse_rate, parse_size
-from .base import Device
+from .base import Demands, Device
 from .costs import CostModel
 from .spares import SpareConfig
 
@@ -88,8 +89,6 @@ class DiskArray(Device):
         """Logical bytes inflated by the RAID redundancy factor."""
         return logical_bytes * self.raid_capacity_factor
 
-    def disks_required(self) -> int:
-        """Number of disk slots needed for the current raw capacity demand."""
-        import math
-
-        return int(math.ceil(self.capacity_demand_raw() / self.slot_capacity))
+    def disks_required(self, demands: Demands) -> int:
+        """Number of disk slots the given demands' raw capacity needs."""
+        return int(math.ceil(self.capacity_demand_raw(demands) / self.slot_capacity))

@@ -20,7 +20,7 @@ from typing import Optional, Union
 from ..exceptions import DeviceError
 from ..scenarios.locations import Location, PRIMARY_SITE
 from ..units import parse_duration, parse_rate
-from .base import Device
+from .base import Demands, Device
 from .costs import CostModel
 from .spares import SpareConfig
 
@@ -30,8 +30,8 @@ class Interconnect(Device):
 
     is_interconnect = True
 
-    def transfer_time(self, size_bytes: float) -> float:
-        """Serialized time to move ``size_bytes`` across this interconnect.
+    def transfer_time(self, size_bytes: float, demands: Demands) -> float:
+        """Serialized time to move ``size_bytes`` alongside ``demands``.
 
         Subclasses must implement; used by the recovery-time model.
         """
@@ -81,16 +81,16 @@ class NetworkLink(Interconnect):
         self.link_bandwidth = per_link
         self.link_count = int(link_count)
 
-    def transfer_time(self, size_bytes: float) -> float:
+    def transfer_time(self, size_bytes: float, demands: Demands) -> float:
         """Bulk transfer time at the bandwidth left over by RP traffic."""
-        available = self.available_bandwidth()
+        available = self.available_bandwidth(demands)
         if size_bytes <= 0:
             return 0.0
         if available <= 0:
             return float("inf")
         return self.access_delay + size_bytes / available
 
-    def outlays_by_technique(self) -> "dict[str, float]":
+    def outlays_by_technique(self, demands: Demands) -> "dict[str, float]":
         """Links are billed on *provisioned* bandwidth, not demanded.
 
         A leased OC-3 costs the same whether it runs full or idle, so the
@@ -98,12 +98,12 @@ class NetworkLink(Interconnect):
         the primary technique; remaining techniques pay nothing extra.
         """
         outlays: "dict[str, float]" = {}
-        primary = self.primary_technique
-        if primary is not None:
-            outlays[primary] = self.cost_model.fixed + self.cost_model.bandwidth_cost(
-                self.max_bandwidth
+        if demands:
+            outlays[demands[0].technique] = (
+                self.cost_model.fixed
+                + self.cost_model.bandwidth_cost(self.max_bandwidth)
             )
-            for demand in self.demands:
+            for demand in demands:
                 outlays.setdefault(demand.technique, 0.0)
             if self.spare.exists and self.spare.discount > 0:
                 for technique in list(outlays):
@@ -141,7 +141,7 @@ class Shipment(Interconnect):
             access_delay=delay_s,
         )
 
-    def transfer_time(self, size_bytes: float) -> float:
+    def transfer_time(self, size_bytes: float, demands: Demands) -> float:
         """Constant door-to-door delay: the courier doesn't care about bytes."""
         if size_bytes <= 0:
             return 0.0

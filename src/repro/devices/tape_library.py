@@ -16,7 +16,7 @@ from typing import Optional, Union
 from ..exceptions import DeviceError
 from ..scenarios.locations import Location, PRIMARY_SITE
 from ..units import parse_duration, parse_rate, parse_size
-from .base import Device
+from .base import Demands, Device
 from .costs import CostModel
 from .spares import SpareConfig
 
@@ -67,13 +67,15 @@ class TapeLibrary(Device):
         # cartridge switches, repositioning and rate-matching stalls.
         self.recovery_read_efficiency = float(restore_efficiency)
 
-    def cartridges_required(self) -> int:
-        """Cartridges needed for the current capacity demand."""
-        return int(math.ceil(self.capacity_demand_logical() / self.cartridge_capacity))
+    def cartridges_required(self, demands: Demands) -> int:
+        """Cartridges the given demands' capacity needs."""
+        return int(
+            math.ceil(self.capacity_demand_logical(demands) / self.cartridge_capacity)
+        )
 
-    def drives_required(self) -> int:
-        """Drives needed to sustain the current bandwidth demand."""
-        return int(math.ceil(self.bandwidth_demand() / self.drive_bandwidth))
+    def drives_required(self, demands: Demands) -> int:
+        """Drives needed to sustain the given demands' bandwidth."""
+        return int(math.ceil(self.bandwidth_demand(demands) / self.drive_bandwidth))
 
     def cartridges_for(self, data_bytes: Union[str, float]) -> int:
         """Cartridges a dataset of the given size occupies (for shipping)."""

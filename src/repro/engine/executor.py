@@ -104,9 +104,9 @@ class EvaluationTask:
     """One (design, workload, scenarios, requirements) evaluation.
 
     The design comes either as a built :class:`StorageDesign` or as a
-    zero-argument ``factory`` (the design-space convention: a fresh
-    design per evaluation so device demand registries start empty).
-    Factories are resolved in the parent process before dispatch.
+    zero-argument ``factory`` (the design-space convention: candidates
+    are built on demand rather than held all at once).  Factories are
+    resolved in the parent process before dispatch.
     """
 
     name: str
@@ -158,9 +158,8 @@ class EvaluationTask:
 class PortfolioTask:
     """One portfolio evaluation (several data objects on shared devices).
 
-    Portfolios aggregate live device state and are evaluated inline in
-    the parent — they are few (one per scenario) while design sweeps
-    are many, so they gain nothing from shipping across processes.
+    Portfolio tasks are evaluated inline in the parent — they are few
+    (one per scenario) while design sweeps are many.
     """
 
     name: str

@@ -210,7 +210,7 @@ def result_digest(value: Any) -> Optional[str]:
     task key therefore computed the same answer; a differing digest
     under an equal key is correctness drift, however fast or slow the
     runs were.  Result shapes without a canonical serialization (e.g.
-    portfolio assessments holding live device state) return None —
+    portfolio assessments) return None —
     "not comparable", never a guessed hash.
     """
     if not isinstance(value, dict) or not value:

@@ -25,11 +25,11 @@ class WorkloadError(ReproError, ValueError):
 
 
 class DeviceError(ReproError, ValueError):
-    """A device specification or demand registration is invalid."""
+    """A device specification or demand is invalid."""
 
 
 class CapacityExceededError(DeviceError):
-    """The capacity demands registered on a device exceed its maximum.
+    """The capacity demands placed on a device exceed its maximum.
 
     Raised by the global utilization check (paper section 3.3.1: the
     framework "generates an error if capUtil > 1").
@@ -51,7 +51,7 @@ class CapacityExceededError(DeviceError):
 
 
 class BandwidthExceededError(DeviceError):
-    """The bandwidth demands registered on a device exceed its maximum.
+    """The bandwidth demands placed on a device exceed its maximum.
 
     Raised by the global utilization check (paper section 3.3.1: the
     framework "generates an error if bwUtil > 1").

@@ -276,13 +276,13 @@ METHOD_STUBS: "Dict[str, Signature]" = {
         (("recovery_time", TIME), ("data_loss", TIME)), None
     ),
     # Device / CostModel / Interconnect
-    "bandwidth_demand": Signature((), RATE),
-    "available_bandwidth": Signature((), RATE),
-    "capacity_demand_logical": Signature((), SIZE),
-    "capacity_demand_raw": Signature((), SIZE),
+    "bandwidth_demand": Signature((("demands", None),), RATE),
+    "available_bandwidth": Signature((("demands", None),), RATE),
+    "capacity_demand_logical": Signature((("demands", None),), SIZE),
+    "capacity_demand_raw": Signature((("demands", None),), SIZE),
     "capacity_cost": Signature((("capacity_bytes", SIZE),), MONEY),
     "bandwidth_cost": Signature((("bandwidth_bps", RATE),), MONEY),
-    "transfer_time": Signature((("size_bytes", SIZE),), TIME),
+    "transfer_time": Signature((("size_bytes", SIZE), ("demands", None)), TIME),
     # DataProtectionTechnique timeline queries
     "worst_lag": Signature((), TIME),
     "worst_spacing": Signature((), TIME),

@@ -9,8 +9,8 @@ declared with the :func:`rule` decorator::
         '''All RP copies share one failure scope.'''
         ...
 
-Rules are pure queries: they never mutate the design (the one rule that
-needs the demand ledger snapshots and restores it) and never evaluate.
+Rules are pure queries: they never mutate the design and never
+evaluate.
 :func:`run_rules` executes a selected (or every) rule against a context,
 emitting the ``lint.rules_run`` metric and a ``lint.rules`` tracer span
 through :mod:`repro.obs`.  Per-severity ``lint.diagnostics.<severity>``

@@ -375,49 +375,29 @@ def capacity_overcommit(ctx: RuleContext) -> "Iterator[Diagnostic]":
     workload = ctx.workload
     if design is None or workload is None or not design.levels:
         return
-    # Registering demands is the paper's own static sizing arithmetic
-    # (section 3.2.3) — no evaluation involved — but it mutates the
-    # device ledgers, so snapshot and restore them around the check.
+    # The demand ledger is the paper's own static sizing arithmetic
+    # (section 3.2.3) — no evaluation involved.
     from ..core.demands import register_design_demands
 
-    devices = design.devices()
-    saved = [(device, device.demands) for device in devices]
-    findings: "List[Diagnostic]" = []
-    try:
-        register_design_demands(design, workload)
-        for device in devices:
-            if device.is_interconnect or device.max_capacity == float("inf"):
-                continue
-            demand = device.capacity_demand_raw()
-            if demand <= device.max_capacity:
-                continue
-            findings.append(
-                make(
-                    "DEP007",
-                    f"device {device.name!r} is overcommitted: the design "
-                    f"demands {format_size(demand)} raw capacity against "
-                    f"a {format_size(device.max_capacity)} envelope "
-                    f"({demand / device.max_capacity:.0%})",
-                    hint=(
-                        "retain fewer RPs on this device, shrink the "
-                        "dataset, or bind the level to a larger device"
-                    ),
-                    pointer="/levels",
-                )
-            )
-    finally:
-        for device, demands in saved:
-            device.clear_demands()
-            for demand in demands:
-                device.register_demand(
-                    demand.technique,
-                    bandwidth=demand.bandwidth,
-                    capacity=demand.capacity,
-                    shipments_per_year=demand.shipments_per_year,
-                    note=demand.note,
-                )
-    for finding in findings:
-        yield finding
+    demands = register_design_demands(design, workload, ctx.facts)
+    for device in design.devices():
+        if device.is_interconnect or device.max_capacity == float("inf"):
+            continue
+        demand = device.capacity_demand_raw(demands[device])
+        if demand <= device.max_capacity:
+            continue
+        yield make(
+            "DEP007",
+            f"device {device.name!r} is overcommitted: the design "
+            f"demands {format_size(demand)} raw capacity against "
+            f"a {format_size(device.max_capacity)} envelope "
+            f"({demand / device.max_capacity:.0%})",
+            hint=(
+                "retain fewer RPs on this device, shrink the "
+                "dataset, or bind the level to a larger device"
+            ),
+            pointer="/levels",
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ pairing a workload with its own design; designs may share device
 instances (two databases on one array, one tape library for everything).
 Evaluation then:
 
-* registers every object's demands on the (shared) devices *jointly*,
-  so utilization reflects the union of protection workloads;
+* adds every object's demand ledger into one *joint* ledger over the
+  (shared) devices, so utilization reflects the union of protection
+  workloads;
 * computes each object's worst-case data loss independently (RPs are
   per-object);
 * schedules recoveries respecting the declared dependencies — an
@@ -35,15 +36,16 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core.dataloss import DataLossResult, compute_data_loss
-from .core.demands import register_design_demands
+from .core.demands import DemandLedger, register_design_demands
 from .core.hierarchy import StorageDesign
 from .core.recovery import RecoveryPlan, plan_recovery
 from .core.utilization import SystemUtilization
 from .core.validate import validate_design
-from .devices.base import Device, DeviceUtilization
+from .devices.base import Device
 from .exceptions import DesignError, RecoveryError
 from .scenarios.failures import FailureScenario
 from .scenarios.requirements import BusinessRequirements
+from .techniques.facts import FactsTable
 from .units import format_duration, format_money
 from .workload.spec import Workload
 
@@ -173,36 +175,52 @@ class Portfolio:
                 seen.setdefault(id(device), device)
         return tuple(seen.values())
 
-    # -- joint demand registration -------------------------------------------------
+    # -- joint demands -------------------------------------------------------------
 
-    def register_demands(self) -> None:
-        """Register every object's demands jointly on shared devices."""
+    def demands(self) -> DemandLedger:
+        """The joint ledger: every object's demands, added in order."""
         if not self._objects:
             raise DesignError(f"portfolio {self.name!r} has no objects")
-        for device in self.devices():
-            device.clear_demands()
-        for obj in self._objects.values():
-            register_design_demands(obj.design, obj.workload, clear=False)
-
-    def utilization(self) -> SystemUtilization:
-        """Joint utilization across the shared device set."""
-        reports: "List[DeviceUtilization]" = [
-            device.utilization() for device in self.devices()
-        ]
-        max_cap, max_cap_dev = 0.0, None
-        max_bw, max_bw_dev = 0.0, None
-        for report in reports:
-            if report.capacity_utilization > max_cap:
-                max_cap, max_cap_dev = report.capacity_utilization, report.device_name
-            if report.bandwidth_utilization > max_bw:
-                max_bw, max_bw_dev = report.bandwidth_utilization, report.device_name
-        return SystemUtilization(
-            devices=tuple(reports),
-            max_capacity_utilization=max_cap,
-            max_capacity_device=max_cap_dev,
-            max_bandwidth_utilization=max_bw,
-            max_bandwidth_device=max_bw_dev,
+        facts = FactsTable()
+        return sum(
+            (
+                register_design_demands(obj.design, obj.workload, facts)
+                for obj in self._objects.values()
+            ),
+            DemandLedger(),
         )
+
+    def utilization(self, demands: DemandLedger) -> SystemUtilization:
+        """Joint utilization across the shared device set."""
+        return SystemUtilization.of(self.devices(), demands)
+
+    def _prepare(
+        self, strict_utilization: bool
+    ) -> "Tuple[DemandLedger, SystemUtilization]":
+        """Validate every design; the joint ledger and its utilization."""
+        for obj in self._objects.values():
+            validate_design(obj.design, obj.workload, strict=True)
+        demands = self.demands()
+        utilization = self.utilization(demands)
+        if strict_utilization:
+            utilization.raise_if_overcommitted()
+        return demands, utilization
+
+    @staticmethod
+    def _recover(
+        obj: ProtectedObject, scenario: FailureScenario, demands: DemandLedger
+    ) -> "Tuple[DataLossResult, Optional[RecoveryPlan]]":
+        """One object's data loss and recovery plan (None if unplannable)."""
+        loss = compute_data_loss(obj.design, scenario, allow_total_loss=True)
+        if loss.total_loss:
+            return loss, None
+        try:
+            plan = plan_recovery(
+                obj.design, demands, scenario, obj.workload, loss_result=loss
+            )
+        except RecoveryError:
+            return loss, None
+        return loss, plan
 
     # -- recovery scheduling ----------------------------------------------------------
 
@@ -228,27 +246,14 @@ class Portfolio:
         time (a single recovery crew / shared restore pipe); the default
         lets independent objects restore in parallel.
         """
-        for obj in self._objects.values():
-            validate_design(obj.design, obj.workload, strict=True)
-        self.register_demands()
-        utilization = self.utilization()
-        if strict_utilization:
-            utilization.raise_if_overcommitted()
+        demands, utilization = self._prepare(strict_utilization)
 
         outcomes: "Dict[str, ObjectOutcome]" = {}
         outage_penalty = 0.0
         loss_penalty = 0.0
         serial_clock = 0.0
         for obj in self._topological_order():
-            loss = compute_data_loss(obj.design, scenario, allow_total_loss=True)
-            plan: Optional[RecoveryPlan] = None
-            if not loss.total_loss:
-                try:
-                    plan = plan_recovery(
-                        obj.design, scenario, obj.workload, loss_result=loss
-                    )
-                except RecoveryError:
-                    plan = None
+            loss, plan = self._recover(obj, scenario, demands)
             dependency_finish = max(
                 (outcomes[d].recovery_finish for d in obj.depends_on),
                 default=0.0,
@@ -277,7 +282,7 @@ class Portfolio:
             scenario=scenario,
             utilization=utilization,
             outcomes=outcomes,
-            outlays_by_technique=self._outlays(),
+            outlays_by_technique=self._outlays(demands),
             outage_penalty=outage_penalty,
             loss_penalty=loss_penalty,
         )
@@ -292,8 +297,7 @@ class Portfolio:
         """Assess the portfolio under each scenario, through the engine.
 
         Returns ``{scenario description: assessment}`` in input order.
-        Portfolio tasks run inline in the parent (they share live
-        device state), but routing them through
+        Portfolio tasks run inline in the parent, but routing them through
         :func:`repro.engine.map_evaluations` gives them the engine's
         result caching and uniform failure reporting; ``config`` is an
         :class:`repro.engine.EngineConfig` (imported lazily — the model
@@ -312,8 +316,7 @@ class Portfolio:
             for scenario in scenarios
         ]
         engine_config = config if config is not None else EngineConfig()
-        # Portfolios aggregate live device objects: force inline
-        # execution so shared state stays in this process.
+        # Portfolio tasks always run inline in this process.
         if engine_config.workers > 1:
             engine_config = dataclasses.replace(engine_config, workers=1)
         outcomes = map_evaluations(tasks, config=engine_config, label="portfolio")
@@ -344,21 +347,16 @@ class Portfolio:
         """
         from .simulation.recovery_sim import RecoverySimulator, TransferSpec
 
-        for obj in self._objects.values():
-            validate_design(obj.design, obj.workload, strict=True)
-        self.register_demands()
-        utilization = self.utilization()
-        if strict_utilization:
-            utilization.raise_if_overcommitted()
+        demands, utilization = self._prepare(strict_utilization)
 
         # Device envelopes and background demands for the simulator; the
         # source-read efficiency folds into each transfer's nominal rate.
         bandwidths: "Dict[str, float]" = {}
-        demands: "Dict[str, float]" = {}
+        background: "Dict[str, float]" = {}
         for device in self.devices():
             if device.max_bandwidth != float("inf"):
                 bandwidths[device.name] = device.max_bandwidth
-                demands[device.name] = device.bandwidth_demand()
+                background[device.name] = device.bandwidth_demand(demands[device])
 
         # Layer objects by dependency depth.
         depth: "Dict[str, int]" = {}
@@ -369,7 +367,7 @@ class Portfolio:
         max_depth = max(depth.values(), default=0)
 
         simulator = RecoverySimulator(
-            bandwidths, demands, background_load=background_load
+            bandwidths, background, background_load=background_load
         )
         outcomes: "Dict[str, ObjectOutcome]" = {}
         outage_penalty = 0.0
@@ -381,15 +379,7 @@ class Portfolio:
             for obj in self._topological_order():
                 if depth[obj.name] != layer:
                     continue
-                loss = compute_data_loss(obj.design, scenario, allow_total_loss=True)
-                plan: Optional[RecoveryPlan] = None
-                if not loss.total_loss:
-                    try:
-                        plan = plan_recovery(
-                            obj.design, scenario, obj.workload, loss_result=loss
-                        )
-                    except RecoveryError:
-                        plan = None
+                loss, plan = self._recover(obj, scenario, demands)
                 offset = max(
                     (finish_times[d] for d in obj.depends_on), default=0.0
                 )
@@ -447,27 +437,24 @@ class Portfolio:
             scenario=scenario,
             utilization=utilization,
             outcomes=outcomes,
-            outlays_by_technique=self._outlays(),
+            outlays_by_technique=self._outlays(demands),
             outage_penalty=outage_penalty,
             loss_penalty=loss_penalty,
         )
 
     # -- outlays ---------------------------------------------------------------------
 
-    def _outlays(self) -> "Dict[str, float]":
-        """Joint outlays over the shared device set (demands registered).
+    def _outlays(self, demands: DemandLedger) -> "Dict[str, float]":
+        """Joint outlays over the shared device set.
 
-        Devices keep their joint ledgers from :meth:`register_demands`,
-        so per-technique attribution already reflects every object's
-        demands; iterating designs would double-count shared devices.
+        ``demands`` is the joint ledger, so per-technique attribution
+        reflects every object's demands; iterating designs would
+        double-count shared devices.
         """
         outlays: "Dict[str, float]" = {}
-        seen_devices: "Dict[int, Device]" = {}
-        for obj in self._objects.values():
-            for device in obj.design.devices():
-                seen_devices.setdefault(id(device), device)
-        for device in seen_devices.values():
-            for technique, dollars in device.outlays_by_technique().items():
+        for device in self.devices():
+            device_outlays = device.outlays_by_technique(demands[device])
+            for technique, dollars in device_outlays.items():
                 outlays[technique] = outlays.get(technique, 0.0) + dollars
         # The recovery facility charges its discount fraction of the
         # primary-site hardware it stands behind, exactly once per
@@ -491,8 +478,8 @@ class Portfolio:
             ]
             facility_total += facility.discount * sum(
                 device.cost_model.total_cost(
-                    capacity_bytes=device.capacity_demand_raw(),
-                    bandwidth_bps=device.bandwidth_demand(),
+                    capacity_bytes=device.capacity_demand_raw(demands[device]),
+                    bandwidth_bps=device.bandwidth_demand(demands[device]),
                 )
                 for device in covered
             )

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from ..core.hierarchy import StorageDesign
 from ..exceptions import SimulationError
 from ..scenarios.failures import FailureScenario
 from .simulator import DependabilitySimulator
@@ -64,7 +63,6 @@ class ExposureProfile:
 
 def exposure_profile(
     design_factory,
-    workload,
     scenario: FailureScenario,
     level_index: int,
     outage_start: float,
@@ -75,28 +73,21 @@ def exposure_profile(
 ) -> ExposureProfile:
     """Sweep failure probes across (and past) a level outage.
 
-    ``design_factory`` must build a fresh design per call (simulators
-    need independent device/demand state).  Probes run from the outage
-    start to ``outage_end + probe_overhang`` (default: one outage
-    duration past the end).
+    ``design_factory`` builds the design each simulator runs.  Probes
+    run from the outage start to ``outage_end + probe_overhang``
+    (default: one outage duration past the end).
     """
     if probes < 2:
         raise SimulationError("need at least two probes")
     if outage_duration <= 0:
         raise SimulationError("outage duration must be positive")
-    from ..core.demands import register_design_demands
-
     outage_end = outage_start + outage_duration
     overhang = outage_duration if probe_overhang is None else probe_overhang
 
-    healthy_design = design_factory()
-    register_design_demands(healthy_design, workload)
-    healthy = DependabilitySimulator(healthy_design, horizon=horizon)
+    healthy = DependabilitySimulator(design_factory(), horizon=horizon)
     healthy.build()
 
-    degraded_design = design_factory()
-    register_design_demands(degraded_design, workload)
-    degraded = DependabilitySimulator(degraded_design, horizon=horizon)
+    degraded = DependabilitySimulator(design_factory(), horizon=horizon)
     degraded.disable_level(level_index, outage_start, outage_end)
     degraded.build()
 

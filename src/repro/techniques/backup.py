@@ -29,11 +29,12 @@ import enum
 from dataclasses import dataclass
 from typing import List, Optional, Union
 
-from ..devices.base import Device
+from ..devices.base import Device, Placement
 from ..exceptions import PolicyError
 from ..units import DAY, parse_duration
 from ..workload.spec import Workload
 from .base import CopyRepresentation, ProtectionTechnique, check_windows
+from .facts import TechniqueFacts
 from .timeline import CycleModel, RPEvent
 
 
@@ -261,14 +262,14 @@ class Backup(ProtectionTechnique):
                     "leaving no room for the full's accumulation window"
                 )
 
-    def register_demands(
+    def demands(
         self,
         workload: Workload,
         store: Device,
         source_store: Optional[Device] = None,
         transport: Optional[Device] = None,
-        source_technique: Optional[ProtectionTechnique] = None,
-    ) -> None:
+        source_facts: Optional[TechniqueFacts] = None,
+    ) -> "List[Placement]":
         """Read the source array, write the backup device, via transport.
 
         Capacity on the backup device is ``retCnt`` cycles plus one extra
@@ -280,21 +281,12 @@ class Backup(ProtectionTechnique):
             self.retention_count * self.cycle_bytes(workload)
             + workload.data_capacity
         )
-        store.register_demand(
-            self.name,
-            bandwidth=bandwidth,
-            capacity=capacity,
-            note=f"{self.retention_count} cycles + in-progress full",
-        )
+        placements = [self.place(store, bandwidth=bandwidth, capacity=capacity)]
         if source_store is not None:
-            source_store.register_demand(
-                self.name,
-                bandwidth=bandwidth,
-                capacity=0.0,
-                note="backup reads from consistent PiT image",
-            )
+            placements.append(self.place(source_store, bandwidth=bandwidth))
         if transport is not None:
-            transport.register_demand(self.name, bandwidth=bandwidth)
+            placements.append(self.place(transport, bandwidth=bandwidth))
+        return placements
 
     def recovery_size(self, workload: Workload, requested_bytes: float) -> float:
         """Worst case: the full plus the incrementals needed on top of it.

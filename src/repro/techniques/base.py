@@ -7,8 +7,8 @@ compositional framework:
 
 1. **validation** of its policy against the paper's conventions
    (``propW <= accW`` etc.);
-2. **demand registration**: converting the policy into bandwidth and
-   capacity demands on the devices of its level (section 3.2.3);
+2. **demands**: converting the policy into the bandwidth and capacity
+   demands it places on the devices of its level (section 3.2.3);
 3. **timeline queries** (worst lag, RP spacing, retention span) via its
    :class:`~repro.techniques.timeline.CycleModel`.
 
@@ -19,12 +19,13 @@ these, which is what makes the models composable.
 from __future__ import annotations
 
 import enum
-from typing import Optional, Union
+from typing import Any, List, Optional, Union
 
 from ..exceptions import PolicyError
-from ..devices.base import Device
+from ..devices.base import Demand, Device, Placement
 from ..units import parse_duration
 from ..workload.spec import Workload
+from .facts import TechniqueFacts
 from .timeline import CycleModel
 
 
@@ -102,15 +103,15 @@ class ProtectionTechnique:
         override and call :func:`check_windows`.
         """
 
-    def register_demands(
+    def demands(
         self,
         workload: Workload,
         store: Device,
         source_store: Optional[Device] = None,
         transport: Optional[Device] = None,
-        source_technique: Optional["ProtectionTechnique"] = None,
-    ) -> None:
-        """Register this level's workload demands on its devices.
+        source_facts: Optional[TechniqueFacts] = None,
+    ) -> "List[Placement]":
+        """This level's ``(device, demand)`` placements, in order.
 
         Parameters
         ----------
@@ -124,12 +125,16 @@ class ProtectionTechnique:
         transport:
             The interconnect carrying RPs from the previous level, if
             distinct hardware is involved.
-        source_technique:
-            The previous level's technique (vaulting needs the backup
-            retention window to decide whether extra tape copies are
-            required).
+        source_facts:
+            The previous level's technique facts (vaulting needs the
+            backup retention window to decide whether extra tape copies
+            are required).
         """
         raise NotImplementedError
+
+    def place(self, device: Device, **amounts: Any) -> Placement:
+        """This technique's :class:`~repro.devices.base.Demand` on ``device``."""
+        return device, Demand(self.name, **amounts)
 
     # -- long-run propagation volume -----------------------------------------------------
 
@@ -152,7 +157,7 @@ class ProtectionTechnique:
         """Long-run mean transfer rate into this level, bytes/s.
 
         This is always at most the *provisioned* bandwidth demand the
-        technique registers (section 3.2.3 sizes for the peak within a
+        technique places (section 3.2.3 sizes for the peak within a
         propagation window); the gap is the burst headroom.  Used as a
         §3.2.3 consistency crosscheck and for energy/egress estimates.
         """

@@ -30,12 +30,13 @@ abstraction level, exactly as the paper's vault aggregates shelves).
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import List, Optional, Union
 
-from ..devices.base import Device
+from ..devices.base import Device, Placement
 from ..exceptions import PolicyError
 from ..workload.spec import Workload
 from .base import CopyRepresentation, ProtectionTechnique, check_windows
+from .facts import TechniqueFacts
 from .timeline import CycleModel
 
 
@@ -114,14 +115,14 @@ class ErasureCodedArchive(ProtectionTechnique):
                 "implausibly large; check k and n"
             )
 
-    def register_demands(
+    def demands(
         self,
         workload: Workload,
         store: Device,
         source_store: Optional[Device] = None,
         transport: Optional[Device] = None,
-        source_technique: Optional[ProtectionTechnique] = None,
-    ) -> None:
+        source_facts: Optional[TechniqueFacts] = None,
+    ) -> "List[Placement]":
         """Stretch-inflated capacity; coded update traffic on the WAN.
 
         Each archived RP stores the unique updates of its window times
@@ -135,24 +136,19 @@ class ErasureCodedArchive(ProtectionTechnique):
         spread_bandwidth = (
             self.stretch_factor * delta_bytes / self.propagation_window
         )
-        store.register_demand(
-            self.name,
-            bandwidth=spread_bandwidth,
-            capacity=capacity,
-            note=f"{self.total_fragments}-of-{self.data_fragments} coded RPs",
-        )
+        placements = [
+            self.place(store, bandwidth=spread_bandwidth, capacity=capacity)
+        ]
         if source_store is not None:
-            source_store.register_demand(
-                self.name,
-                bandwidth=delta_bytes / self.propagation_window,
-                note="archive reads unique updates",
+            # The archive reads each window's unique updates once.
+            placements.append(
+                self.place(
+                    source_store, bandwidth=delta_bytes / self.propagation_window
+                )
             )
         if transport is not None:
-            transport.register_demand(
-                self.name,
-                bandwidth=spread_bandwidth,
-                note="fragment spreading",
-            )
+            placements.append(self.place(transport, bandwidth=spread_bandwidth))
+        return placements
 
     def recovery_size(self, workload: Workload, requested_bytes: float) -> float:
         """Reconstruction reads ``k`` fragments: the logical bytes.

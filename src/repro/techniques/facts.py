@@ -4,7 +4,7 @@ A design space repeats a handful of techniques across many candidates:
 an ``optimize`` over a thousand designs holds a few dozen distinct
 split mirrors, backups and vaults.  A technique's timeline facts — its
 cycle period and retention count, worst lag, worst RP spacing,
-retention span, full-availability delay and full-RP hold — depend only
+retention span and window, full-availability delay and full-RP hold — depend only
 on its own parameters, so a :class:`FactsTable` computes them once per
 distinct technique *value* and every design holding an equal technique
 reads the same :class:`TechniqueFacts`.
@@ -32,7 +32,8 @@ class TechniqueFacts:
     continuous techniques (primary copy, sync/async mirrors), which
     have no RP cycle; their other facts come from the technique's own
     overrides of :meth:`~repro.techniques.base.ProtectionTechnique.worst_lag`
-    and friends.
+    and friends.  ``retention_window`` is ``retW``, how long one RP is
+    retained: the retention count times the period for a cycle.
     """
 
     period: Optional[float]
@@ -40,6 +41,7 @@ class TechniqueFacts:
     worst_lag: float
     worst_spacing: float
     retention_span: float
+    retention_window: float
     full_availability_delay: float
     full_hold: Optional[float]
 
@@ -60,6 +62,7 @@ class TechniqueFacts:
                 worst_lag=technique.worst_lag(),
                 worst_spacing=technique.worst_spacing(),
                 retention_span=technique.retention_span(),
+                retention_window=technique.retention_window(),
                 full_availability_delay=technique.full_availability_delay(),
                 full_hold=None,
             )
@@ -69,6 +72,7 @@ class TechniqueFacts:
             worst_lag=cycle.worst_lag(),
             worst_spacing=cycle.worst_spacing(),
             retention_span=cycle.retention_span(),
+            retention_window=cycle.retention_count * cycle.period,
             full_availability_delay=cycle.full_availability_delay(),
             full_hold=max(event.hold for event in cycle.events if event.is_full),
         )

@@ -30,13 +30,14 @@ array cache").
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import List, Optional, Union
 
-from ..devices.base import Device
+from ..devices.base import Device, Placement
 from ..exceptions import NoCycleError, PolicyError
 from ..units import parse_duration
 from ..workload.spec import Workload
 from .base import CopyRepresentation, ProtectionTechnique, check_windows
+from .facts import TechniqueFacts
 from .timeline import CycleModel
 
 
@@ -58,28 +59,22 @@ class _InterArrayMirror(ProtectionTechnique):
         """
         return workload.avg_update_rate
 
-    def register_demands(
+    def demands(
         self,
         workload: Workload,
         store: Device,
         source_store: Optional[Device] = None,
         transport: Optional[Device] = None,
-        source_technique: Optional[ProtectionTechnique] = None,
-    ) -> None:
+        source_facts: Optional[TechniqueFacts] = None,
+    ) -> "List[Placement]":
         """Interconnect + destination-array bandwidth, full-copy capacity."""
         bandwidth = self.interconnect_demand(workload)
-        store.register_demand(
-            self.name,
-            bandwidth=bandwidth,
-            capacity=workload.data_capacity,
-            note="mirror copy + applied updates",
-        )
+        placements = [
+            self.place(store, bandwidth=bandwidth, capacity=workload.data_capacity)
+        ]
         if transport is not None:
-            transport.register_demand(
-                self.name,
-                bandwidth=bandwidth,
-                note="update propagation",
-            )
+            placements.append(self.place(transport, bandwidth=bandwidth))
+        return placements
 
 
 class SyncMirror(_InterArrayMirror):

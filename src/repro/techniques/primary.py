@@ -9,12 +9,13 @@ reflects "now" — and its demands are simply the foreground workload.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
-from ..devices.base import Device
+from ..devices.base import Device, Placement
 from ..exceptions import NoCycleError
 from ..workload.spec import Workload
 from .base import ProtectionTechnique
+from .facts import TechniqueFacts
 from .timeline import CycleModel
 
 
@@ -59,21 +60,22 @@ class PrimaryCopy(ProtectionTechnique):
     def average_propagation_rate(self, workload: Workload) -> float:
         return 0.0
 
-    def register_demands(
+    def demands(
         self,
         workload: Workload,
         store: Device,
         source_store: Optional[Device] = None,
         transport: Optional[Device] = None,
-        source_technique: Optional[ProtectionTechnique] = None,
-    ) -> None:
+        source_facts: Optional[TechniqueFacts] = None,
+    ) -> "List[Placement]":
         """The foreground workload: its access rate and the dataset itself."""
-        store.register_demand(
-            self.name,
-            bandwidth=workload.avg_access_rate,
-            capacity=workload.data_capacity,
-            note="foreground accesses + primary copy",
-        )
+        return [
+            self.place(
+                store,
+                bandwidth=workload.avg_access_rate,
+                capacity=workload.data_capacity,
+            )
+        ]
 
     def describe(self) -> str:
         return f"{self.name}: primary copy (level 0)"

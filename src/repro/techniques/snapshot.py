@@ -13,13 +13,14 @@ intra-array copies.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import List, Optional, Union
 
-from ..devices.base import Device
+from ..devices.base import Device, Placement
 from ..exceptions import PolicyError
 from ..units import HOUR
 from ..workload.spec import Workload
 from .base import CopyRepresentation, ProtectionTechnique, check_windows
+from .facts import TechniqueFacts
 from .timeline import CycleModel
 
 
@@ -66,14 +67,14 @@ class VirtualSnapshot(ProtectionTechnique):
         if self.accumulation_window <= 0:
             raise PolicyError(f"{self.name}: accumulation window must be positive")
 
-    def register_demands(
+    def demands(
         self,
         workload: Workload,
         store: Device,
         source_store: Optional[Device] = None,
         transport: Optional[Device] = None,
-        source_technique: Optional[ProtectionTechnique] = None,
-    ) -> None:
+        source_facts: Optional[TechniqueFacts] = None,
+    ) -> "List[Placement]":
         """Copy-on-write doubles every foreground write; deltas need space.
 
         Bandwidth: an extra read of the old value plus an extra write of
@@ -85,12 +86,7 @@ class VirtualSnapshot(ProtectionTechnique):
         delta_capacity = self.retention_count * workload.unique_bytes(
             self.accumulation_window
         )
-        store.register_demand(
-            self.name,
-            bandwidth=cow_bandwidth,
-            capacity=delta_capacity,
-            note="copy-on-write overhead + snapshot deltas",
-        )
+        return [self.place(store, bandwidth=cow_bandwidth, capacity=delta_capacity)]
 
     def describe(self) -> str:
         hours = self.accumulation_window / HOUR

@@ -19,13 +19,14 @@ is 3.17 MB/s — the 0.6% array utilization of the paper's Table 5.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import List, Optional, Union
 
-from ..devices.base import Device
+from ..devices.base import Device, Placement
 from ..exceptions import PolicyError
 from ..units import HOUR
 from ..workload.spec import Workload
 from .base import CopyRepresentation, ProtectionTechnique, check_windows
+from .facts import TechniqueFacts
 from .timeline import CycleModel
 
 
@@ -91,21 +92,22 @@ class SplitMirror(ProtectionTechnique):
         """Each window resilvers one mirror's backlog of unique updates."""
         return workload.unique_bytes(self.resident_mirrors * self.accumulation_window)
 
-    def register_demands(
+    def demands(
         self,
         workload: Workload,
         store: Device,
         source_store: Optional[Device] = None,
         transport: Optional[Device] = None,
-        source_technique: Optional[ProtectionTechnique] = None,
-    ) -> None:
+        source_facts: Optional[TechniqueFacts] = None,
+    ) -> "List[Placement]":
         """Full-copy capacity for every resident mirror + resilver traffic."""
-        store.register_demand(
-            self.name,
-            bandwidth=self.resilver_bandwidth(workload),
-            capacity=self.resident_mirrors * workload.data_capacity,
-            note=f"{self.resident_mirrors} resident mirrors + resilvering",
-        )
+        return [
+            self.place(
+                store,
+                bandwidth=self.resilver_bandwidth(workload),
+                capacity=self.resident_mirrors * workload.data_capacity,
+            )
+        ]
 
     def describe(self) -> str:
         hours = self.accumulation_window / HOUR

@@ -21,13 +21,14 @@ cannot be read on a shelf), which the recovery model handles via
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import List, Optional, Union
 
-from ..devices.base import Device
+from ..devices.base import Device, Placement
 from ..exceptions import PolicyError
 from ..units import WEEK, YEAR
 from ..workload.spec import Workload
 from .base import CopyRepresentation, ProtectionTechnique, check_windows
+from .facts import TechniqueFacts
 from .timeline import CycleModel
 
 
@@ -84,49 +85,45 @@ class RemoteVaulting(ProtectionTechnique):
         """Courier runs per year: one per accumulation window."""
         return YEAR / self.accumulation_window
 
-    def requires_extra_copy(
-        self, source_technique: Optional[ProtectionTechnique]
-    ) -> bool:
+    def requires_extra_copy(self, source_facts: Optional[TechniqueFacts]) -> bool:
         """True when tapes ship before their on-site retention expires."""
-        if source_technique is None:
+        if source_facts is None:
             return False
-        return self.hold_window < source_technique.retention_window()
+        return self.hold_window < source_facts.retention_window
 
     def validate(self, workload: Workload) -> None:
         if self.retention_count < 1:
             raise PolicyError(f"{self.name}: must retain at least one full")
 
-    def register_demands(
+    def demands(
         self,
         workload: Workload,
         store: Device,
         source_store: Optional[Device] = None,
         transport: Optional[Device] = None,
-        source_technique: Optional[ProtectionTechnique] = None,
-    ) -> None:
+        source_facts: Optional[TechniqueFacts] = None,
+    ) -> "List[Placement]":
         """Vault capacity, courier shipments, and (maybe) extra tape copies."""
-        store.register_demand(
-            self.name,
-            capacity=self.retention_count * workload.data_capacity,
-            note=f"{self.retention_count} vaulted fulls",
-        )
+        placements = [
+            self.place(store, capacity=self.retention_count * workload.data_capacity)
+        ]
         if transport is not None:
-            transport.register_demand(
-                self.name,
-                shipments_per_year=self.shipments_per_year(),
-                note="periodic media shipment",
+            placements.append(
+                self.place(transport, shipments_per_year=self.shipments_per_year())
             )
-        if self.requires_extra_copy(source_technique) and source_store is not None:
+        if self.requires_extra_copy(source_facts) and source_store is not None:
             # The library duplicates each shipped full before it leaves:
             # read + write a full dataset once per vault cycle, plus shelf
             # space for the copy awaiting shipment.
             copy_bandwidth = 2.0 * workload.data_capacity / self.accumulation_window
-            source_store.register_demand(
-                self.name,
-                bandwidth=copy_bandwidth,
-                capacity=workload.data_capacity,
-                note="extra media copy for early shipment",
+            placements.append(
+                self.place(
+                    source_store,
+                    bandwidth=copy_bandwidth,
+                    capacity=workload.data_capacity,
+                )
             )
+        return placements
 
     def describe(self) -> str:
         weeks = self.accumulation_window / WEEK

@@ -14,6 +14,7 @@ from repro.devices.catalog import (
 from repro.exceptions import DesignError
 from repro.scenarios import FailureScenario
 from repro.scenarios.locations import PRIMARY_SITE, REMOTE_SITE
+from repro.techniques.facts import FactsTable
 from repro.units import HOUR, MB
 from repro.workload.presets import cello
 
@@ -108,7 +109,6 @@ class TestBranchSemantics:
         assert branched_design.upstream_delay(3) == 0.0
 
     def test_mirror_branch_gives_minute_loss(self, branched_design, workload):
-        register_design_demands(branched_design, workload)
         result = repro.core.compute_data_loss(
             branched_design, FailureScenario.array_failure("primary-array")
         )
@@ -117,10 +117,10 @@ class TestBranchSemantics:
         assert result.data_loss == pytest.approx(120.0)
 
     def test_backup_reads_from_snapshot_parent(self, branched_design, workload):
-        register_design_demands(branched_design, workload)
+        demands = register_design_demands(branched_design, workload, FactsTable())
         array = branched_design.primary_level.store
         backup_reads = [
-            d for d in array.demands if d.technique == "backup"
+            d for d in demands[array] if d.technique == "backup"
         ]
         assert backup_reads and backup_reads[0].bandwidth > 0
 

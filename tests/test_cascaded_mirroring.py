@@ -14,6 +14,7 @@ import repro
 from repro.core.demands import register_design_demands
 from repro.devices.catalog import midrange_disk_array, oc3_links
 from repro.scenarios import FailureScenario, Location
+from repro.techniques.facts import FactsTable
 from repro.units import HOUR, MINUTE
 from repro.workload.presets import cello
 
@@ -65,15 +66,15 @@ class TestCascadedTopology:
         assert cascaded_design.level(2).parent_index == 1
 
     def test_demands_land_on_bunker_and_links(self, cascaded_design, workload):
-        register_design_demands(cascaded_design, workload)
+        demands = register_design_demands(cascaded_design, workload, FactsTable())
         geo_link = cascaded_design.level(2).transport
         # The geo hop carries only the coalesced unique updates.
-        assert geo_link.demands[0].bandwidth == pytest.approx(
+        assert demands[geo_link][0].bandwidth == pytest.approx(
             workload.unique_bytes(5 * MINUTE) / (5 * MINUTE)
         )
         metro_link = cascaded_design.level(1).transport
         # The sync hop must carry the raw burst peak.
-        assert metro_link.demands[0].bandwidth == pytest.approx(
+        assert demands[metro_link][0].bandwidth == pytest.approx(
             workload.peak_update_rate
         )
 

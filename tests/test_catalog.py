@@ -3,6 +3,7 @@
 import pytest
 
 from repro.devices import (
+    Demand,
     air_shipment,
     enterprise_tape_library,
     midrange_disk_array,
@@ -75,22 +76,20 @@ class TestInterconnectPresets:
     def test_oc3_cost_scales_with_links(self):
         one = oc3_links(1)
         ten = oc3_links(10)
-        one.register_demand("mirror", bandwidth=1 * MB)
-        ten.register_demand("mirror", bandwidth=1 * MB)
-        assert ten.outlays_by_technique()["mirror"] == pytest.approx(
-            10 * one.outlays_by_technique()["mirror"]
+        demands = (Demand("mirror", bandwidth=1 * MB),)
+        assert ten.outlays_by_technique(demands)["mirror"] == pytest.approx(
+            10 * one.outlays_by_technique(demands)["mirror"]
         )
 
     def test_oc3_annual_price_matches_table7(self):
         # Table 7: cost model b * 23535 with b in MB/s; one OC-3 carries
         # 155 Mbit/s = 18.48 binary MB/s -> ~$435k/yr.
         link = oc3_links(1)
-        link.register_demand("mirror", bandwidth=1)
-        cost = link.outlays_by_technique()["mirror"]
+        cost = link.outlays_by_technique((Demand("mirror", bandwidth=1),))["mirror"]
         assert cost == pytest.approx(23_535 * (155e6 / 8) / MB, rel=1e-6)
 
     def test_san_is_fast_and_free(self):
         san = san_link()
         assert san.max_bandwidth >= 1024 * MB
-        san.register_demand("backup", bandwidth=8 * MB)
-        assert san.outlays_by_technique()["backup"] == 0.0
+        demands = (Demand("backup", bandwidth=8 * MB),)
+        assert san.outlays_by_technique(demands)["backup"] == 0.0

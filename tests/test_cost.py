@@ -11,6 +11,7 @@ from repro.core.evaluate import evaluate_scenarios
 from repro.core.recovery import plan_recovery
 from repro.scenarios import BusinessRequirements, FailureScenario
 from repro.scenarios.locations import PRIMARY_SITE
+from repro.techniques.facts import FactsTable
 from repro.units import HOUR, MB
 from repro.workload.presets import cello
 
@@ -22,9 +23,15 @@ def workload():
 
 @pytest.fixture
 def baseline(workload):
-    design = casestudy.baseline_design()
-    register_design_demands(design, workload)
-    return design
+    return casestudy.baseline_design()
+
+
+def ledger(design):
+    return register_design_demands(design, cello(), FactsTable())
+
+
+def outlays_of(design):
+    return compute_outlays(design, ledger(design))
 
 
 @pytest.fixture
@@ -34,7 +41,7 @@ def requirements():
 
 class TestOutlays:
     def test_every_technique_present(self, baseline):
-        outlays = compute_outlays(baseline)
+        outlays = outlays_of(baseline)
         for name in (
             "foreground workload",
             "split mirror",
@@ -47,7 +54,7 @@ class TestOutlays:
     def test_figure5_shape(self, baseline):
         """Foreground, mirroring and backup split the outlays roughly
         evenly; vaulting is negligible (paper Figure 5)."""
-        outlays = compute_outlays(baseline)
+        outlays = outlays_of(baseline)
         total = sum(outlays.values())
         for name in ("foreground workload", "split mirror", "backup"):
             share = outlays[name] / total
@@ -56,11 +63,11 @@ class TestOutlays:
 
     def test_total_outlays_near_paper(self, baseline):
         """Paper: $0.97M.  Our catalog lands within ~25%."""
-        total = sum(compute_outlays(baseline).values())
+        total = sum(outlays_of(baseline).values())
         assert total == pytest.approx(0.97e6, rel=0.25)
 
     def test_facility_cost_is_fraction_of_primary_site(self, baseline):
-        outlays = compute_outlays(baseline)
+        outlays = outlays_of(baseline)
         # The facility charges 0.2x of primary-site devices only -- it
         # must be much smaller than the techniques it backs.
         assert outlays[RECOVERY_FACILITY] < 0.25 * sum(outlays.values())
@@ -68,10 +75,8 @@ class TestOutlays:
     def test_mirror_design_charges_provisioned_links(self, workload):
         one = casestudy.async_batch_mirror_design(1)
         ten = casestudy.async_batch_mirror_design(10)
-        register_design_demands(one, workload)
-        register_design_demands(ten, workload)
-        one_total = sum(compute_outlays(one).values())
-        ten_total = sum(compute_outlays(ten).values())
+        one_total = sum(outlays_of(one).values())
+        ten_total = sum(outlays_of(ten).values())
         # Table 7: $0.93M vs $5.03M -- links dominate the 10x design.
         assert ten_total > 4 * one_total
 
@@ -80,8 +85,12 @@ class TestPenalties:
     def test_array_failure_penalties(self, baseline, workload, requirements):
         scenario = FailureScenario.array_failure("primary-array")
         loss = compute_data_loss(baseline, scenario)
-        plan = plan_recovery(baseline, scenario, workload, loss_result=loss)
-        costs = compute_costs(baseline, requirements, loss=loss, plan=plan)
+        plan = plan_recovery(
+            baseline, ledger(baseline), scenario, workload, loss_result=loss
+        )
+        costs = compute_costs(
+            baseline, requirements, outlays_of(baseline), loss=loss, plan=plan
+        )
         # DL penalty: 217 h * $50k/h = $10.85M dominates.
         assert costs.loss_penalty == pytest.approx(217 * 50_000, rel=0.01)
         assert costs.outage_penalty == pytest.approx(
@@ -94,20 +103,27 @@ class TestPenalties:
     def test_site_failure_penalties(self, baseline, workload, requirements):
         scenario = FailureScenario.site_disaster(PRIMARY_SITE)
         loss = compute_data_loss(baseline, scenario)
-        plan = plan_recovery(baseline, scenario, workload, loss_result=loss)
-        costs = compute_costs(baseline, requirements, loss=loss, plan=plan)
+        plan = plan_recovery(
+            baseline, ledger(baseline), scenario, workload, loss_result=loss
+        )
+        costs = compute_costs(
+            baseline, requirements, outlays_of(baseline), loss=loss, plan=plan
+        )
         assert costs.loss_penalty == pytest.approx(1429 * 50_000, rel=0.01)
 
     def test_penalties_scale_with_rates(self, baseline, workload):
         scenario = FailureScenario.array_failure("primary-array")
         loss = compute_data_loss(baseline, scenario)
-        plan = plan_recovery(baseline, scenario, workload, loss_result=loss)
+        plan = plan_recovery(
+            baseline, ledger(baseline), scenario, workload, loss_result=loss
+        )
+        outlays = outlays_of(baseline)
         cheap = compute_costs(
-            baseline, BusinessRequirements.per_hour(1_000, 1_000),
+            baseline, BusinessRequirements.per_hour(1_000, 1_000), outlays,
             loss=loss, plan=plan,
         )
         pricey = compute_costs(
-            baseline, BusinessRequirements.per_hour(100_000, 100_000),
+            baseline, BusinessRequirements.per_hour(100_000, 100_000), outlays,
             loss=loss, plan=plan,
         )
         assert pricey.total_penalties == pytest.approx(
@@ -117,23 +133,26 @@ class TestPenalties:
     def test_total_loss_penalty_is_infinite(self, baseline, workload, requirements):
         scenario = FailureScenario.object_corruption(1 * MB, "20 yr")
         loss = compute_data_loss(baseline, scenario)
-        costs = compute_costs(baseline, requirements, loss=loss, plan=None)
+        costs = compute_costs(
+            baseline, requirements, outlays_of(baseline), loss=loss, plan=None
+        )
         assert costs.loss_penalty == float("inf")
         assert costs.total_cost == float("inf")
 
     def test_no_results_means_no_penalties(self, baseline, requirements):
-        costs = compute_costs(baseline, requirements)
+        costs = compute_costs(baseline, requirements, outlays_of(baseline))
         assert costs.total_penalties == 0.0
         assert costs.total_cost == costs.total_outlays
 
     def test_describe(self, baseline, requirements):
-        assert "outlays" in compute_costs(baseline, requirements).describe()
+        costs = compute_costs(baseline, requirements, outlays_of(baseline))
+        assert "outlays" in costs.describe()
 
 
 class TestSharedOutlays:
     def test_precomputed_outlays_are_copied(self, baseline, requirements):
-        outlays = compute_outlays(baseline)
-        costs = compute_costs(baseline, requirements, outlays=outlays)
+        outlays = outlays_of(baseline)
+        costs = compute_costs(baseline, requirements, outlays)
         assert costs.outlays_by_technique == outlays
         assert costs.outlays_by_technique is not outlays
 

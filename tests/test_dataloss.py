@@ -8,7 +8,6 @@ from repro import casestudy
 from repro.core import StorageDesign, compute_data_loss, find_recovery_source
 from repro.core import dataloss
 from repro.core.dataloss import level_range
-from repro.core.demands import register_design_demands
 from repro.core.evaluate import evaluate, evaluate_scenarios
 from repro.design import DesignSpace, candidate_designs
 from repro.devices import SpareConfig
@@ -29,9 +28,7 @@ evaluate_module = importlib.import_module("repro.core.evaluate")
 
 @pytest.fixture
 def baseline():
-    design = casestudy.baseline_design()
-    register_design_demands(design, cello())
-    return design
+    return casestudy.baseline_design()
 
 
 class TestLevelRanges:
@@ -120,7 +117,6 @@ class TestEdgeCases:
             store=midrange_disk_array(name="remote", location=REMOTE_SITE),
             transport=oc3_links(10),
         )
-        register_design_demands(design, cello())
         result = compute_data_loss(
             design, FailureScenario.array_failure("primary-array")
         )
@@ -135,7 +131,6 @@ class TestEdgeCases:
             store=midrange_disk_array(name="remote", location=REMOTE_SITE),
             transport=oc3_links(10),
         )
-        register_design_demands(design, cello())
         scenario = FailureScenario.object_corruption(1 * MB, "24 hr")
         result = compute_data_loss(design, scenario)
         assert result.total_loss

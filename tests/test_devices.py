@@ -1,4 +1,4 @@
-"""Device models: envelopes, demand ledger, utilization, outlays, spares."""
+"""Device models: envelopes, demand ledgers, utilization, outlays, spares."""
 
 import pytest
 
@@ -14,6 +14,7 @@ from repro.devices import (
     TapeLibrary,
     Vault,
 )
+from repro.core.demands import DemandLedger
 from repro.exceptions import DeviceError
 from repro.units import GB, HOUR, MB, TB
 
@@ -85,68 +86,75 @@ class TestDeviceLedger:
         with pytest.raises(DeviceError):
             Demand(technique="t", bandwidth=-1)
 
-    def test_register_and_clear(self):
-        dev = plain_device()
-        dev.register_demand("a", bandwidth=10 * MB, capacity=10 * GB)
-        dev.register_demand("b", capacity=20 * GB)
-        assert len(dev.demands) == 2
-        assert dev.primary_technique == "a"
-        dev.clear_demands()
-        assert dev.demands == ()
-        assert dev.primary_technique is None
+    def test_ledger_keeps_placement_order(self):
+        dev, other = plain_device(), plain_device(name="other")
+        first = Demand("a", bandwidth=10 * MB, capacity=10 * GB)
+        second = Demand("b", capacity=20 * GB)
+        ledger = DemandLedger([(dev, first), (other, second), (dev, second)])
+        assert ledger[dev] == (first, second)
+        assert ledger[other] == (second,)
+        assert ledger[plain_device()] == ()
+        joint = ledger + DemandLedger([(other, first)])
+        assert joint[other] == (second, first)
+        assert joint[dev] == ledger[dev]
 
     def test_utilizations(self):
         dev = plain_device()
-        dev.register_demand("a", bandwidth=25 * MB, capacity=50 * GB)
-        assert dev.bandwidth_utilization() == pytest.approx(0.25)
-        assert dev.capacity_utilization() == pytest.approx(0.50)
-        assert dev.available_bandwidth() == pytest.approx(75 * MB)
+        demands = (Demand("a", bandwidth=25 * MB, capacity=50 * GB),)
+        assert dev.bandwidth_utilization(demands) == pytest.approx(0.25)
+        assert dev.capacity_utilization(demands) == pytest.approx(0.50)
+        assert dev.available_bandwidth(demands) == pytest.approx(75 * MB)
 
     def test_infinite_envelopes_report_zero_utilization(self):
         dev = plain_device(max_capacity=float("inf"), max_bandwidth=float("inf"))
-        dev.register_demand("a", bandwidth=1e9, capacity=1e15)
-        assert dev.capacity_utilization() == 0.0
-        assert dev.bandwidth_utilization() == 0.0
-        assert dev.available_bandwidth() == float("inf")
+        demands = (Demand("a", bandwidth=1e9, capacity=1e15),)
+        assert dev.capacity_utilization(demands) == 0.0
+        assert dev.bandwidth_utilization(demands) == 0.0
+        assert dev.available_bandwidth(demands) == float("inf")
 
     def test_utilization_report_by_technique(self):
         dev = plain_device()
-        dev.register_demand("a", bandwidth=10 * MB, capacity=10 * GB)
-        dev.register_demand("b", bandwidth=30 * MB, capacity=40 * GB)
-        report = dev.utilization()
+        report = dev.utilization(
+            (
+                Demand("a", bandwidth=10 * MB, capacity=10 * GB),
+                Demand("b", bandwidth=30 * MB, capacity=40 * GB),
+            )
+        )
         assert report.bandwidth_demand == pytest.approx(40 * MB)
         assert len(report.by_technique) == 2
         assert report.by_technique[1].capacity_utilization == pytest.approx(0.4)
 
     def test_describe_has_name(self):
         dev = plain_device()
-        assert "dev" in dev.utilization().describe()
+        assert "dev" in dev.utilization(()).describe()
 
 
 class TestDeviceOutlays:
     def test_fixed_cost_goes_to_primary_technique(self):
         dev = plain_device()
-        dev.register_demand("primary", capacity=10 * GB)
-        dev.register_demand("secondary", capacity=10 * GB)
-        outlays = dev.outlays_by_technique()
+        outlays = dev.outlays_by_technique(
+            (Demand("primary", capacity=10 * GB), Demand("secondary", capacity=10 * GB))
+        )
         assert outlays["primary"] == pytest.approx(1000 + 10)
         assert outlays["secondary"] == pytest.approx(10)
 
     def test_spare_multiplies_outlays(self):
         dev = plain_device(spare=SpareConfig.dedicated("60 s", 1.0))
-        dev.register_demand("primary", capacity=10 * GB)
-        assert dev.outlays_by_technique()["primary"] == pytest.approx(2 * 1010)
+        demands = (Demand("primary", capacity=10 * GB),)
+        assert dev.outlays_by_technique(demands)["primary"] == pytest.approx(2 * 1010)
 
     def test_shared_spare_fractional(self):
         dev = plain_device(spare=SpareConfig.shared("9 hr", 0.2))
-        dev.register_demand("primary", capacity=10 * GB)
-        assert dev.outlays_by_technique()["primary"] == pytest.approx(1.2 * 1010)
+        demands = (Demand("primary", capacity=10 * GB),)
+        assert dev.outlays_by_technique(demands)["primary"] == pytest.approx(
+            1.2 * 1010
+        )
 
     def test_same_technique_twice_charged_fixed_once(self):
         dev = plain_device()
-        dev.register_demand("primary", capacity=10 * GB)
-        dev.register_demand("primary", capacity=10 * GB)
-        assert dev.total_outlay() == pytest.approx(1000 + 20)
+        demand = Demand("primary", capacity=10 * GB)
+        outlays = dev.outlays_by_technique((demand, demand))
+        assert outlays == {"primary": pytest.approx(1000 + 20)}
 
 
 class TestDiskArray:
@@ -175,9 +183,9 @@ class TestDiskArray:
 
     def test_raid_factor_inflates_capacity(self):
         array = self.make()
-        array.register_demand("a", capacity=1360 * GB)
-        assert array.capacity_demand_raw() == pytest.approx(2720 * GB)
-        assert array.capacity_utilization() == pytest.approx(
+        demands = (Demand("a", capacity=1360 * GB),)
+        assert array.capacity_demand_raw(demands) == pytest.approx(2720 * GB)
+        assert array.capacity_utilization(demands) == pytest.approx(
             2720 * GB / (256 * 73 * GB)
         )
 
@@ -187,8 +195,8 @@ class TestDiskArray:
 
     def test_disks_required(self):
         array = self.make()
-        array.register_demand("a", capacity=365 * GB)  # 730 GB raw
-        assert array.disks_required() == 10
+        # 365 GB logical is 730 GB raw.
+        assert array.disks_required((Demand("a", capacity=365 * GB),)) == 10
 
     def test_zero_slots_rejected(self):
         with pytest.raises(DeviceError):
@@ -214,14 +222,13 @@ class TestTapeLibrary:
 
     def test_no_raid_overhead(self):
         lib = self.make()
-        lib.register_demand("backup", capacity=1 * TB)
-        assert lib.capacity_demand_raw() == 1 * TB
+        assert lib.capacity_demand_raw((Demand("backup", capacity=1 * TB),)) == 1 * TB
 
     def test_cartridge_and_drive_math(self):
         lib = self.make()
-        lib.register_demand("backup", bandwidth=100 * MB, capacity=1000 * GB)
-        assert lib.cartridges_required() == 3
-        assert lib.drives_required() == 2
+        demands = (Demand("backup", bandwidth=100 * MB, capacity=1000 * GB),)
+        assert lib.cartridges_required(demands) == 3
+        assert lib.drives_required(demands) == 2
         assert lib.cartridges_for(1360 * GB) == 4
 
 
@@ -230,9 +237,9 @@ class TestVault:
         vault = Vault("v", max_cartridges=5000, cartridge_capacity=400 * GB)
         assert vault.max_capacity == 5000 * 400 * GB
         assert vault.max_bandwidth == float("inf")
-        vault.register_demand("vaulting", capacity=39 * 1360 * GB)
-        assert vault.bandwidth_utilization() == 0.0
-        assert vault.capacity_utilization() == pytest.approx(0.0265, abs=0.001)
+        demands = (Demand("vaulting", capacity=39 * 1360 * GB),)
+        assert vault.bandwidth_utilization(demands) == 0.0
+        assert vault.capacity_utilization(demands) == pytest.approx(0.0265, abs=0.001)
 
 
 class TestInterconnects:
@@ -243,17 +250,17 @@ class TestInterconnects:
 
     def test_network_transfer_time_uses_available_bandwidth(self):
         link = NetworkLink("wan", link_bandwidth=10 * MB)
-        link.register_demand("mirror", bandwidth=5 * MB)
-        assert link.transfer_time(50 * MB) == pytest.approx(10.0)
+        demands = (Demand("mirror", bandwidth=5 * MB),)
+        assert link.transfer_time(50 * MB, demands) == pytest.approx(10.0)
 
     def test_network_transfer_zero_bytes(self):
         link = NetworkLink("wan", link_bandwidth=10 * MB)
-        assert link.transfer_time(0) == 0.0
+        assert link.transfer_time(0, ()) == 0.0
 
     def test_saturated_link_transfer_is_infinite(self):
         link = NetworkLink("wan", link_bandwidth=10 * MB)
-        link.register_demand("mirror", bandwidth=10 * MB)
-        assert link.transfer_time(1) == float("inf")
+        demands = (Demand("mirror", bandwidth=10 * MB),)
+        assert link.transfer_time(1, demands) == float("inf")
 
     def test_link_billed_on_provisioned_bandwidth(self):
         link = NetworkLink(
@@ -262,24 +269,24 @@ class TestInterconnects:
             link_count=10,
             cost_model=CostModel(per_byte_per_sec=1.0),
         )
-        link.register_demand("mirror", bandwidth=0.1 * MB)  # nearly idle
-        assert link.outlays_by_technique()["mirror"] == pytest.approx(10 * MB)
+        demands = (Demand("mirror", bandwidth=0.1 * MB),)  # nearly idle
+        assert link.outlays_by_technique(demands)["mirror"] == pytest.approx(10 * MB)
 
     def test_unused_link_has_no_outlay(self):
         link = NetworkLink("wan", link_bandwidth=1 * MB,
                            cost_model=CostModel(per_byte_per_sec=1.0))
-        assert link.outlays_by_technique() == {}
+        assert link.outlays_by_technique(()) == {}
 
     def test_shipment_constant_delay(self):
         courier = Shipment("air", delay="24 hr")
-        assert courier.transfer_time(1) == 24 * HOUR
-        assert courier.transfer_time(100 * TB) == 24 * HOUR
-        assert courier.transfer_time(0) == 0.0
+        assert courier.transfer_time(1, ()) == 24 * HOUR
+        assert courier.transfer_time(100 * TB, ()) == 24 * HOUR
+        assert courier.transfer_time(0, ()) == 0.0
 
     def test_shipment_outlay_per_run(self):
         courier = Shipment("air", cost_model=CostModel(per_shipment=50))
-        courier.register_demand("vaulting", shipments_per_year=13)
-        assert courier.outlays_by_technique()["vaulting"] == pytest.approx(650)
+        demands = (Demand("vaulting", shipments_per_year=13),)
+        assert courier.outlays_by_technique(demands)["vaulting"] == pytest.approx(650)
 
     def test_zero_links_rejected(self):
         with pytest.raises(DeviceError):

@@ -62,6 +62,16 @@ CORPUS = [
         "DIM001",
     ),
     (
+        "ledger_bandwidth_plus_duration",
+        "x = device.available_bandwidth(demands[device]) + 3 * SECOND\n",
+        "DIM001",
+    ),
+    (
+        "ledger_capacity_plus_duration",
+        "x = device.capacity_demand_raw(demands[device]) + 2 * HOUR\n",
+        "DIM001",
+    ),
+    (
         "parsed_duration_plus_size",
         "t = parse_duration('48 h')\nx = t + 4 * GB\n",
         "DIM001",

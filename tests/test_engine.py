@@ -6,12 +6,13 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from repro import casestudy
+from repro import Portfolio, StorageDesign, casestudy
 from repro.design import DesignSpace, candidate_designs, optimize, run_whatif
 from repro.engine import (
     EngineConfig,
     EvaluationTask,
     MemoryCache,
+    PortfolioTask,
     ResultCache,
     fingerprint,
     map_evaluations,
@@ -19,11 +20,18 @@ from repro.engine import (
     shutdown_pool,
     task_key,
 )
+from repro.devices import SpareConfig
+from repro.devices.catalog import (
+    enterprise_tape_library,
+    midrange_disk_array,
+    san_link,
+)
 from repro.engine.cache import DiskCache
 from repro.engine.sweep import evaluate_design_map, evaluate_scenarios_cached
 from repro.exceptions import CacheKeyError, ReproError
 from repro.obs import MetricsRegistry, use_metrics
-from repro.workload.presets import cello
+from repro.techniques import Backup, PrimaryCopy
+from repro.workload.presets import cello, oltp_database, web_server
 
 
 @pytest.fixture()
@@ -412,6 +420,54 @@ class TestCaching:
         assert not EngineConfig().caching
         assert EngineConfig(memory_cache_entries=1).caching
         assert EngineConfig(cache_dir="/tmp/x").caching
+
+
+class TestReevaluationHitsCache:
+    """Evaluating a design leaves its key unchanged, so the very same
+    object evaluated again is answered from the cache."""
+
+    def test_same_design_object_hits_on_second_call(
+        self, workload, scenarios, requirements
+    ):
+        design = casestudy.baseline_design()
+        config = EngineConfig(memory_cache_entries=8)
+        cache = ResultCache(memory_entries=8)
+        outcomes = [
+            evaluate_design_map(
+                {"baseline": design}, workload, scenarios, requirements,
+                config=config, cache=cache,
+            )["baseline"]
+            for _ in range(2)
+        ]
+        assert [outcome.cached for outcome in outcomes] == [False, True]
+
+    def test_same_portfolio_object_hits_on_second_run(self, scenarios, requirements):
+        array, library = midrange_disk_array(), enterprise_tape_library()
+        portfolio = Portfolio("shared")
+        for name, workload in (("db", oltp_database()), ("web", web_server())):
+            design = StorageDesign(name, recovery_facility=SpareConfig.shared())
+            design.add_level(PrimaryCopy(f"{name} foreground"), store=array)
+            design.add_level(
+                Backup("1 wk", "48 hr", "1 hr", 4, name=f"{name} backup"),
+                store=library,
+                transport=san_link(),
+            )
+            portfolio.add_object(name, workload, design)
+        tasks = [
+            PortfolioTask(
+                name=scenario.describe(),
+                portfolio=portfolio,
+                scenario=scenario,
+                requirements=requirements,
+            )
+            for scenario in scenarios
+        ]
+        config = EngineConfig(memory_cache_entries=8)
+        cache = ResultCache(memory_entries=8)
+        first = map_evaluations(tasks, config=config, cache=cache)
+        second = map_evaluations(tasks, config=config, cache=cache)
+        assert all(outcome.ok and not outcome.cached for outcome in first)
+        assert [outcome.cached for outcome in second] == [True] * len(tasks)
 
 
 class TestSweepHelpers:

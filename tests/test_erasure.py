@@ -4,6 +4,7 @@ import pytest
 
 import repro
 from repro.devices.catalog import midrange_disk_array, oc3_links
+from repro.core.demands import DemandLedger
 from repro.devices.base import Device
 from repro.exceptions import PolicyError
 from repro.scenarios.locations import REMOTE_SITE
@@ -56,8 +57,7 @@ class TestDemands:
         workload = cello()
         store = Device("fragment-store", max_capacity=float("inf"),
                        max_bandwidth=float("inf"))
-        archive.register_demands(workload, store=store)
-        demand = store.demands[0]
+        demand = DemandLedger(archive.demands(workload, store=store))[store][0]
         base = workload.data_capacity + 8 * workload.unique_bytes(12 * HOUR)
         assert demand.capacity == pytest.approx(1.5 * base)
 
@@ -66,17 +66,19 @@ class TestDemands:
         store = Device("fragment-store", max_capacity=float("inf"),
                        max_bandwidth=float("inf"))
         link = oc3_links(2)
-        archive.register_demands(workload, store=store, transport=link)
+        demands = DemandLedger(archive.demands(workload, store=store, transport=link))
         expected = 1.5 * workload.unique_bytes(12 * HOUR) / (6 * HOUR)
-        assert link.demands[0].bandwidth == pytest.approx(expected)
+        assert demands[link][0].bandwidth == pytest.approx(expected)
 
     def test_source_reads_unstretched(self, archive):
         workload = cello()
         store = Device("fragment-store", max_capacity=float("inf"),
                        max_bandwidth=float("inf"))
         source = midrange_disk_array()
-        archive.register_demands(workload, store=store, source_store=source)
-        assert source.demands[0].bandwidth == pytest.approx(
+        demands = DemandLedger(
+            archive.demands(workload, store=store, source_store=source)
+        )
+        assert demands[source][0].bandwidth == pytest.approx(
             workload.unique_bytes(12 * HOUR) / (6 * HOUR)
         )
 

@@ -14,6 +14,7 @@ from repro.devices.catalog import (
     offsite_vault,
     san_link,
 )
+from repro.engine.keys import fingerprint
 from repro.exceptions import DesignError, NoCycleError, PolicyError
 from repro.lint import (
     Diagnostic,
@@ -27,6 +28,7 @@ from repro.lint import (
 )
 from repro.lint.engine import lint_design, lint_file, lint_spec
 from repro.scenarios import BusinessRequirements, FailureScenario
+from repro.serialization import canonical_json
 from repro.techniques import Backup, PrimaryCopy, SplitMirror
 from repro.techniques.facts import FactsTable
 from repro.workload.batch_curve import BatchUpdateCurve
@@ -285,13 +287,11 @@ class TestCapacityRule:
     def test_dep007_clean_on_baseline(self, baseline, workload):
         assert not only(lint_design(baseline, workload), "DEP007")
 
-    def test_dep007_restores_demand_ledgers(self, workload):
+    def test_dep007_leaves_design_unchanged(self, workload):
         design = one_site_design()
-        array = design.levels[0].store
-        array.register_demand("pre-existing", bandwidth=1.0, capacity=2.0)
-        before = array.demands
-        lint_design(design, self.big_workload())
-        assert array.demands == before
+        before = canonical_json(fingerprint(design))
+        assert only(lint_design(design, self.big_workload()), "DEP007")
+        assert canonical_json(fingerprint(design)) == before
 
 
 class TestScenarioAndStructureRules:

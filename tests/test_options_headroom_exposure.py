@@ -7,9 +7,12 @@ from repro import casestudy
 from repro.core import recovery_options, time_optimal_option
 from repro.core.demands import register_design_demands
 from repro.design import max_supported_capacity, max_supported_scale
+from repro.engine.keys import fingerprint
 from repro.exceptions import DesignError, SimulationError
 from repro.scenarios import FailureScenario
+from repro.serialization import canonical_json
 from repro.simulation import exposure_profile
+from repro.techniques.facts import FactsTable
 from repro.units import HOUR, MB, WEEK
 from repro.workload.presets import cello
 
@@ -20,49 +23,57 @@ def workload():
 
 
 @pytest.fixture
-def baseline(workload):
-    design = casestudy.baseline_design()
-    register_design_demands(design, workload)
-    return design
+def baseline():
+    return casestudy.baseline_design()
+
+
+@pytest.fixture
+def demands(baseline, workload):
+    return register_design_demands(baseline, workload, FactsTable())
 
 
 class TestRecoveryOptions:
-    def test_object_rollback_has_three_options(self, baseline, workload):
+    def test_object_rollback_has_three_options(self, baseline, demands, workload):
         """A day-old object target can come from the mirror, the tape,
         or the vault — with strictly growing loss down the hierarchy."""
         scenario = FailureScenario.object_corruption(1 * MB, "24 hr")
-        options = recovery_options(baseline, scenario, workload)
+        options = recovery_options(baseline, demands, scenario, workload)
         names = [o.source_name for o in options]
         assert names == ["split mirror", "backup", "remote vaulting"]
         losses = [o.data_loss for o in options]
         assert losses == sorted(losses)
 
-    def test_first_option_matches_paper_rule(self, baseline, workload):
+    def test_first_option_matches_paper_rule(self, baseline, demands, workload):
         """The paper picks the closest level: options[0] must equal the
         evaluator's choice."""
         scenario = FailureScenario.array_failure("primary-array")
-        options = recovery_options(baseline, scenario, workload)
+        options = recovery_options(baseline, demands, scenario, workload)
         paper_choice = repro.core.compute_data_loss(baseline, scenario)
         assert options[0].source_name == paper_choice.source_name
         assert options[0].data_loss == pytest.approx(paper_choice.data_loss)
 
-    def test_time_optimal_object_restore_is_the_mirror(self, baseline, workload):
+    def test_time_optimal_object_restore_is_the_mirror(
+        self, baseline, demands, workload
+    ):
         scenario = FailureScenario.object_corruption(1 * MB, "24 hr")
-        best = time_optimal_option(baseline, scenario, workload)
+        best = time_optimal_option(baseline, demands, scenario, workload)
         assert best.source_name == "split mirror"
         assert best.recovery_time < 1.0
 
-    def test_vault_option_slower_but_available(self, baseline, workload):
+    def test_vault_option_slower_but_available(self, baseline, demands, workload):
         scenario = FailureScenario.array_failure("primary-array")
-        options = {o.source_name: o for o in recovery_options(baseline, scenario, workload)}
+        options = {
+            o.source_name: o
+            for o in recovery_options(baseline, demands, scenario, workload)
+        }
         assert options["remote vaulting"].recovery_time > (
             options["backup"].recovery_time
         )
 
-    def test_total_loss_gives_empty_options(self, baseline, workload):
+    def test_total_loss_gives_empty_options(self, baseline, demands, workload):
         scenario = FailureScenario.object_corruption(1 * MB, "20 yr")
-        assert recovery_options(baseline, scenario, workload) == []
-        assert time_optimal_option(baseline, scenario, workload) is None
+        assert recovery_options(baseline, demands, scenario, workload) == []
+        assert time_optimal_option(baseline, demands, scenario, workload) is None
 
 
 class TestHeadroom:
@@ -88,13 +99,12 @@ class TestHeadroom:
         with pytest.raises(DesignError):
             max_supported_capacity(design, oversized)
 
-    def test_ledgers_restored_after_search(self, workload):
+    def test_search_leaves_design_unchanged(self, workload):
         design = casestudy.baseline_design()
+        before = canonical_json(fingerprint(design))
         max_supported_scale(design, workload)
-        array = design.primary_level.store
-        assert array.capacity_demand_logical() == pytest.approx(
-            6 * workload.data_capacity
-        )
+        max_supported_capacity(design, workload)
+        assert canonical_json(fingerprint(design)) == before
 
 
 class TestExposureProfile:
@@ -103,7 +113,6 @@ class TestExposureProfile:
         start = 40 * WEEK
         return exposure_profile(
             casestudy.baseline_design,
-            workload,
             FailureScenario.array_failure("primary-array"),
             level_index=2,          # tape backup out of service
             outage_start=start,
@@ -125,14 +134,14 @@ class TestExposureProfile:
     def test_probe_validation(self, workload):
         with pytest.raises(SimulationError):
             exposure_profile(
-                casestudy.baseline_design, workload,
+                casestudy.baseline_design,
                 FailureScenario.array_failure("primary-array"),
                 level_index=2, outage_start=0, outage_duration=WEEK,
                 horizon=320 * WEEK, probes=1,
             )
         with pytest.raises(SimulationError):
             exposure_profile(
-                casestudy.baseline_design, workload,
+                casestudy.baseline_design,
                 FailureScenario.array_failure("primary-array"),
                 level_index=2, outage_start=0, outage_duration=0,
                 horizon=320 * WEEK,

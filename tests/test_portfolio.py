@@ -85,7 +85,7 @@ class TestConstruction:
 
     def test_empty_portfolio_cannot_register(self):
         with pytest.raises(DesignError):
-            repro.Portfolio("empty").register_demands()
+            repro.Portfolio("empty").demands()
 
     def test_shared_devices_deduplicated(self, portfolio):
         names = [d.name for d in portfolio.devices()]
@@ -96,16 +96,15 @@ class TestConstruction:
 class TestJointUtilization:
     def test_demands_accumulate_across_objects(self, portfolio, shared_hardware):
         array, _library, _san = shared_hardware
-        portfolio.register_demands()
+        demands = portfolio.demands()
         # Both objects' primary copies live on the array: capacity is the
         # sum of the two datasets (plus snapshot deltas).
-        logical = array.capacity_demand_logical()
+        logical = array.capacity_demand_logical(demands[array])
         assert logical > (500 + 500) * GB
 
     def test_joint_utilization_exceeds_single(self, portfolio, shared_hardware):
         array, library, san = shared_hardware
-        portfolio.register_demands()
-        joint = portfolio.utilization().device("primary-array")
+        joint = portfolio.utilization(portfolio.demands()).device("primary-array")
         solo_design = tape_design(
             "solo",
             midrange_disk_array(),
@@ -113,9 +112,11 @@ class TestJointUtilization:
             san_link(),
         )
         from repro.core.demands import register_design_demands
+        from repro.techniques.facts import FactsTable
 
-        register_design_demands(solo_design, oltp_database())
-        solo = solo_design.devices()[0].utilization()
+        solo_array = solo_design.devices()[0]
+        demands = register_design_demands(solo_design, oltp_database(), FactsTable())
+        solo = solo_array.utilization(demands[solo_array])
         assert joint.capacity_utilization > solo.capacity_utilization
 
 

@@ -24,6 +24,7 @@ from repro.devices.catalog import (
     midrange_disk_array,
     san_link,
 )
+from repro.techniques.facts import FactsTable
 from repro.units import HOUR, WEEK
 from repro.workload.presets import cello
 
@@ -77,7 +78,6 @@ class TestDataLossProperties:
     def test_array_loss_is_backup_lag(self, design):
         """For any valid mirror+backup design, an array failure loses
         exactly the backup level's closed-form lag."""
-        register_design_demands(design, WORKLOAD)
         result = repro.core.compute_data_loss(
             design, repro.FailureScenario.array_failure("primary-array")
         )
@@ -94,7 +94,6 @@ class TestDataLossProperties:
     def test_object_loss_bounded_by_mirror_window(self, design):
         """A just-old-enough object rollback served by the mirror loses
         at most one mirror window."""
-        register_design_demands(design, WORKLOAD)
         mirror = design.level(1).technique
         target_age = mirror.accumulation_window * 1.5  # inside the range
         if mirror.retention_span() < target_age:
@@ -113,11 +112,9 @@ class TestDataLossProperties:
     def test_more_frequent_backups_never_lose_more(self, hours_a, factor):
         fast = build_design(1.0, hours_a, 4, 4)
         slow = build_design(1.0, hours_a * factor, 4, 4)
-        register_design_demands(fast, WORKLOAD)
         fast_loss = repro.core.compute_data_loss(
             fast, repro.FailureScenario.array_failure("primary-array")
         ).data_loss
-        register_design_demands(slow, WORKLOAD)
         slow_loss = repro.core.compute_data_loss(
             slow, repro.FailureScenario.array_failure("primary-array")
         ).data_loss
@@ -176,8 +173,8 @@ class TestUtilizationProperties:
     @given(design=designs())
     @settings(max_examples=30, deadline=None)
     def test_device_utilization_is_sum_of_techniques(self, design):
-        register_design_demands(design, WORKLOAD)
-        for report in repro.core.compute_utilization(design).devices:
+        demands = register_design_demands(design, WORKLOAD, FactsTable())
+        for report in repro.core.compute_utilization(design, demands).devices:
             assert report.bandwidth_utilization == pytest.approx(
                 sum(t.bandwidth_utilization for t in report.by_technique)
             )
@@ -188,8 +185,11 @@ class TestUtilizationProperties:
     @given(design=designs())
     @settings(max_examples=30, deadline=None)
     def test_registration_is_idempotent(self, design):
-        register_design_demands(design, WORKLOAD)
-        first = repro.core.compute_utilization(design).max_capacity_utilization
-        register_design_demands(design, WORKLOAD)
-        second = repro.core.compute_utilization(design).max_capacity_utilization
+        def max_capacity():
+            demands = register_design_demands(design, WORKLOAD, FactsTable())
+            utilization = repro.core.compute_utilization(design, demands)
+            return utilization.max_capacity_utilization
+
+        first = max_capacity()
+        second = max_capacity()
         assert first == pytest.approx(second)

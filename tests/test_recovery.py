@@ -11,6 +11,7 @@ from repro.exceptions import RecoveryError
 from repro.scenarios import FailureScenario
 from repro.scenarios.locations import PRIMARY_SITE, REMOTE_SITE
 from repro.techniques import BatchedAsyncMirror, PrimaryCopy
+from repro.techniques.facts import FactsTable
 from repro.units import GB, HOUR, MB
 from repro.workload.presets import cello
 
@@ -20,24 +21,26 @@ def workload():
     return cello()
 
 
+def recovery_plan(design, scenario, workload, **kwargs):
+    """The design's recovery plan under its own demand ledger."""
+    demands = register_design_demands(design, workload, FactsTable())
+    return plan_recovery(design, demands, scenario, workload, **kwargs)
+
+
 @pytest.fixture
 def baseline(workload):
-    design = casestudy.baseline_design()
-    register_design_demands(design, workload)
-    return design
+    return casestudy.baseline_design()
 
 
 @pytest.fixture
 def mirror_design(workload):
-    design = casestudy.async_batch_mirror_design(1)
-    register_design_demands(design, workload)
-    return design
+    return casestudy.async_batch_mirror_design(1)
 
 
 class TestObjectRecovery:
     def test_intra_array_copy_is_milliseconds(self, baseline, workload):
         scenario = FailureScenario.object_corruption(1 * MB, "24 hr")
-        plan = plan_recovery(baseline, scenario, workload)
+        plan = recovery_plan(baseline, scenario, workload)
         # Paper Table 6: 0.004 s (1 MB read + written on the same array
         # at ~500 MB/s available).
         assert plan.recovery_time == pytest.approx(0.004, rel=0.15)
@@ -46,13 +49,13 @@ class TestObjectRecovery:
 
     def test_no_provisioning_steps_when_nothing_failed(self, baseline, workload):
         scenario = FailureScenario.object_corruption(1 * MB, "24 hr")
-        plan = plan_recovery(baseline, scenario, workload)
+        plan = recovery_plan(baseline, scenario, workload)
         assert all(step.kind != "provision" for step in plan.steps)
 
 
 class TestArrayRecovery:
     def test_transfer_dominates(self, baseline, workload):
-        plan = plan_recovery(
+        plan = recovery_plan(
             baseline, FailureScenario.array_failure("primary-array"), workload
         )
         assert plan.source_name == "backup"
@@ -63,7 +66,7 @@ class TestArrayRecovery:
         assert transfer.duration > 0.9 * plan.recovery_time
 
     def test_hot_spare_provisioning_present(self, baseline, workload):
-        plan = plan_recovery(
+        plan = recovery_plan(
             baseline, FailureScenario.array_failure("primary-array"), workload
         )
         provisions = [s for s in plan.steps if s.kind == "provision"]
@@ -71,7 +74,7 @@ class TestArrayRecovery:
         assert provisions[0].duration == pytest.approx(60.0)
 
     def test_recovers_full_dataset(self, baseline, workload):
-        plan = plan_recovery(
+        plan = recovery_plan(
             baseline, FailureScenario.array_failure("primary-array"), workload
         )
         assert plan.recovery_size == workload.data_capacity
@@ -79,7 +82,7 @@ class TestArrayRecovery:
 
 class TestSiteRecovery:
     def test_shipment_dominates(self, baseline, workload):
-        plan = plan_recovery(
+        plan = recovery_plan(
             baseline, FailureScenario.site_disaster(PRIMARY_SITE), workload
         )
         assert plan.source_name == "remote vaulting"
@@ -88,7 +91,7 @@ class TestSiteRecovery:
         assert plan.recovery_time == pytest.approx(26.4 * HOUR, rel=0.05)
 
     def test_provisioning_overlaps_shipment(self, baseline, workload):
-        plan = plan_recovery(
+        plan = recovery_plan(
             baseline, FailureScenario.site_disaster(PRIMARY_SITE), workload
         )
         ship = [s for s in plan.steps if s.kind == "shipment"][0]
@@ -99,7 +102,7 @@ class TestSiteRecovery:
             assert step.end <= ship.end  # hidden under the 24 h transit
 
     def test_media_load_after_arrival(self, baseline, workload):
-        plan = plan_recovery(
+        plan = recovery_plan(
             baseline, FailureScenario.site_disaster(PRIMARY_SITE), workload
         )
         ship = [s for s in plan.steps if s.kind == "shipment"][0]
@@ -107,7 +110,7 @@ class TestSiteRecovery:
         assert load.start >= ship.end
 
     def test_timeline_renders(self, baseline, workload):
-        plan = plan_recovery(
+        plan = recovery_plan(
             baseline, FailureScenario.site_disaster(PRIMARY_SITE), workload
         )
         art = plan.render_timeline()
@@ -116,7 +119,7 @@ class TestSiteRecovery:
 
 class TestMirrorRecovery:
     def test_single_link_transfer_bound(self, mirror_design, workload):
-        plan = plan_recovery(
+        plan = recovery_plan(
             mirror_design, FailureScenario.array_failure("primary-array"), workload
         )
         # 1360 GB over one OC-3 (19.375 MB/s decimal, minus the 727 KB/s
@@ -125,19 +128,17 @@ class TestMirrorRecovery:
 
     def test_ten_links_cut_transfer_tenfold(self, workload):
         ten = casestudy.async_batch_mirror_design(10)
-        register_design_demands(ten, workload)
-        plan = plan_recovery(
+        plan = recovery_plan(
             ten, FailureScenario.array_failure("primary-array"), workload
         )
         assert plan.recovery_time == pytest.approx(2.1 * HOUR, rel=0.1)
 
     def test_site_recovery_adds_facility_provisioning(self, workload):
         ten = casestudy.async_batch_mirror_design(10)
-        register_design_demands(ten, workload)
-        array_plan = plan_recovery(
+        array_plan = recovery_plan(
             ten, FailureScenario.array_failure("primary-array"), workload
         )
-        site_plan = plan_recovery(
+        site_plan = recovery_plan(
             ten, FailureScenario.site_disaster(PRIMARY_SITE), workload
         )
         # The paper's point: site recovery exceeds array recovery because
@@ -158,15 +159,14 @@ class TestRecoveryErrors:
                                       spare=SpareConfig.none()),
             transport=oc3_links(1),
         )
-        register_design_demands(design, workload)
         # Site failure with no recovery facility: the mirror survives but
         # there is nowhere to restore the primary to.
         with pytest.raises(RecoveryError):
-            plan_recovery(
+            recovery_plan(
                 design, FailureScenario.site_disaster(PRIMARY_SITE), workload
             )
 
     def test_total_loss_raises(self, baseline, workload):
         scenario = FailureScenario.object_corruption(1 * MB, "20 yr")
         with pytest.raises(RecoveryError):
-            plan_recovery(baseline, scenario, workload)
+            recovery_plan(baseline, scenario, workload)

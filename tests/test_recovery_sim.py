@@ -8,6 +8,7 @@ from repro.core.recovery import plan_recovery
 from repro.exceptions import SimulationError
 from repro.scenarios import FailureScenario
 from repro.simulation import RecoverySimulator, TransferSpec
+from repro.techniques.facts import FactsTable
 from repro.units import GB, HOUR, MB
 from repro.workload.presets import cello
 
@@ -124,9 +125,9 @@ class TestAgainstAnalyticPlan:
     def baseline_setup(self):
         workload = cello()
         design = casestudy.baseline_design()
-        register_design_demands(design, workload)
+        ledger = register_design_demands(design, workload, FactsTable())
         plan = plan_recovery(
-            design, FailureScenario.array_failure("primary-array"), workload
+            design, ledger, FailureScenario.array_failure("primary-array"), workload
         )
         devices = {d.name: d for d in design.devices()}
         # The tape library is only ever a *source* in this plan, so its
@@ -137,7 +138,7 @@ class TestAgainstAnalyticPlan:
             if dev.max_bandwidth != float("inf")
         }
         demands = {
-            name: dev.bandwidth_demand() * dev.recovery_read_efficiency
+            name: dev.bandwidth_demand(ledger[dev]) * dev.recovery_read_efficiency
             for name, dev in devices.items()
             if dev.max_bandwidth != float("inf")
         }
@@ -184,6 +185,6 @@ class TestAgainstAnalyticPlan:
             assert result.finish_time > solo.finish_time
 
     def test_transfer_count_mismatch_rejected(self, baseline_setup):
-        plan, _bandwidths, _demands = baseline_setup
+        plan, _bandwidths, _background = baseline_setup
         with pytest.raises(SimulationError):
             RecoverySimulator.transfers_from_plan(plan, [])

@@ -22,6 +22,7 @@ from repro import casestudy
 from repro.core.evaluate import evaluate
 from repro.engine import EngineConfig, EvaluationTask, ResultCache, task_key
 from repro.exceptions import DesignError, ReproError, RiskError
+from repro.obs import MetricsRegistry, use_metrics
 from repro.risk import (
     CascadeSpec,
     EnsembleMember,
@@ -759,6 +760,28 @@ class TestAssessRisk:
             assert assessment.unique_scenarios == 7
             assert len(calls) == assessment.unique_scenarios
             assert len(assessment.members) == 43
+
+    def test_rerun_is_fully_warm_after_one_cold_run(
+        self, workload, requirements
+    ):
+        # Each run builds its own design, as separate CLI processes do;
+        # the cascade's escalated scenario is keyed only after its
+        # primary has run, so its key must not depend on that run.
+        ensemble = _mixed_ensemble(object_corruption_grid(12, 6.0, distinct_ages=3))
+        cache = ResultCache(memory_entries=64)
+        assess_risk(
+            casestudy.baseline_design(), workload, ensemble, requirements,
+            cache=cache,
+        )
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            assess_risk(
+                casestudy.baseline_design(), workload, ensemble, requirements,
+                cache=cache,
+            )
+        counters = registry.snapshot()["counters"]
+        assert counters.get("engine.cache.hits", 0) > 0
+        assert counters.get("engine.cache.misses", 0) == 0
 
     def test_scenario_hashes_do_not_grow_with_members(
         self, baseline, workload, requirements, monkeypatch

@@ -3,7 +3,6 @@
 import pytest
 
 from repro import casestudy
-from repro.core.demands import register_design_demands
 from repro.exceptions import SimulationError
 from repro.scenarios import FailureScenario
 from repro.simulation import (
@@ -21,7 +20,6 @@ from repro.simulation import (
 )
 from repro.scenarios.locations import PRIMARY_SITE
 from repro.units import DAY, HOUR, MB, WEEK
-from repro.workload.presets import cello
 
 
 class TestEngine:
@@ -128,9 +126,7 @@ class TestRPStore:
 
 @pytest.fixture(scope="module")
 def baseline_sim():
-    design = casestudy.baseline_design()
-    register_design_demands(design, cello())
-    sim = DependabilitySimulator(design, horizon=320 * WEEK)
+    sim = DependabilitySimulator(casestudy.baseline_design(), horizon=320 * WEEK)
     sim.build()
     return sim
 
@@ -198,14 +194,14 @@ class TestValidationAgainstAnalyticModel:
 
 class TestDegradedMode:
     def test_disabled_level_increases_exposure(self):
-        design = casestudy.baseline_design()
-        register_design_demands(design, cello())
-        healthy = DependabilitySimulator(design, horizon=320 * WEEK)
+        healthy = DependabilitySimulator(
+            casestudy.baseline_design(), horizon=320 * WEEK
+        )
         healthy.build()
 
-        degraded_design = casestudy.baseline_design()
-        register_design_demands(degraded_design, cello())
-        degraded = DependabilitySimulator(degraded_design, horizon=320 * WEEK)
+        degraded = DependabilitySimulator(
+            casestudy.baseline_design(), horizon=320 * WEEK
+        )
         start, end = healthy.steady_state_window()
         outage_start = start + 2 * WEEK
         # The tape backup service is down for two weeks.

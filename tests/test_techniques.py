@@ -10,6 +10,7 @@ from repro.devices.catalog import (
     oc3_links,
     offsite_vault,
 )
+from repro.core.demands import DemandLedger
 from repro.exceptions import PolicyError
 from repro.techniques import (
     AsyncMirror,
@@ -23,6 +24,7 @@ from repro.techniques import (
     SyncMirror,
     VirtualSnapshot,
 )
+from repro.techniques.facts import TechniqueFacts
 from repro.units import DAY, GB, HOUR, KB, MB, WEEK
 from repro.workload.presets import cello
 
@@ -35,6 +37,11 @@ def workload():
 @pytest.fixture
 def array():
     return midrange_disk_array()
+
+
+def placed(technique, workload, **devices):
+    """The demands ``technique`` places, as a ledger."""
+    return DemandLedger(technique.demands(workload, **devices))
 
 
 class TestPrimaryCopy:
@@ -50,32 +57,31 @@ class TestPrimaryCopy:
             PrimaryCopy().cycle()
 
     def test_demands_are_the_foreground_workload(self, workload, array):
-        PrimaryCopy().register_demands(workload, store=array)
-        demand = array.demands[0]
+        demand = placed(PrimaryCopy(), workload, store=array)[array][0]
         assert demand.bandwidth == workload.avg_access_rate
         assert demand.capacity == workload.data_capacity
 
 
 class TestVirtualSnapshot:
     def test_cow_bandwidth_is_double_update_rate(self, workload, array):
-        VirtualSnapshot("12 hr", 4).register_demands(workload, store=array)
-        assert array.demands[0].bandwidth == pytest.approx(
+        demands = placed(VirtualSnapshot("12 hr", 4), workload, store=array)
+        assert demands[array][0].bandwidth == pytest.approx(
             2 * workload.avg_update_rate
         )
 
     def test_capacity_is_retained_deltas(self, workload, array):
-        VirtualSnapshot("12 hr", 4).register_demands(workload, store=array)
+        demands = placed(VirtualSnapshot("12 hr", 4), workload, store=array)
         expected = 4 * workload.unique_bytes(12 * HOUR)
-        assert array.demands[0].capacity == pytest.approx(expected)
+        assert demands[array][0].capacity == pytest.approx(expected)
 
     def test_snapshots_far_cheaper_than_split_mirrors(self, workload):
         snap_array = midrange_disk_array()
         mirror_array = midrange_disk_array(name="other")
-        VirtualSnapshot("12 hr", 4).register_demands(workload, store=snap_array)
-        SplitMirror("12 hr", 4).register_demands(workload, store=mirror_array)
+        snap = placed(VirtualSnapshot("12 hr", 4), workload, store=snap_array)
+        mirror = placed(SplitMirror("12 hr", 4), workload, store=mirror_array)
         assert (
-            snap_array.capacity_demand_logical()
-            < 0.05 * mirror_array.capacity_demand_logical()
+            snap_array.capacity_demand_logical(snap[snap_array])
+            < 0.05 * mirror_array.capacity_demand_logical(mirror[mirror_array])
         )
 
     def test_timeline(self):
@@ -101,8 +107,8 @@ class TestSplitMirror:
         )
 
     def test_capacity_is_five_full_copies(self, workload, array):
-        SplitMirror("12 hr", 4).register_demands(workload, store=array)
-        assert array.demands[0].capacity == pytest.approx(
+        demands = placed(SplitMirror("12 hr", 4), workload, store=array)
+        assert demands[array][0].capacity == pytest.approx(
             5 * workload.data_capacity
         )
 
@@ -118,11 +124,11 @@ class TestMirrors:
     def test_sync_demands_peak_rate(self, workload):
         remote = midrange_disk_array(name="remote")
         link = oc3_links(10)
-        SyncMirror().register_demands(workload, store=remote, transport=link)
-        assert link.demands[0].bandwidth == pytest.approx(
+        demands = placed(SyncMirror(), workload, store=remote, transport=link)
+        assert demands[link][0].bandwidth == pytest.approx(
             workload.peak_update_rate
         )
-        assert remote.demands[0].capacity == workload.data_capacity
+        assert demands[remote][0].capacity == workload.data_capacity
 
     def test_sync_has_zero_loss(self):
         sync = SyncMirror()
@@ -134,8 +140,8 @@ class TestMirrors:
     def test_async_demands_average_rate(self, workload):
         remote = midrange_disk_array(name="remote")
         link = oc3_links(1)
-        AsyncMirror("30 s").register_demands(workload, store=remote, transport=link)
-        assert link.demands[0].bandwidth == pytest.approx(workload.avg_update_rate)
+        demands = placed(AsyncMirror("30 s"), workload, store=remote, transport=link)
+        assert demands[link][0].bandwidth == pytest.approx(workload.avg_update_rate)
 
     def test_async_lag_is_write_behind(self):
         assert AsyncMirror("30 s").worst_lag() == 30.0
@@ -143,11 +149,11 @@ class TestMirrors:
     def test_batched_demands_unique_rate(self, workload):
         remote = midrange_disk_array(name="remote")
         link = oc3_links(1)
-        BatchedAsyncMirror("1 min").register_demands(
-            workload, store=remote, transport=link
+        demands = placed(
+            BatchedAsyncMirror("1 min"), workload, store=remote, transport=link
         )
         # Table 2: batchUpdR(1 min) = 727 KB/s.
-        assert link.demands[0].bandwidth == pytest.approx(727 * KB)
+        assert demands[link][0].bandwidth == pytest.approx(727 * KB)
 
     def test_batched_lag_is_two_windows(self):
         # accW + propW (propW defaults to accW): ~2 minutes, Table 7's 0.03 h.
@@ -175,18 +181,18 @@ class TestBackup:
     def test_full_only_capacity(self, workload):
         library = enterprise_tape_library()
         backup = Backup("1 wk", "48 hr", "1 hr", retention_count=4)
-        backup.register_demands(workload, store=library)
+        demands = placed(backup, workload, store=library)
         # 4 retained fulls + 1 in-progress = 5 x 1360 GB = 6.6 TB.
-        assert library.demands[0].capacity == pytest.approx(
+        assert demands[library][0].capacity == pytest.approx(
             5 * workload.data_capacity
         )
 
     def test_source_array_gets_read_demand_but_no_capacity(self, workload, array):
         library = enterprise_tape_library()
         backup = Backup("1 wk", "48 hr", "1 hr", retention_count=4)
-        backup.register_demands(workload, store=library, source_store=array)
-        assert array.demands[0].bandwidth > 0
-        assert array.demands[0].capacity == 0.0
+        demands = placed(backup, workload, store=library, source_store=array)
+        assert demands[array][0].bandwidth > 0
+        assert demands[array][0].capacity == 0.0
 
     def test_cumulative_incremental_sizes_grow(self, workload):
         backup = Backup(
@@ -265,8 +271,8 @@ class TestRemoteVaulting:
 
     def test_vault_capacity(self, workload):
         vault = offsite_vault()
-        self.make().register_demands(workload, store=vault)
-        assert vault.demands[0].capacity == pytest.approx(
+        demands = placed(self.make(), workload, store=vault)
+        assert demands[vault][0].capacity == pytest.approx(
             39 * workload.data_capacity
         )
 
@@ -275,30 +281,31 @@ class TestRemoteVaulting:
 
     def test_no_extra_copy_when_hold_covers_retention(self, workload):
         backup = Backup("1 wk", "48 hr", "1 hr", retention_count=4)  # retW = 4 wk
-        assert not self.make().requires_extra_copy(backup)
+        assert not self.make().requires_extra_copy(TechniqueFacts.of(backup))
 
     def test_extra_copy_when_shipping_early(self, workload):
         backup = Backup("1 wk", "48 hr", "1 hr", retention_count=4)
         early = self.make(hold=12 * HOUR)
-        assert early.requires_extra_copy(backup)
+        assert early.requires_extra_copy(TechniqueFacts.of(backup))
         library = enterprise_tape_library()
         vault = offsite_vault()
-        early.register_demands(
+        demands = placed(
+            early,
             workload,
             store=vault,
             source_store=library,
             transport=air_shipment(),
-            source_technique=backup,
+            source_facts=TechniqueFacts.of(backup),
         )
         # The library gets bandwidth + a full copy of shelf space.
-        assert library.demands[0].bandwidth > 0
-        assert library.demands[0].capacity == workload.data_capacity
+        assert demands[library][0].bandwidth > 0
+        assert demands[library][0].capacity == workload.data_capacity
 
     def test_shipment_demand_registered(self, workload):
         courier = air_shipment()
         vault = offsite_vault()
-        self.make().register_demands(workload, store=vault, transport=courier)
-        assert courier.demands[0].shipments_per_year == pytest.approx(13.0, abs=0.1)
+        demands = placed(self.make(), workload, store=vault, transport=courier)
+        assert demands[courier][0].shipments_per_year == pytest.approx(13.0, abs=0.1)
 
     def test_reads_via_source_level(self):
         assert self.make().reads_via_source_level
