@@ -5,7 +5,6 @@ Usage::
     python -m repro case-study                 # reproduce Tables 5-7
     python -m repro evaluate spec.json         # evaluate a JSON spec
     python -m repro list-designs               # named designs available
-    python -m repro bench --check              # hot-path benchmarks
     python -m repro lint [all] TARGET...       # specs + code, one report
 
 ``lint`` is the only lint entry point: ``.json`` targets get the
@@ -331,89 +330,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     return 0 if outcome.best is not None else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run registered benchmarks; record history; gate on regressions."""
-    from . import bench as bench_pkg
-    from .reporting.tables import Table
-
-    infos = bench_pkg.all_benches(args.filter)
-    if not infos:
-        print(f"error: no benchmarks match {args.filter!r}", file=sys.stderr)
-        return 2
-    if args.list:
-        for info in infos:
-            print(f"{info.name}: {info.description}")
-        return 0
-
-    results = bench_pkg.run_suite(infos, repeats=args.repeats)
-    table = Table(
-        headers=["benchmark", "median ms", "mean ms", "min ms", "max ms"],
-        title=f"Benchmarks ({args.repeats} repeats each)",
-    )
-    for result in results:
-        table.add_row(
-            result.name,
-            f"{result.median_ms:.3f}",
-            f"{result.mean_ms:.3f}",
-            f"{result.min_ms:.3f}",
-            f"{result.max_ms:.3f}",
-        )
-    print(table.render())
-
-    if args.json_out is not None:
-        import time as time_module
-
-        stamp = time_module.time()
-        payload = {"results": [result.record(stamp) for result in results]}
-        with open(args.json_out, "w") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote results to {args.json_out}", file=sys.stderr)
-    if not args.no_history:
-        count = bench_pkg.append_history(args.history, results)
-        print(f"appended {count} records to {args.history}", file=sys.stderr)
-    if args.update_baseline:
-        bench_pkg.write_baseline(args.baseline, results)
-        print(f"updated baseline {args.baseline}", file=sys.stderr)
-
-    if args.check:
-        tolerance = (
-            bench_pkg.DEFAULT_TOLERANCE
-            if args.tolerance is None
-            else args.tolerance
-        )
-        min_delta = (
-            bench_pkg.DEFAULT_MIN_DELTA_MS
-            if args.min_delta is None
-            else args.min_delta
-        )
-        try:
-            baseline = bench_pkg.load_baseline(args.baseline)
-        except FileNotFoundError:
-            print(
-                f"error: no baseline at {args.baseline} "
-                "(run with --update-baseline first)",
-                file=sys.stderr,
-            )
-            return 2
-        reports = bench_pkg.check_regressions(
-            results, baseline, tolerance=tolerance, min_delta_ms=min_delta
-        )
-        print()
-        for report in reports:
-            print(report.describe())
-        regressed = [report for report in reports if report.regressed]
-        if regressed:
-            print(
-                f"FAIL: {len(regressed)} benchmark(s) regressed beyond "
-                f"{tolerance * 100:.0f}% tolerance",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"OK: no regressions beyond {tolerance * 100:.0f}% tolerance")
-    return 0
-
-
 def _run_summary(record: RunRecord) -> "Dict[str, Any]":
     """One run's JSON summary row (``repro runs list/latest --format json``)."""
     return {
@@ -709,59 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_obs_flags(opt)
     _add_engine_flags(opt)
     opt.set_defaults(func=_cmd_optimize)
-
-    bench = sub.add_parser(
-        "bench",
-        help="run the registered hot-path benchmarks",
-    )
-    bench.add_argument(
-        "--repeats", type=int, default=5,
-        help="timed calls per benchmark after one warmup (default: 5)",
-    )
-    bench.add_argument(
-        "--filter", metavar="SUBSTRING", default=None,
-        help="only run benchmarks whose name contains SUBSTRING",
-    )
-    bench.add_argument(
-        "--list", action="store_true",
-        help="list the registered benchmarks and exit",
-    )
-    bench.add_argument(
-        "--check", action="store_true",
-        help="exit 1 if any benchmark regresses beyond --tolerance vs "
-        "the committed baseline",
-    )
-    bench.add_argument(
-        "--tolerance", type=float, default=None,
-        help="acceptable slowdown vs the baseline best-of-N as a "
-        "fraction (default: 0.5)",
-    )
-    bench.add_argument(
-        "--min-delta", type=float, default=None, metavar="MS",
-        help="a regression must also exceed the baseline by this many "
-        "milliseconds (default: 1.0)",
-    )
-    bench.add_argument(
-        "--baseline", metavar="PATH", default="benchmarks/BENCH_baseline.json",
-        help="committed baseline medians (default: %(default)s)",
-    )
-    bench.add_argument(
-        "--history", metavar="PATH", default="BENCH_history.jsonl",
-        help="JSONL trajectory to append results to (default: %(default)s)",
-    )
-    bench.add_argument(
-        "--no-history", action="store_true",
-        help="do not append to the history file",
-    )
-    bench.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline file with this run's medians",
-    )
-    bench.add_argument(
-        "--json-out", metavar="PATH", default=None,
-        help="also write this run's records as one JSON document to PATH",
-    )
-    bench.set_defaults(func=_cmd_bench)
 
     runs = sub.add_parser(
         "runs",

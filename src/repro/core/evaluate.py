@@ -31,11 +31,10 @@ which used to be swallowed silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..exceptions import RecoveryError
-from ..obs import get_metrics, get_tracer
+from ..obs import Span, get_metrics, get_tracer
 from ..obs.provenance import EvaluationProvenance
 from ..scenarios.failures import FailureScenario
 from ..scenarios.requirements import BusinessRequirements
@@ -50,6 +49,28 @@ from .results import Assessment
 from .utilization import SystemUtilization, compute_utilization
 from .validate import validate_design
 
+#: The spans that time each phase -> their ``EvaluationProvenance.phase_ms`` key.
+_PHASE_SPANS = {
+    "validate": "validate",
+    "demands": "demands",
+    "utilization.compute": "utilization",
+    "dataloss.compute": "dataloss",
+    "recovery.plan": "recovery",
+    "cost.compute": "cost",
+}
+
+
+def _phase_ms(span: object) -> "Dict[str, float]":
+    """Milliseconds of each phase span among ``span``'s direct children;
+    empty when ``span`` is the null tracer's, which records nothing."""
+    if not isinstance(span, Span):
+        return {}
+    return {
+        _PHASE_SPANS[child.name]: child.duration_ms
+        for child in span.children
+        if child.name in _PHASE_SPANS
+    }
+
 
 def _utilization_driver(utilization: SystemUtilization) -> str:
     """Which device and dimension set the headline utilization."""
@@ -62,8 +83,8 @@ def _utilization_driver(utilization: SystemUtilization) -> str:
 class _Prepared:
     """The per-design work every scenario of one call shares.
 
-    ``phase_ms`` holds (when tracing) the shared phases' wall-clock
-    timings in milliseconds; ``demands`` is the design's demand ledger,
+    ``phase_ms`` holds (when tracing) the shared phases' span
+    durations in milliseconds; ``demands`` is the design's demand ledger,
     ``levels`` its level table and ``outlays`` its outlay map, which
     each assessment copies.
     """
@@ -81,6 +102,7 @@ def _prepare(
     workload: Workload,
     strict_utilization: bool,
     facts: FactsTable,
+    parent: object,
 ) -> _Prepared:
     """Steps 1–3 plus the scenario-independent parts of steps 4 and 6.
 
@@ -88,34 +110,20 @@ def _prepare(
     the level table (ranges and spacings need no demands, and each is
     computed on first use) and computes the outlay map (which does).
     Validation, demands and the level table read technique facts from
-    ``facts``.
+    ``facts``.  ``parent`` is the caller's open span, under which the
+    phase spans are recorded.
     """
     tracer = get_tracer()
-    timed = tracer.enabled
-    phase_ms: "Dict[str, float]" = {}
-
     with tracer.span("validate", design=design.name):
-        if timed:
-            t0 = perf_counter()
         warnings = validate_design(design, workload, strict=True, facts=facts)
-        if timed:
-            phase_ms["validate"] = (perf_counter() - t0) * 1e3
     with tracer.span("demands", design=design.name):
-        if timed:
-            t0 = perf_counter()
         demands = register_design_demands(design, workload, facts)
-        if timed:
-            phase_ms["demands"] = (perf_counter() - t0) * 1e3
-    if timed:
-        t0 = perf_counter()
     utilization = compute_utilization(design, demands, strict=strict_utilization)
-    if timed:
-        phase_ms["utilization"] = (perf_counter() - t0) * 1e3
     return _Prepared(
         demands=demands,
         utilization=utilization,
         warnings=tuple(warnings),
-        phase_ms=phase_ms,
+        phase_ms=_phase_ms(parent),
         levels=LevelTable(design, facts),
         outlays=compute_outlays(design, demands),
     )
@@ -136,19 +144,14 @@ def _assess(
     """
     tracer = get_tracer()
     metrics = get_metrics()
-    timed = tracer.enabled
     utilization = prepared.utilization
-    phase_ms: "Dict[str, float]" = dict(prepared.phase_ms)
     metrics.inc("evaluate.assessments")
 
     with tracer.span("assess", scenario=label) as span:
-        if timed:
-            t0 = perf_counter()
-        loss = compute_data_loss(
-            design, scenario, allow_total_loss=True, levels=prepared.levels
-        )
-        if timed:
-            phase_ms["dataloss"] = (perf_counter() - t0) * 1e3
+        with tracer.span("dataloss.compute"):
+            loss = compute_data_loss(
+                design, scenario, allow_total_loss=True, levels=prepared.levels
+            )
 
         plan: Optional[RecoveryPlan] = None
         recovery_failure: Optional[str] = None
@@ -158,8 +161,6 @@ def _assess(
                 "total loss: no surviving level retains a usable RP"
             )
         else:
-            if timed:
-                t0 = perf_counter()
             try:
                 plan = plan_recovery(
                     design, prepared.demands, scenario, workload, loss_result=loss
@@ -169,22 +170,17 @@ def _assess(
                 # the assessment's unbounded recovery time stays explainable.
                 metrics.inc("recovery.plan_failed")
                 recovery_failure = str(exc)
-            if timed:
-                phase_ms["recovery"] = (perf_counter() - t0) * 1e3
 
-        if timed:
-            t0 = perf_counter()
         costs = compute_costs(
             design, requirements, prepared.outlays, loss=loss, plan=plan
         )
-        if timed:
-            phase_ms["cost"] = (perf_counter() - t0) * 1e3
 
         span.set(
             source=loss.source_name,
             total_loss=loss.total_loss,
             recovery_planned=plan is not None,
         )
+    phase_ms = {**prepared.phase_ms, **_phase_ms(span)}
 
     decisions: "List[str]" = []
     if loss.source_level is not None:
@@ -256,8 +252,8 @@ def evaluate(
     tracer = get_tracer()
     get_metrics().inc("evaluate.calls")
     label = scenario.describe()
-    with tracer.span("evaluate", design=design.name, scenario=label):
-        prepared = _prepare(design, workload, strict_utilization, FactsTable())
+    with tracer.span("evaluate", design=design.name, scenario=label) as span:
+        prepared = _prepare(design, workload, strict_utilization, FactsTable(), span)
         return _assess(design, workload, scenario, requirements, prepared, label)
 
 
@@ -283,8 +279,8 @@ def evaluate_scenarios(
     metrics.inc("evaluate.calls")
     if facts is None:
         facts = FactsTable()
-    with tracer.span("evaluate_scenarios", design=design.name):
-        prepared = _prepare(design, workload, strict_utilization, facts)
+    with tracer.span("evaluate_scenarios", design=design.name) as span:
+        prepared = _prepare(design, workload, strict_utilization, facts, span)
         results: "Dict[str, Assessment]" = {}
         for scenario in scenarios:
             metrics.inc("evaluate.scenarios")

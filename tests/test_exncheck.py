@@ -584,7 +584,6 @@ def _concrete_repro_errors():
     """Every concrete ReproError subclass the framework ships."""
     # Import the modules that define subclasses outside repro.exceptions
     # so __subclasses__ sees them.
-    import repro.bench.registry  # noqa: F401
     import repro.lint.diagnostics  # noqa: F401
     import repro.obs.ledger  # noqa: F401
     import repro.obs.runs  # noqa: F401
