@@ -163,7 +163,12 @@ def _assess(
         else:
             try:
                 plan = plan_recovery(
-                    design, prepared.demands, scenario, workload, loss_result=loss
+                    design,
+                    prepared.demands,
+                    scenario,
+                    workload,
+                    loss_result=loss,
+                    label=label,
                 )
             except RecoveryError as exc:
                 # Record the failure instead of dropping it on the floor:

@@ -187,11 +187,13 @@ def plan_recovery(
     scenario: FailureScenario,
     workload: Workload,
     loss_result: Optional[DataLossResult] = None,
+    label: Optional[str] = None,
 ) -> RecoveryPlan:
     """Build the worst-case recovery plan for the scenario.
 
     ``demands`` is the design's ledger: transfers get the bandwidth its
-    normal-mode demands leave.  Raises
+    normal-mode demands leave.  ``label`` is the scenario's
+    ``describe()`` when the caller already has it.  Raises
     :class:`~repro.exceptions.RecoveryError` when the scenario is
     unrecoverable.
     """
@@ -200,7 +202,9 @@ def plan_recovery(
     timed = metrics.enabled
     if timed:
         t0 = perf_counter()
-    with tracer.span("recovery.plan", scenario=scenario.describe()) as span:
+    if label is None:
+        label = scenario.describe()
+    with tracer.span("recovery.plan", scenario=label) as span:
         plan = _build_plan(design, demands, scenario, workload, loss_result)
         span.set(
             source=plan.source_name,

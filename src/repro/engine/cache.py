@@ -31,6 +31,7 @@ from ..core.results import Assessment
 from ..exceptions import EngineError, ReproError
 from ..obs import get_metrics
 from ..serialization import assessment_from_dict, assessment_to_dict
+from .keys import ValueMemo
 
 
 @dataclass(frozen=True)
@@ -217,6 +218,9 @@ class ResultCache:
 
     Lookup order is memory then disk; a disk hit is promoted into
     memory so repeated lookups in one process pay the decode cost once.
+    ``part_digests`` remembers the key digests of the immutable payload
+    parts (workload, scenario tuple, requirements) the cache has seen,
+    so requests that reuse those objects do not walk them again.
     Emits ``engine.cache.hits`` / ``engine.cache.misses`` /
     ``engine.cache.disk_hits`` / ``engine.cache.stores``.
     """
@@ -228,6 +232,7 @@ class ResultCache:
     ):
         self.memory = MemoryCache(memory_entries)
         self.disk = DiskCache(cache_dir) if cache_dir is not None else None
+        self.part_digests = ValueMemo()
 
     @property
     def enabled(self) -> bool:

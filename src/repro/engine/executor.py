@@ -557,8 +557,10 @@ def map_evaluations(
         keys: "List[Optional[str]]" = [None] * len(tasks)
         pending: "List[Tuple[int, EngineTask]]" = []
         # Shared payload parts (one workload, one scenario tuple) are
-        # digested once for the whole sweep, not once per task.
+        # digested once for the whole call, not once per task, and the
+        # immutable ones once for the cache's lifetime.
         memo: PartMemo = {}
+        values = None if cache is None else cache.part_digests
 
         cache_hits = 0
         resolve_failures = 0
@@ -577,7 +579,7 @@ def map_evaluations(
                 continue
             if want_keys:
                 try:
-                    key = task_key(resolved.key_payload(), memo)
+                    key = task_key(resolved.key_payload(), memo, values)
                 except CacheKeyError:
                     metrics.inc("engine.cache.unkeyable")
                     key = None

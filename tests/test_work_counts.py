@@ -35,7 +35,7 @@ COMMITTED = {
         "techniques.cycle_models_per_assess": 0.19230769230769232,
     },
     "risk-warm": {
-        "engine.keys.part_walks": 87.0,
+        "engine.keys.part_walks": 69.0,
         "engine.keys.design_canonical_bytes": 3996.0,
         "engine.cache.hit_ratio": 1.0,
         "serialization.canonical_json_calls": 114.0,
@@ -45,7 +45,7 @@ COMMITTED = {
     "session": {
         "core.assess_calls": 26.0,
         "techniques.cycle_models_per_assess": 1.0384615384615385,
-        "engine.keys.part_walks": 240.0,
+        "engine.keys.part_walks": 49.0,
         "engine.keys.design_canonical_bytes": 4395.7,
         "engine.cache.hit_ratio": 0.75,
         "engine.cache.disk_hit_ratio": 0.525,
