@@ -20,8 +20,9 @@ distributions, and cross-checks the analytics by simulation:
   addressing dedupes generated ensembles; the result cache makes
   repeat runs nearly free);
 * :mod:`repro.risk.montecarlo` — seeded, substream-based Monte Carlo
-  cross-checks of the analytic distributions and of the underlying
-  loss model.
+  cross-checks of the analytic distributions (one substream per
+  distinct severity triple, named by its smallest member id) and of
+  the underlying loss model.
 
 Layering: risk sits *above* core/scenarios/engine/simulation and is
 imported by serialization's spec codecs and the CLI — never by the

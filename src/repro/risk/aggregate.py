@@ -300,8 +300,7 @@ def assess_risk(
 
         monte_carlo = None
         if samples > 0:
-            with tracer.span("risk.monte_carlo", samples=samples):
-                monte_carlo = cross_check(rows, horizon, samples, seed)
+            monte_carlo = cross_check(rows, horizon, samples, seed)
 
         metrics.inc("risk.assessments")
         metrics.inc("risk.members", len(outcomes))

@@ -107,13 +107,7 @@ def compound_poisson_distribution(
     if bins < 2:
         raise RiskError(f"severity grid needs >= 2 bins, got {bins}")
     rates, severities = tuple(zip(*entries)) or ((), ())
-    # One C-level pass per column; only a failure pays for the
-    # per-entry loop that names the first bad entry.
-    if not (
-        all(map(operator.gt, rates, repeat(0)))
-        and all(map(operator.ge, severities, repeat(0)))
-    ):
-        _reject_entry(entries)
+    check_entries(rates, severities)
 
     is_finite = list(map(math.isfinite, severities))
     finite_rates = list(compress(rates, is_finite))
@@ -143,13 +137,28 @@ def compound_poisson_distribution(
     return RiskDistribution(mean=mean, **values)
 
 
-def _reject_entry(entries: "Sequence[Tuple[PerSecond, float]]") -> None:
-    """Raise for the first invalid entry, checking rate before severity."""
-    for rate, severity in entries:
+def check_entries(
+    rates: "Sequence[PerSecond]", *severities: "Sequence[float]"
+) -> None:
+    """Reject any rate that is not > 0 and any severity not >= 0.
+
+    ``severities`` are columns parallel to ``rates``; +inf passes (an
+    event the design cannot survive), NaN and negatives do not.  One
+    C-level pass per column; only a failure pays for the per-entry
+    loop that names the first bad entry, rate before severities.
+    """
+    if all(map(operator.gt, rates, repeat(0))) and all(
+        all(map(operator.ge, column, repeat(0))) for column in severities
+    ):
+        return
+    for rate, *row in zip(rates, *severities):
         if not rate > 0:
             raise RiskError(f"severity entry has non-positive rate {rate!r}")
-        if math.isnan(severity) or severity < 0:
-            raise RiskError(f"per-event severity {severity!r} is not >= 0")
+        for severity in row:
+            if math.isnan(severity) or severity < 0:
+                raise RiskError(
+                    f"per-event severity {severity!r} is not >= 0"
+                )
 
 
 def empirical_distribution(samples: "np.ndarray") -> RiskDistribution:

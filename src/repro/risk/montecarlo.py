@@ -3,13 +3,19 @@
 Two independent checks, both seeded and order-insensitive:
 
 * :func:`cross_check` re-derives the annualized distributions by brute
-  force — Poisson-sample each member's event count over the horizon
-  from its own named substream of the root seed
-  (:func:`repro.simulation.failure_injection.substream_rng`), multiply
-  by the per-event severities the evaluator computed, and summarize
-  empirically.  Because every member owns its substream, the result is
-  byte-identical no matter how members are ordered or sharded, which
-  is what lets the CLI's serial and ``--workers N`` runs diff clean.
+  force.  Members that share a per-event severity triple form one
+  group (a sum of independent Poisson counts with one severity is a
+  Poisson count in the summed rate, exactly as the analytic fold
+  merges them).  Each group Poisson-samples its event count over the
+  horizon from one named substream of the root seed
+  (:func:`repro.simulation.failure_injection.substream_rng`), named
+  by the group's smallest member id, multiplies by the severities the
+  evaluator computed, and the totals are summarized empirically.  A
+  group's rate is builtin ``sum`` over its members in member-id order,
+  so each interpreter matches itself, as the fold does.  Neither
+  member order nor the hash seed changes a byte, which is what lets
+  the CLI's serial and ``--workers N`` runs diff clean; a group of one
+  draws exactly what a per-member sampler would.
 * :func:`simulated_loss_check` goes one layer deeper: it replays
   members through the discrete-event
   :class:`~repro.simulation.simulator.DependabilitySimulator`,
@@ -27,15 +33,23 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..exceptions import RiskError
+from ..obs import get_tracer
 from ..scenarios.failures import FailureScenario
 from ..simulation.failure_injection import random_times, substream_rng
 from ..simulation.simulator import DependabilitySimulator
 from ..units import WEEK, PerSecond, Seconds
-from .distributions import RiskDistribution, empirical_distribution
+from .distributions import (
+    RiskDistribution,
+    check_entries,
+    empirical_distribution,
+)
 
 #: (member_id, rate per second, downtime, loss, penalty) — the flat
 #: severity row the aggregator hands to :func:`cross_check`.
 SeverityRow = Tuple[str, PerSecond, float, float, float]
+
+#: Per-event (downtime, loss, penalty) — one Monte Carlo group's key.
+Severity = Tuple[float, float, float]
 
 
 @dataclass(frozen=True)
@@ -66,34 +80,66 @@ def cross_check(
 ) -> MonteCarloResult:
     """Sample the annualized totals and summarize them empirically.
 
-    Each row's event count is ``Poisson(rate * horizon)`` drawn from
-    the substream ``risk:{member_id}`` of ``seed``; severities scale
-    the counts (infinite severities contribute an infinite total
-    whenever at least one event occurs).  Rows are sorted by member id
-    before sampling, so input order never matters.
+    Rows are validated by the fold's own rule (rate > 0, each severity
+    >= 0 or +inf), sorted by member id, and grouped by their per-event
+    severity triple ``(downtime, loss, penalty)``.  Each group's event
+    count is ``Poisson(sum(rates) * horizon)`` drawn from the substream
+    ``risk:{smallest member id}`` of ``seed``; severities scale the
+    counts (infinite severities contribute an infinite total whenever
+    at least one event occurs).  Groups are visited in order of their
+    smallest member id, so input order never matters.  The
+    ``risk.monte_carlo`` span records the member and substream counts.
     """
     if samples < 1:
         raise RiskError(f"Monte Carlo needs >= 1 sample, got {samples}")
     if not horizon > 0:
         raise RiskError(f"risk horizon must be positive, got {horizon!r}")
-    downtime = np.zeros(samples)
-    loss = np.zeros(samples)
-    penalty = np.zeros(samples)
-    for member_id, rate, event_downtime, event_loss, event_penalty in sorted(
-        rows
-    ):
-        rng = substream_rng(seed, f"risk:{member_id}")
-        counts = rng.poisson(rate * horizon, size=samples).astype(float)
-        downtime += _scaled(counts, event_downtime)
-        loss += _scaled(counts, event_loss)
-        penalty += _scaled(counts, event_penalty)
-    return MonteCarloResult(
-        samples=samples,
-        seed=seed,
-        downtime=empirical_distribution(downtime),
-        loss=empirical_distribution(loss),
-        penalty=empirical_distribution(penalty),
-    )
+    with get_tracer().span(
+        "risk.monte_carlo", samples=samples, members=len(rows)
+    ) as span:
+        groups = _severity_groups(rows)
+        span.set(substreams=len(groups))
+        downtime = np.zeros(samples)
+        loss = np.zeros(samples)
+        penalty = np.zeros(samples)
+        for severity, (member_id, rates) in groups.items():
+            event_downtime, event_loss, event_penalty = severity
+            rng = substream_rng(seed, f"risk:{member_id}")
+            intensity = sum(rates) * horizon
+            counts = rng.poisson(intensity, size=samples).astype(float)
+            downtime += _scaled(counts, event_downtime)
+            loss += _scaled(counts, event_loss)
+            penalty += _scaled(counts, event_penalty)
+        return MonteCarloResult(
+            samples=samples,
+            seed=seed,
+            downtime=empirical_distribution(downtime),
+            loss=empirical_distribution(loss),
+            penalty=empirical_distribution(penalty),
+        )
+
+
+def _severity_groups(
+    rows: "Sequence[SeverityRow]",
+) -> "Dict[Severity, Tuple[str, List[PerSecond]]]":
+    """``severity -> (smallest member id, rates in member-id order)``.
+
+    Validates the rows first, then walks them sorted; the dict's
+    insertion order is therefore the order of each group's smallest
+    member id, whatever the hash seed.
+    """
+    ordered = sorted(rows)
+    columns = tuple(zip(*ordered)) or ((),) * 5
+    ids, rates, *severities = columns
+    check_entries(rates, *severities)
+    groups: "Dict[Severity, Tuple[str, List[PerSecond]]]" = {}
+    for member_id, rate, severity in zip(ids, rates, zip(*severities)):
+        group = groups.get(severity)
+        if group is None:
+            groups[severity] = (member_id, [rate])
+        else:
+            group[1].append(rate)
+    return groups
 
 
 def _scaled(counts: "np.ndarray", severity: float) -> "np.ndarray":

@@ -7,6 +7,9 @@ The load-bearing contracts:
 * cascade and correlation splits conserve total rate;
 * the analytic compound-Poisson fold matches the seeded Monte Carlo
   cross-check within grid resolution;
+* the cross-check draws one substream per severity group and, when
+  every group is one member, matches the per-member sampler bit for
+  bit;
 * the JSON report is byte-identical across serial, parallel, factory
   and warm-cache runs.
 """
@@ -14,6 +17,7 @@ The load-bearing contracts:
 import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +26,7 @@ from repro import casestudy
 from repro.core.evaluate import evaluate
 from repro.engine import EngineConfig, EvaluationTask, ResultCache, task_key
 from repro.exceptions import DesignError, ReproError, RiskError
-from repro.obs import MetricsRegistry, use_metrics
+from repro.obs import MetricsRegistry, Tracer, use_metrics, use_tracer
 from repro.risk import (
     CascadeSpec,
     EnsembleMember,
@@ -39,22 +43,29 @@ from repro.risk import (
     scenario_digest,
     simulated_loss_check,
 )
-from repro.risk import aggregate, distributions
+from repro.risk import aggregate, distributions, montecarlo
 from repro.risk.distributions import (
     NORMAL_APPROX_INTENSITY,
     PERCENTILES,
     _probit,
 )
+from repro.risk.montecarlo import MonteCarloResult
 from repro.scenarios import FailureScenario
 from repro.serialization import (
     canonical_json,
+    design_from_spec,
     ensemble_from_spec,
     ensemble_to_dict,
+    requirements_from_spec,
     scenario_from_dict,
     scenario_to_dict,
+    workload_from_spec,
 )
+from repro.simulation.failure_injection import substream_rng
 from repro.units import DAY, HOUR, MB, MINUTE, WEEK, YEAR
 from repro.workload.presets import cello
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
 @pytest.fixture(scope="module")
@@ -576,6 +587,179 @@ class TestMonteCarlo:
             cross_check(self.ROWS, YEAR, 0)
         with pytest.raises(RiskError, match="horizon"):
             cross_check(self.ROWS, 0.0, 10)
+
+    def test_negative_rate_rejected(self):
+        rows = [("a", -1.0 / YEAR, 4.0 * HOUR, 0.0, 0.0)]
+        with pytest.raises(RiskError, match="non-positive rate"):
+            cross_check(rows, YEAR, 10)
+
+    def test_nan_severity_rejected(self):
+        rows = [("a", 1.0 / YEAR, float("nan"), 0.0, 0.0)]
+        with pytest.raises(RiskError, match="nan"):
+            cross_check(rows, YEAR, 10)
+
+    def test_negative_severity_rejected(self):
+        rows = [("a", 1.0 / YEAR, 0.0, 0.0, -5.0)]
+        with pytest.raises(RiskError, match="-5.0"):
+            cross_check(rows, YEAR, 10)
+
+    def test_rejects_what_the_fold_rejects(self):
+        # One rule for both: the fold and the sampler refuse the same
+        # entries with the same message.
+        for rate, severity in ((0.0, 1.0), (1.0, -1.0), (1.0, float("-inf"))):
+            with pytest.raises(RiskError) as fold:
+                compound_poisson_distribution([(rate, severity)], YEAR)
+            with pytest.raises(RiskError) as sampler:
+                cross_check([("a", rate, 0.0, severity, 0.0)], YEAR, 10)
+            assert str(fold.value) == str(sampler.value)
+
+
+def _per_member_cross_check(rows, horizon, samples, seed=0):
+    """The per-member sampler ``cross_check`` replaced, kept verbatim.
+
+    One substream per member: the oracle the grouped sampler must match
+    bit for bit whenever no two members share a severity triple.
+    """
+    if samples < 1:
+        raise RiskError(f"Monte Carlo needs >= 1 sample, got {samples}")
+    if not horizon > 0:
+        raise RiskError(f"risk horizon must be positive, got {horizon!r}")
+    downtime = np.zeros(samples)
+    loss = np.zeros(samples)
+    penalty = np.zeros(samples)
+    for member_id, rate, event_downtime, event_loss, event_penalty in sorted(
+        rows
+    ):
+        rng = substream_rng(seed, f"risk:{member_id}")
+        counts = rng.poisson(rate * horizon, size=samples).astype(float)
+        downtime += _oracle_scaled(counts, event_downtime)
+        loss += _oracle_scaled(counts, event_loss)
+        penalty += _oracle_scaled(counts, event_penalty)
+    return MonteCarloResult(
+        samples=samples,
+        seed=seed,
+        downtime=empirical_distribution(downtime),
+        loss=empirical_distribution(loss),
+        penalty=empirical_distribution(penalty),
+    )
+
+
+def _oracle_scaled(counts, severity):
+    """Total severity per sample; 0 events x infinite severity is 0."""
+    if math.isfinite(severity):
+        return counts * severity
+    return np.where(counts > 0, float("inf"), 0.0)
+
+
+def _distinct_rows(seed, count=40):
+    """Seeded rows whose severity triples are pairwise distinct."""
+    rng = random.Random(seed)
+    rows = []
+    for index in range(count):
+        severity = [rng.uniform(0.0, 30 * HOUR) for _ in range(3)]
+        if index % 7 == 3:
+            severity[index % 3] = float("inf")
+        rate = rng.uniform(0.01, 5.0) / YEAR
+        rows.append((f"m{rng.randrange(10**6):06d}-{index}", rate, *severity))
+    assert len({row[2:] for row in rows}) == len(rows)
+    return rows
+
+
+class TestMonteCarloGroups:
+    """``cross_check`` draws one substream per severity triple."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_distinct_rows_match_the_per_member_oracle(self, seed):
+        rows = TestMonteCarlo.ROWS
+        assert cross_check(rows, YEAR, 500, seed) == _per_member_cross_check(
+            rows, YEAR, 500, seed
+        )
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_generated_distinct_rows_match_the_oracle_bitwise(self, seed):
+        rows = _distinct_rows(seed)
+        assert any(math.isinf(value) for row in rows for value in row[2:])
+        expected = _per_member_cross_check(rows, 3 * YEAR, 1000, seed)
+        assert cross_check(rows, 3 * YEAR, 1000, seed) == expected
+
+    def test_shared_severity_equals_one_member_with_summed_rate(self):
+        shared = (4.0 * HOUR, 600.0, 100.0)
+        lone = ("b", 0.5 / YEAR, 26.4 * HOUR, 0.0, 2500.0)
+        sharing = [
+            ("m3", 3.0 / YEAR, *shared),
+            ("m1", 2.0 / YEAR, *shared),
+            ("m2", 0.25 / YEAR, *shared),
+        ]
+        # Member-id order, builtin sum: the grouped sampler's own rule.
+        rate = sum(r for _, r, *_ in sorted(sharing))
+        collapsed = [lone, ("m1", rate, *shared)]
+        grouped = cross_check(sharing + [lone], YEAR, 2000, seed=5)
+        assert grouped == cross_check(collapsed, YEAR, 2000, seed=5)
+        assert grouped == _per_member_cross_check(
+            collapsed, YEAR, 2000, seed=5
+        )
+
+    def test_generated_grid_agrees_with_the_analytic_fold(
+        self, baseline, workload, requirements
+    ):
+        # The grid's members fall into two severity groups, so each
+        # total sits on a lattice of event counts.  Where a reported
+        # probability lies within sampling error of a lattice step,
+        # the empirical quantile lands one event off under any
+        # sampler (at 12/yr, downtime's p90 is just above
+        # P(N <= 13) = 0.8979).  At 40/yr one event is at most 3.2% of
+        # any reported quantile, so such a flip stays inside the 5%
+        # tolerance below.
+        ensemble = object_corruption_grid(1000, 40.0, distinct_ages=64)
+        assessment = assess_risk(
+            baseline, workload, ensemble, requirements,
+            samples=20000, seed=13,
+        )
+        mc = assessment.monte_carlo
+        assert mc is not None
+        # The tolerance test_monte_carlo_agrees_with_analytic_fold
+        # documents: 5% on means and percentiles, plus one grid step.
+        for metric in ("downtime", "loss", "penalty"):
+            analytic = getattr(assessment, metric)
+            sampled = getattr(mc, metric)
+            assert sampled.mean == pytest.approx(analytic.mean, rel=0.05)
+            step = _grid_step(assessment, metric)
+            for label in ("p50", "p90", "p95", "p99"):
+                a, s = analytic.quantile(label), sampled.quantile(label)
+                assert abs(a - s) <= 0.05 * max(abs(a), abs(s)) + step, (
+                    metric, label, a, s, step,
+                )
+
+    def test_example_spec_draws_four_substreams(
+        self, monkeypatch
+    ):
+        # The count gate: the example's 1,005 members share 4 severity
+        # triples, so the cross-check seeds 4 generators, not 1,005.
+        spec_path = EXAMPLES / "specs" / "risk_ensemble.json"
+        spec = json.loads(spec_path.read_text())
+        drawn = []
+
+        def counted(seed, stream_id):
+            drawn.append(stream_id)
+            return substream_rng(seed, stream_id)
+
+        monkeypatch.setattr(montecarlo, "substream_rng", counted)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            assessment = assess_risk(
+                design_from_spec(spec["design"]),
+                workload_from_spec(spec["workload"]),
+                ensemble_from_spec(spec["ensemble"]),
+                requirements_from_spec(spec["requirements"]),
+                samples=2000,
+                seed=7,
+            )
+        assert len(assessment.members) == 1005
+        assert len(drawn) == 4
+        (span,) = [s for s, _ in tracer.walk() if s.name == "risk.monte_carlo"]
+        assert span.attributes == {
+            "samples": 2000, "members": 1005, "substreams": 4,
+        }
 
 
 class TestAssessRisk:
