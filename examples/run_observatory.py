@@ -46,8 +46,8 @@ def record_run(directory: str, run_id: str) -> None:
     registry = obs.MetricsRegistry()
     task_log = TaskLog()
     ledger = obs.RunLedger(directory, run_id=run_id, argv=["example"])
-    with obs.use_tracer(tracer), obs.use_metrics(registry), \
-            obs.use_task_log(task_log):
+    telemetry = obs.Telemetry(tracer=tracer, metrics=registry, task_log=task_log)
+    with obs.use(telemetry):
         ledger.begin(
             extra={
                 "command": "example",

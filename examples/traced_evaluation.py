@@ -35,7 +35,7 @@ def main() -> None:
     tracer = obs.Tracer()
     registry = obs.MetricsRegistry()
 
-    with obs.use_tracer(tracer), obs.use_metrics(registry):
+    with obs.use(obs.Telemetry(tracer=tracer, metrics=registry)):
         results = evaluate_scenarios(
             casestudy.baseline_design(),
             cello(),

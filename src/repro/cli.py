@@ -22,13 +22,11 @@ OpenMetrics/Prometheus text format.  When ``lint`` emits a machine
 format (``--format json``/``sarif``), the observability reports go to
 stderr so stdout stays parseable.
 
-Three more flags form the telemetry fabric: ``--run-dir PATH`` leaves
+Two more flags form the telemetry fabric: ``--run-dir PATH`` leaves
 a complete run ledger behind (``manifest.json``, ``spans.jsonl``,
-``metrics.prom``, ``progress.jsonl``), ``--progress`` reports live
-sweep progress on stderr, and ``--serve-metrics PORT`` serves
-``/metrics``, ``/healthz`` and ``/progress`` on localhost for the
-duration of the run.  All telemetry output goes to stderr or files —
-stdout carries only the reports themselves.
+``metrics.prom``, ``progress.jsonl``), and ``--progress`` reports live
+sweep progress on stderr.  All telemetry output goes to stderr or
+files — stdout carries only the reports themselves.
 
 The run observatory reads those ledgers back: ``repro runs
 list|show|latest|diff|gc`` indexes every ledger under one
@@ -73,21 +71,19 @@ from .lint.diagnostics import exit_code as lint_exit_code
 from .lint.output import FORMATS as LINT_FORMATS
 from .lint.output import render as render_diagnostics
 from .obs import (
+    NULL_METRICS,
+    NULL_PROGRESS,
+    NULL_TRACER,
     MetricsRegistry,
     ProgressReporter,
     RunLedger,
     TaskLog,
-    TelemetryServer,
+    Telemetry,
     Tracer,
-    set_metrics,
-    set_progress,
-    set_run_id,
-    set_task_log,
-    set_tracer,
     write_openmetrics,
     write_trace_jsonl,
 )
-from .obs import reset as reset_obs
+from .obs import use as use_telemetry
 from .obs.diff import (
     DEFAULT_ABS_THRESHOLD_MS,
     DEFAULT_EXPLAIN_FRACTION,
@@ -479,15 +475,6 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
         "throughput, ETA) on stderr",
     )
     parser.add_argument(
-        "--serve-metrics",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="serve /metrics (OpenMetrics), /healthz and /progress on "
-        "127.0.0.1:PORT for the duration of the run (0 picks a free "
-        "port, announced on stderr)",
-    )
-    parser.add_argument(
         "--baseline",
         dest="baseline_run",
         metavar="RUN",
@@ -750,75 +737,84 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    The instruments the flags ask for are installed as one telemetry
+    context for the duration of the call; nothing installed here
+    outlives it, on any exit path.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    trace = getattr(args, "trace", False)
-    profile = getattr(args, "profile", False)
-    trace_out = getattr(args, "trace_out", None)
-    want_metrics = getattr(args, "metrics", False)
-    metrics_out = getattr(args, "metrics_out", None)
     run_dir = getattr(args, "run_dir", None)
-    serve_port = getattr(args, "serve_metrics", None)
-    want_progress = getattr(args, "progress", False)
-    tracer = (
-        set_tracer(Tracer())
-        if (trace or profile or trace_out or run_dir is not None)
-        else None
-    )
-    registry = (
-        set_metrics(MetricsRegistry())
-        if (
-            want_metrics
-            or trace_out
-            or metrics_out
-            or run_dir is not None
-            or serve_port is not None
-        )
-        else None
-    )
-
-    baseline_run = getattr(args, "baseline_run", None)
-    if baseline_run is not None and run_dir is None:
+    if getattr(args, "baseline_run", None) is not None and run_dir is None:
         print("error: --baseline requires --run-dir", file=sys.stderr)
         return 2
+    trace_out = getattr(args, "trace_out", None)
+    want_progress = getattr(args, "progress", False)
+    ledgered = run_dir is not None
+    traced = (
+        getattr(args, "trace", False)
+        or getattr(args, "profile", False)
+        or trace_out
+        or ledgered
+    )
+    measured = (
+        getattr(args, "metrics", False)
+        or trace_out
+        or getattr(args, "metrics_out", None)
+        or ledgered
+    )
+    telemetry = Telemetry(
+        tracer=Tracer() if traced else NULL_TRACER,
+        metrics=MetricsRegistry() if measured else NULL_METRICS,
+        progress=(
+            ProgressReporter(stream=sys.stderr if want_progress else None)
+            if want_progress or ledgered
+            else NULL_PROGRESS
+        ),
+        task_log=TaskLog() if ledgered else None,
+    )
+    with use_telemetry(telemetry):
+        return _run_instrumented(args, argv, telemetry)
+
+
+def _run_instrumented(
+    args: argparse.Namespace, argv: Optional[List[str]], telemetry: Telemetry
+) -> int:
+    """Run the chosen subcommand under ``telemetry`` (already
+    installed), then write the reports and artifacts the flags ask for."""
+    tracer = telemetry.tracer
+    registry = telemetry.metrics
+    trace_out = getattr(args, "trace_out", None)
+    metrics_out = getattr(args, "metrics_out", None)
+    run_dir = getattr(args, "run_dir", None)
+    baseline_run = getattr(args, "baseline_run", None)
 
     ledger: "Optional[RunLedger]" = None
-    task_log: "Optional[TaskLog]" = None
     if run_dir is not None:
         from .engine import model_schema_version
 
-        ledger = RunLedger(run_dir, argv=argv if argv is not None else sys.argv[1:])
-        set_run_id(ledger.run_id)
-        task_log = TaskLog()
-        set_task_log(task_log)
-        ledger.begin(
-            extra={
-                "command": getattr(args, "command", None),
-                "model_schema_version": model_schema_version(),
-                "workers": getattr(args, "workers", 1),
-                "cache_dir": getattr(args, "cache_dir", None),
-            }
-        )
+        try:
+            ledger = RunLedger(
+                run_dir, argv=argv if argv is not None else sys.argv[1:]
+            )
+            ledger.begin(
+                extra={
+                    "command": getattr(args, "command", None),
+                    "model_schema_version": model_schema_version(),
+                    "workers": getattr(args, "workers", 1),
+                    "cache_dir": getattr(args, "cache_dir", None),
+                }
+            )
+        except OSError as exc:
+            print(f"error: cannot write run ledger: {exc}", file=sys.stderr)
+            return 2
+        # --run-dir always installs a reporter; its heartbeats land in
+        # the ledger's progress.jsonl.
+        assert isinstance(telemetry.progress, ProgressReporter)
+        telemetry.progress.ledger = ledger
 
-    reporter: "Optional[ProgressReporter]" = None
-    if want_progress or ledger is not None or serve_port is not None:
-        reporter = ProgressReporter(
-            stream=sys.stderr if want_progress else None, ledger=ledger
-        )
-        set_progress(reporter)
-
-    server: "Optional[TelemetryServer]" = None
-    if serve_port is not None:
-        server = TelemetryServer(
-            serve_port, registry=registry, progress=reporter
-        )
-        bound_port = server.start()
-        print(
-            f"serving telemetry on http://127.0.0.1:{bound_port}/metrics",
-            file=sys.stderr,
-        )
     # Machine formats (lint --format json/sarif) own stdout; the
     # human observability reports move to stderr so stdout stays
     # parseable — the same contract evaluate/optimize keep implicitly.
@@ -826,83 +822,73 @@ def main(argv: Optional[List[str]] = None) -> int:
         sys.stderr if getattr(args, "format", "human") != "human" else sys.stdout
     )
     try:
+        code = args.func(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    except FileNotFoundError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    if getattr(args, "trace", False):
+        print(file=report_stream)
+        print(span_tree_report(tracer), file=report_stream)
+    if getattr(args, "profile", False):
+        print(file=report_stream)
+        print(profile_report(tracer), file=report_stream)
+    if getattr(args, "metrics", False):
+        print(file=report_stream)
+        print(metrics_report(registry), file=report_stream)
+    if trace_out is not None:
         try:
-            code = args.func(args)
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            code = 2
-        except FileNotFoundError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            code = 2
-        if tracer is not None and trace:
-            print(file=report_stream)
-            print(span_tree_report(tracer), file=report_stream)
-        if tracer is not None and profile:
-            print(file=report_stream)
-            print(profile_report(tracer), file=report_stream)
-        if registry is not None and want_metrics:
-            print(file=report_stream)
-            print(metrics_report(registry), file=report_stream)
-        if trace_out is not None:
-            try:
-                count = write_trace_jsonl(
-                    trace_out, tracer=tracer, metrics=registry
-                )
-            except OSError as exc:
-                print(f"error: cannot write trace: {exc}", file=sys.stderr)
-                return 2
-            print(f"wrote {count} trace records to {trace_out}", file=sys.stderr)
-        if metrics_out is not None and registry is not None:
-            try:
-                write_openmetrics(metrics_out, registry)
-            except OSError as exc:
-                print(f"error: cannot write metrics: {exc}", file=sys.stderr)
-                return 2
-            print(f"wrote OpenMetrics to {metrics_out}", file=sys.stderr)
-        if ledger is not None:
-            try:
-                ledger.finish(
-                    tracer,
-                    registry,
-                    status="ok" if code == 0 else "error",
-                    tasks=task_log.records if task_log is not None else None,
-                )
-            except OSError as exc:
-                print(f"error: cannot write run ledger: {exc}", file=sys.stderr)
-                return 2
-            print(
-                f"run ledger written to {ledger.directory} "
-                f"(run {ledger.run_id})",
-                file=sys.stderr,
+            count = write_trace_jsonl(trace_out, tracer=tracer, metrics=registry)
+        except OSError as exc:
+            print(f"error: cannot write trace: {exc}", file=sys.stderr)
+            return 2
+        print(f"wrote {count} trace records to {trace_out}", file=sys.stderr)
+    if metrics_out is not None and registry.enabled:
+        try:
+            write_openmetrics(metrics_out, registry)
+        except OSError as exc:
+            print(f"error: cannot write metrics: {exc}", file=sys.stderr)
+            return 2
+        print(f"wrote OpenMetrics to {metrics_out}", file=sys.stderr)
+    if ledger is not None:
+        try:
+            ledger.finish(
+                tracer,
+                registry,
+                status="ok" if code == 0 else "error",
+                tasks=(
+                    telemetry.task_log.records
+                    if telemetry.task_log is not None
+                    else None
+                ),
             )
-        if baseline_run is not None and ledger is not None:
-            # Auto-diff the fresh ledger against the named baseline.
-            # On stderr: stdout stays the evaluation report alone.
-            from .reporting.runs_report import run_diff_report
+        except OSError as exc:
+            print(f"error: cannot write run ledger: {exc}", file=sys.stderr)
+            return 2
+        print(
+            f"run ledger written to {ledger.directory} "
+            f"(run {ledger.run_id})",
+            file=sys.stderr,
+        )
+    if baseline_run is not None and ledger is not None:
+        # Auto-diff the fresh ledger against the named baseline.
+        # On stderr: stdout stays the evaluation report alone.
+        from .reporting.runs_report import run_diff_report
 
-            try:
-                root = os.path.dirname(os.path.abspath(ledger.directory))
-                diff = diff_runs(
-                    resolve_run(baseline_run, root=root),
-                    RunRecord.load(ledger.directory),
-                )
-            except ReproError as exc:
-                print(f"error: cannot diff baseline: {exc}", file=sys.stderr)
-                return 2
-            print(file=sys.stderr)
-            print(run_diff_report(diff), file=sys.stderr)
-        return code
-    finally:
-        if server is not None:
-            server.stop()
-        if (
-            tracer is not None
-            or registry is not None
-            or reporter is not None
-            or ledger is not None
-        ):
-            reset_obs()
-
+        try:
+            root = os.path.dirname(os.path.abspath(ledger.directory))
+            diff = diff_runs(
+                resolve_run(baseline_run, root=root),
+                RunRecord.load(ledger.directory),
+            )
+        except ReproError as exc:
+            print(f"error: cannot diff baseline: {exc}", file=sys.stderr)
+            return 2
+        print(file=sys.stderr)
+        print(run_diff_report(diff), file=sys.stderr)
+    return code
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -20,7 +20,8 @@ each dispatched chunk carries a :class:`~repro.obs.context.TraceContext`,
 workers return a :class:`~repro.obs.context.TelemetryCapsule` of spans
 and metric deltas that the parent merges back (so ``--trace`` /
 ``--profile`` see worker-side hot paths), and every sweep reports live
-progress through :func:`repro.obs.get_progress`.
+progress through the reporter in the telemetry context
+(:func:`repro.obs.current`).
 
 Layering: the engine depends on ``repro.core`` / ``repro.serialization``
 / ``repro.obs``, never the reverse — the model stays ignorant of how it

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
@@ -260,8 +259,3 @@ class ResultCache:
         if self.disk is not None:
             self.disk.put(key, value)
         get_metrics().inc("engine.cache.stores")
-
-
-def temporary_cache_dir() -> str:
-    """A fresh disposable cache directory (owned by the caller)."""
-    return tempfile.mkdtemp(prefix="repro-engine-cache-")

@@ -51,16 +51,13 @@ from ..core.evaluate import evaluate_scenarios
 from ..core.hierarchy import StorageDesign
 from ..core.results import Assessment
 from ..exceptions import CacheKeyError, EngineError, ReproError
-from ..obs import get_metrics, get_tracer
 from ..obs.context import (
     TelemetryCapsule,
-    TelemetryCapture,
     TraceContext,
     current_context,
     merge_capsule,
 )
-from ..obs.progress import get_progress
-from ..obs.runs import get_task_log
+from ..obs.telemetry import current, get_metrics, get_tracer, use
 from ..scenarios.failures import FailureScenario
 from ..scenarios.requirements import BusinessRequirements
 from ..techniques.facts import FactsTable
@@ -299,22 +296,19 @@ def _execute_chunk(  # lint: worker-boundary
 ) -> "Tuple[List[Tuple[str, Any, Optional[BaseException], bool]], Optional[TelemetryCapsule]]":
     """The unit of work shipped to a pool worker.
 
-    With a :class:`~repro.obs.context.TraceContext`, the worker
-    installs a capturing tracer/registry for the chunk and returns
-    everything it recorded as a telemetry capsule alongside the rows;
-    without one (telemetry off in the parent) capture is skipped
-    entirely and the capsule is None.  The chunk's tasks share one
-    technique-facts table, which dies with the chunk.
+    With a :class:`~repro.obs.context.TraceContext`, the worker runs
+    the chunk under fresh capturing instruments and returns everything
+    they recorded as a telemetry capsule alongside the rows; without
+    one (telemetry off in the parent) capture is skipped entirely and
+    the capsule is None.  The chunk's tasks share one technique-facts
+    table, which dies with the chunk.
     """
     facts = FactsTable()
     if ctx is None or not ctx.enabled:
         return [_execute_one(task, timeout, facts) for task in tasks], None
-    capture = TelemetryCapture(ctx)
-    try:
+    with use(ctx.capture()) as telemetry:
         rows = [_execute_one_traced(task, timeout, facts) for task in tasks]
-    finally:
-        capsule = capture.finish()
-    return rows, capsule
+    return rows, TelemetryCapsule.pack(telemetry, ctx.base)
 
 
 # One pool per worker count, reused across sweeps: fork+import costs far
@@ -384,7 +378,7 @@ def _retry_inline(
 ) -> TaskOutcome:
     """Re-run a failed task in the parent with exponential backoff."""
     metrics = get_metrics()
-    progress = get_progress()
+    progress = current().progress
     error: BaseException = first_error
     attempts = 1
     while attempts <= config.retries:
@@ -423,7 +417,7 @@ def _run_pool(
     pool keeps serving the healthy chunks.
     """
     metrics = get_metrics()
-    progress = get_progress()
+    progress = current().progress
     workers = min(config.workers, len(pending))
     chunk_size = config.chunk_size
     if chunk_size is None:
@@ -536,10 +530,11 @@ def map_evaluations(
     sweep in progress reports (``[designs] 37/120 ...``).
     """
     config = config or EngineConfig()
-    metrics = get_metrics()
-    tracer = get_tracer()
-    progress = get_progress()
-    task_log = get_task_log()
+    telemetry = current()
+    metrics = telemetry.metrics
+    tracer = telemetry.tracer
+    progress = telemetry.progress
+    task_log = telemetry.task_log
     metrics.set_gauge("engine.workers", config.workers)
     metrics.inc("engine.tasks", len(tasks))
 
@@ -567,7 +562,7 @@ def map_evaluations(
         # Keys are needed by the cache and by the run observatory's
         # task log (which joins two runs' work items by content key),
         # so they are computed whenever either consumer is live.
-        want_keys = cache is not None or task_log.enabled
+        want_keys = cache is not None or task_log is not None
         for index, task in enumerate(tasks):
             try:
                 resolved = task.resolve()
@@ -647,7 +642,7 @@ def map_evaluations(
                     cache.put(key, outcome.value)
 
         _record_failures(map_span, outcomes, keys)
-        if task_log.enabled:
+        if task_log is not None:
             # One record per task, in input order: the manifest's
             # ``tasks`` field, joining this run to any other run of the
             # same work by content key and separating correctness drift

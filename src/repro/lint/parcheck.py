@@ -78,8 +78,7 @@ dimcheck's stub table encodes the unit vocabulary:
   merge is deterministic by submission order (PR 6's determinism
   tests pin byte-identical output).  Effects inside ``repro.obs`` are
   therefore not findings — but its classes still get the full PAR004
-  lock-discipline analysis, which is how the analyzer caught
-  ``active_server()`` reading ``_ACTIVE`` without the lock.
+  lock-discipline analysis.
 * monotonic timers (``time.perf_counter``, ``time.monotonic``).  The
   engine's contract routes them into span durations and provenance
   ``phase_ms`` — observability fields, not results — so they are not

@@ -2,16 +2,21 @@
 
 Zero-dependency instrumentation for the evaluation pipeline:
 
+* :mod:`repro.obs.telemetry` — the one telemetry context: a frozen
+  :class:`Telemetry` value (tracer, metrics, progress, task log) held
+  in one process-global slot, read with :func:`current` (or the
+  hot-path :func:`get_tracer` / :func:`get_metrics`), installed for a
+  block with :func:`use` and cleared with :func:`reset`.  The default
+  is all off, so instrumented code pays a single attribute read when
+  telemetry is disabled;
 * :mod:`repro.obs.spans` — the :class:`Span` tree node: one timed
   operation, with attributes and nested children;
 * :mod:`repro.obs.tracer` — the :class:`Tracer` collecting span trees,
-  plus the injectable process-global current tracer (a no-op
-  :data:`NULL_TRACER` by default, so instrumented code pays a single
-  attribute check when tracing is off);
+  and its no-op twin :data:`NULL_TRACER`;
 * :mod:`repro.obs.metrics` — the :class:`MetricsRegistry` of counters,
   gauges and histograms (``evaluate.calls``, ``recovery.plan_ms``,
-  ``optimizer.designs_pruned``, ``sim.events_processed``, ...), also
-  no-op by default;
+  ``optimizer.designs_pruned``, ``sim.events_processed``, ...), and
+  its no-op twin :data:`NULL_METRICS`;
 * :mod:`repro.obs.provenance` — the :class:`EvaluationProvenance`
   record attached to every :class:`~repro.core.results.Assessment`:
   which recovery source was chosen, why planning failed, which penalty
@@ -24,30 +29,28 @@ Zero-dependency instrumentation for the evaluation pipeline:
   OpenMetrics/Prometheus text exposition of a metrics registry;
 * :mod:`repro.obs.context` — cross-process trace propagation: the
   :class:`TraceContext` shipped with each dispatched task chunk, the
-  worker-side :class:`TelemetryCapture`, and the
-  :class:`TelemetryCapsule` of spans/metric-deltas merged back into
-  the parent (:func:`merge_capsule`);
+  worker-side capture it builds, and the :class:`TelemetryCapsule` of
+  spans/metric-deltas merged back into the parent
+  (:func:`merge_capsule`);
 * :mod:`repro.obs.progress` — the live sweep progress reporter
-  (throttled stderr one-liner + machine heartbeats), injectable like
-  the tracer (:func:`get_progress` / :func:`set_progress`);
+  (throttled stderr one-liner + machine heartbeats) and its no-op twin
+  :data:`NULL_PROGRESS`;
 * :mod:`repro.obs.ledger` — the per-run artifact directory
   (``manifest.json``, ``spans.jsonl``, ``metrics.prom``,
-  ``progress.jsonl``) behind the CLI's ``--run-dir``;
-* :mod:`repro.obs.http` — the ``/metrics`` / ``/healthz`` /
-  ``/progress`` HTTP endpoint behind ``--serve-metrics``.
+  ``progress.jsonl``) behind the CLI's ``--run-dir``.
 
-Enable everything for one block of code::
+Enable tracing and metrics for one block of code::
 
     from repro import obs
 
-    with obs.use_tracer(obs.Tracer()) as tracer, \\
-         obs.use_metrics(obs.MetricsRegistry()) as registry:
+    telemetry = obs.Telemetry(tracer=obs.Tracer(), metrics=obs.MetricsRegistry())
+    with obs.use(telemetry):
         assessment = repro.evaluate(design, workload, scenario, reqs)
     print(assessment.provenance.describe())
 """
 
 from .spans import Span
-from .tracer import NULL_TRACER, NullTracer, Tracer, get_tracer, set_tracer, use_tracer
+from .tracer import NULL_TRACER, NullTracer, Tracer
 from .metrics import (
     NULL_METRICS,
     Counter,
@@ -55,9 +58,6 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
     NullMetricsRegistry,
-    get_metrics,
-    set_metrics,
-    use_metrics,
 )
 from .provenance import EvaluationProvenance, explain_assessment
 from .profile import (
@@ -76,38 +76,18 @@ from .export import (
     write_openmetrics,
     write_trace_jsonl,
 )
-from .context import (
-    TelemetryCapsule,
-    TelemetryCapture,
-    TraceContext,
-    current_context,
-    get_run_id,
-    merge_capsule,
+from .progress import NULL_PROGRESS, NullProgress, ProgressReporter
+from .telemetry import Telemetry, current, get_metrics, get_tracer, reset, use
+from .context import TelemetryCapsule, TraceContext, current_context, merge_capsule
+from .ledger import (
+    MANIFEST_SCHEMA,
+    ManifestError,
+    RunLedger,
     new_run_id,
-    set_run_id,
+    read_manifest,
+    span_rollup,
 )
-from .progress import (
-    NULL_PROGRESS,
-    NullProgress,
-    ProgressReporter,
-    get_progress,
-    set_progress,
-    use_progress,
-)
-from .ledger import MANIFEST_SCHEMA, ManifestError, RunLedger, read_manifest, span_rollup
-from .http import TelemetryServer, active_server
-from .runs import (
-    NULL_TASK_LOG,
-    NullTaskLog,
-    RunLookupError,
-    RunRecord,
-    RunStore,
-    TaskLog,
-    get_task_log,
-    resolve_run,
-    set_task_log,
-    use_task_log,
-)
+from .runs import RunLookupError, RunRecord, RunStore, TaskLog, resolve_run
 from .diff import (
     Attribution,
     MetricDelta,
@@ -118,33 +98,23 @@ from .diff import (
 )
 
 
-def reset() -> None:
-    """Restore the no-op defaults: tracer, metrics, progress, run ID,
-    task log."""
-    set_tracer(None)
-    set_metrics(None)
-    set_progress(None)
-    set_run_id(None)
-    set_task_log(None)
-
-
 __all__ = [
+    "Telemetry",
+    "current",
+    "use",
+    "reset",
+    "get_tracer",
+    "get_metrics",
     "Span",
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
-    "get_tracer",
-    "set_tracer",
-    "use_tracer",
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NullMetricsRegistry",
     "NULL_METRICS",
-    "get_metrics",
-    "set_metrics",
-    "use_metrics",
     "EvaluationProvenance",
     "explain_assessment",
     "Profile",
@@ -160,32 +130,19 @@ __all__ = [
     "openmetrics_text",
     "write_openmetrics",
     "TraceContext",
-    "TelemetryCapture",
     "TelemetryCapsule",
     "current_context",
     "merge_capsule",
     "new_run_id",
-    "get_run_id",
-    "set_run_id",
     "NullProgress",
     "NULL_PROGRESS",
     "ProgressReporter",
-    "get_progress",
-    "set_progress",
-    "use_progress",
     "MANIFEST_SCHEMA",
     "ManifestError",
     "RunLedger",
     "read_manifest",
     "span_rollup",
-    "TelemetryServer",
-    "active_server",
-    "NullTaskLog",
-    "NULL_TASK_LOG",
     "TaskLog",
-    "get_task_log",
-    "set_task_log",
-    "use_task_log",
     "RunLookupError",
     "RunRecord",
     "RunStore",
@@ -196,5 +153,4 @@ __all__ = [
     "SpanDelta",
     "TaskDrift",
     "diff_runs",
-    "reset",
 ]

@@ -42,10 +42,10 @@ import json
 import os
 import sys
 import time
+import uuid
 from typing import Any, Dict, List, Optional, Union
 
 from ..exceptions import ReproError
-from .context import new_run_id
 from .export import write_openmetrics, write_trace_jsonl
 from .metrics import MetricsRegistry
 from .profile import PathNode, build_profile
@@ -62,6 +62,12 @@ class ManifestError(ReproError, ValueError):
     :class:`~repro.obs.runs.RunStore`) can skip-and-count a corrupt run
     directory instead of dying on a bare ``JSONDecodeError``.
     """
+
+
+def new_run_id() -> str:
+    """A fresh, sortable, collision-resistant run identifier."""
+    stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
+    return f"{stamp}-{os.getpid():x}-{uuid.uuid4().hex[:8]}"
 
 
 def _utc_stamp(wall_seconds: float) -> str:

@@ -4,7 +4,8 @@ Instruments are created on first use and keyed by dotted names
 (``evaluate.calls``, ``recovery.plan_ms``, ``sim.events_processed``).
 The process default, :data:`NULL_METRICS`, discards every emission, so
 instrumented code costs a no-op method call when metrics are off;
-callers opt in with :func:`set_metrics` / :func:`use_metrics`.
+callers opt in by installing a registry in the telemetry context
+(:mod:`repro.obs.telemetry`).
 
 :class:`Histogram` keeps fixed log-spaced buckets alongside the exact
 count/total/min/max, so p50/p90/p99 are estimable from any snapshot
@@ -22,9 +23,8 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 
 @dataclass
@@ -344,31 +344,3 @@ class NullMetricsRegistry(MetricsRegistry):
 
 #: The process-wide default: metrics disabled.
 NULL_METRICS = NullMetricsRegistry()
-
-_CURRENT: MetricsRegistry = NULL_METRICS
-
-
-def get_metrics() -> MetricsRegistry:
-    """The current process-global registry (no-op unless installed)."""
-    return _CURRENT
-
-
-def set_metrics(registry: "Optional[MetricsRegistry]") -> MetricsRegistry:
-    """Install ``registry`` globally (``None`` restores the no-op default).
-
-    Returns the installed registry for convenience.
-    """
-    global _CURRENT
-    _CURRENT = NULL_METRICS if registry is None else registry
-    return _CURRENT
-
-
-@contextmanager
-def use_metrics(registry: "Optional[MetricsRegistry]") -> "Iterator[MetricsRegistry]":
-    """Install a registry for the duration of a ``with`` block."""
-    previous = _CURRENT
-    installed = set_metrics(registry)
-    try:
-        yield installed
-    finally:
-        set_metrics(None if previous is NULL_METRICS else previous)

@@ -1,9 +1,8 @@
 """Live sweep progress: throttled stderr lines + machine heartbeats.
 
-The engine reports sweep progress through the same injectable-global
-idiom as the tracer and metrics registry: instrumented code calls
-:func:`get_progress` (a no-op :data:`NULL_PROGRESS` by default) and
-callers opt in with :func:`set_progress` / :func:`use_progress`.
+The engine reports sweep progress through the reporter installed in
+the telemetry context (:mod:`repro.obs.telemetry`; a no-op
+:data:`NULL_PROGRESS` by default).
 
 A :class:`ProgressReporter` tracks one sweep at a time (``begin`` /
 ``advance`` / ``finish``) and emits two kinds of output, both
@@ -15,16 +14,14 @@ first and last emission of a sweep are never suppressed):
   done/total, cache hits, failures, throughput and an ETA from a
   rolling window;
 * a JSON heartbeat appended to the run ledger's ``progress.jsonl``
-  (when a ledger is attached) and kept on ``latest`` for the HTTP
-  ``/progress`` endpoint.
+  (when a ledger is attached) and kept on ``latest``.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from contextlib import contextmanager
-from typing import IO, Any, Callable, Deque, Dict, Iterator, Optional, Tuple
+from typing import IO, Any, Callable, Deque, Dict, Optional, Tuple
 
 
 class NullProgress:
@@ -203,32 +200,3 @@ class ProgressReporter:
             self.stream.write(line + "\n")
         self.stream.flush()
 
-
-_CURRENT: "NullProgress | ProgressReporter" = NULL_PROGRESS
-
-
-def get_progress() -> "NullProgress | ProgressReporter":
-    """The current process-global progress sink (no-op by default)."""
-    return _CURRENT
-
-
-def set_progress(
-    reporter: "Optional[ProgressReporter]",
-) -> "NullProgress | ProgressReporter":
-    """Install ``reporter`` globally (``None`` restores the no-op default)."""
-    global _CURRENT
-    _CURRENT = NULL_PROGRESS if reporter is None else reporter
-    return _CURRENT
-
-
-@contextmanager
-def use_progress(
-    reporter: "Optional[ProgressReporter]",
-) -> "Iterator[NullProgress | ProgressReporter]":
-    """Install a reporter for the duration of a ``with`` block."""
-    previous = _CURRENT
-    installed = set_progress(reporter)
-    try:
-        yield installed
-    finally:
-        set_progress(previous if isinstance(previous, ProgressReporter) else None)

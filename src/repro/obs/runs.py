@@ -16,10 +16,9 @@ span rollup, ``metrics.prom`` for counters — so ``repro runs
 list``/``show``/``diff`` work on every ledger ever written.
 
 :class:`TaskLog` is the bridge from the evaluation engine: installed
-process-globally (same injectable idiom as the tracer and progress
-reporter), it collects one record per sweep task — name, content-
-addressed task key, result digest, cache disposition — which the CLI
-hands to :meth:`RunLedger.finish` for the manifest's ``tasks`` field.
+in the telemetry context (:mod:`repro.obs.telemetry`), it collects one
+record per sweep task — name, content-addressed task key, result
+digest, cache disposition — which the CLI hands to :meth:`RunLedger.finish` for the manifest's ``tasks`` field.
 Task keys join two runs' work items; result digests then separate
 *correctness drift* (same key, different digest) from mere performance
 drift (:mod:`repro.obs.diff`).
@@ -29,8 +28,7 @@ from __future__ import annotations
 
 import os
 import shutil
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..exceptions import ReproError
 from .export import read_trace_jsonl
@@ -46,24 +44,6 @@ class RunLookupError(ReproError, LookupError):
 # ---------------------------------------------------------------------------
 
 
-class NullTaskLog:
-    """The disabled task log: every record is discarded."""
-
-    enabled = False
-
-    def record(self, **fields: Any) -> None:
-        """Ignore one task record."""
-
-    @property
-    def records(self) -> "List[Dict[str, Any]]":
-        """Always empty."""
-        return []
-
-
-#: The process-wide default: task logging disabled.
-NULL_TASK_LOG = NullTaskLog()
-
-
 class TaskLog:
     """Collects the engine's per-task records for the run manifest.
 
@@ -75,11 +55,9 @@ class TaskLog:
     ``key`` is the engine's content-addressed task key (None when the
     task is unkeyable), ``digest`` the content digest of the result
     (None on failure or for undigestable result types).  The engine
-    records through the process-global instance (:func:`get_task_log`),
-    the CLI drains :attr:`records` into the ledger manifest.
+    records through the instance in the telemetry context; the CLI
+    drains :attr:`records` into the ledger manifest.
     """
-
-    enabled = True
 
     def __init__(self) -> None:
         self._records: "List[Dict[str, Any]]" = []
@@ -92,34 +70,6 @@ class TaskLog:
     def records(self) -> "List[Dict[str, Any]]":
         """The collected records, in recording order."""
         return list(self._records)
-
-
-_CURRENT_TASK_LOG: "Union[NullTaskLog, TaskLog]" = NULL_TASK_LOG
-
-
-def get_task_log() -> "Union[NullTaskLog, TaskLog]":
-    """The current process-global task log (no-op unless installed)."""
-    return _CURRENT_TASK_LOG
-
-
-def set_task_log(log: Optional[TaskLog]) -> "Union[NullTaskLog, TaskLog]":
-    """Install ``log`` globally (``None`` restores the no-op default)."""
-    global _CURRENT_TASK_LOG
-    _CURRENT_TASK_LOG = NULL_TASK_LOG if log is None else log
-    return _CURRENT_TASK_LOG
-
-
-@contextmanager
-def use_task_log(
-    log: Optional[TaskLog],
-) -> "Iterator[Union[NullTaskLog, TaskLog]]":
-    """Install a task log for the duration of a ``with`` block."""
-    previous = _CURRENT_TASK_LOG
-    installed = set_task_log(log)
-    try:
-        yield installed
-    finally:
-        set_task_log(previous if isinstance(previous, TaskLog) else None)
 
 
 # ---------------------------------------------------------------------------

@@ -9,21 +9,14 @@ Two tracers exist:
   context manager whose enter/exit are empty, so instrumented code pays
   essentially a single attribute check when tracing is disabled.
 
-Instrumented code never constructs tracers; it fetches the current one::
-
-    tracer = get_tracer()
-    with tracer.span("recovery.plan", scenario=label) as span:
-        ...
-        span.set(steps=len(steps))
-
-and callers opt in by installing a real tracer with :func:`set_tracer`
-or the :func:`use_tracer` context manager.
+Instrumented code never constructs tracers; it fetches the current
+one from the telemetry context (:func:`repro.obs.telemetry.get_tracer`),
+and callers opt in by installing a real tracer there.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
 from .spans import Span, unpack_span
@@ -190,31 +183,3 @@ class Tracer:
         self._stack.clear()
         self._pending.clear()
 
-
-_CURRENT: "NullTracer | Tracer" = NULL_TRACER
-
-
-def get_tracer() -> "NullTracer | Tracer":
-    """The current process-global tracer (no-op unless installed)."""
-    return _CURRENT
-
-
-def set_tracer(tracer: "Optional[Tracer]") -> "NullTracer | Tracer":
-    """Install ``tracer`` globally (``None`` restores the no-op default).
-
-    Returns the installed tracer for convenience.
-    """
-    global _CURRENT
-    _CURRENT = NULL_TRACER if tracer is None else tracer
-    return _CURRENT
-
-
-@contextmanager
-def use_tracer(tracer: "Optional[Tracer]") -> "Iterator[NullTracer | Tracer]":
-    """Install a tracer for the duration of a ``with`` block."""
-    previous = _CURRENT
-    installed = set_tracer(tracer)
-    try:
-        yield installed
-    finally:
-        set_tracer(previous if isinstance(previous, Tracer) else None)

@@ -1,8 +1,8 @@
 """Shared test fixtures.
 
-The observability globals (current tracer / metrics registry) are
-process state; resetting them around every test keeps cases that
-install a tracer or registry from leaking spans or counts into their
+The telemetry context (current tracer, metrics, progress and task log)
+is process state; resetting it around every test keeps cases that
+install instruments from leaking spans or counts into their
 neighbours.
 """
 

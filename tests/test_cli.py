@@ -311,14 +311,6 @@ class TestTelemetryFlags:
         }
         assert pids and os.getpid() not in pids
 
-    def test_serve_metrics_announces_port_and_stops(self, capsys):
-        from repro import obs
-
-        assert main(["optimize", "--serve-metrics", "0"]) == 0
-        err = capsys.readouterr().err
-        assert "serving telemetry on http://127.0.0.1:" in err
-        assert obs.active_server() is None
-
     def test_progress_goes_to_stderr(self, capsys):
         assert main(["optimize", "--progress"]) == 0
         captured = capsys.readouterr()
@@ -340,15 +332,12 @@ class TestTelemetryFlags:
                     "--progress",
                     "--run-dir",
                     str(run_dir),
-                    "--serve-metrics",
-                    "0",
                 ]
             )
             == 0
         )
         captured = capsys.readouterr()
         assert captured.out == plain
-        assert "serving telemetry" in captured.err
         assert "[optimize]" in captured.err
 
     def test_telemetry_flags_leave_globals_clean(self, tmp_path, capsys):
@@ -356,9 +345,29 @@ class TestTelemetryFlags:
 
         run_dir = tmp_path / "out"
         assert main(["optimize", "--run-dir", str(run_dir), "--progress"]) == 0
-        assert obs.get_tracer().enabled is False
-        assert obs.get_metrics().enabled is False
-        assert obs.get_progress().enabled is False
+        assert obs.current() == obs.Telemetry()
+
+    # The two early exits below are asserted inside the test: the
+    # conftest's autouse obs.reset() would hide a leak between tests.
+
+    def test_baseline_without_run_dir_installs_nothing(self, capsys):
+        from repro import obs
+
+        assert main(["case-study", "--trace", "--baseline", "x"]) == 2
+        assert "error: --baseline requires --run-dir" in capsys.readouterr().err
+        assert obs.current() == obs.Telemetry()
+
+    def test_unwritable_run_dir_is_a_clean_error(self, tmp_path, capsys):
+        from repro import obs
+
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["optimize", "--run-dir", str(blocker / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write run ledger: ")
+        assert "Traceback" not in err
+        assert obs.current() == obs.Telemetry()
 
 
 class TestRiskCommand:

@@ -362,7 +362,8 @@ class TestMetrics:
 
         path = tmp_path / "m.py"
         path.write_text("x = 1\n")
-        with obs.use_metrics(obs.MetricsRegistry()) as registry:
+        registry = obs.MetricsRegistry()
+        with obs.use(obs.Telemetry(metrics=registry)):
             lint_paths(load_paths([str(path)]))
             counters = registry.snapshot()["counters"]
         assert counters.get("lint.dimcheck.files") == 1
@@ -370,7 +371,8 @@ class TestMetrics:
     def test_diagnostic_severity_counters(self):
         from repro import obs
 
-        with obs.use_metrics(obs.MetricsRegistry()) as registry:
+        registry = obs.MetricsRegistry()
+        with obs.use(obs.Telemetry(metrics=registry)):
             check("x = 4 * GB + 2 * HOUR\n")
             counters = registry.snapshot()["counters"]
         assert counters.get("lint.diagnostics.error") == 1

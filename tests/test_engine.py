@@ -1,7 +1,9 @@
 """The evaluation engine: keys, cache tiers, executor, sweeps."""
 
 import json
+import os
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import pytest
@@ -29,7 +31,7 @@ from repro.devices.catalog import (
 from repro.engine.cache import DiskCache
 from repro.engine.sweep import evaluate_design_map, evaluate_scenarios_cached
 from repro.exceptions import CacheKeyError, ReproError
-from repro.obs import MetricsRegistry, use_metrics
+from repro.obs import MetricsRegistry, TaskLog, Telemetry, use
 from repro.techniques import Backup, PrimaryCopy
 from repro.workload.presets import cello, oltp_database, web_server
 
@@ -155,6 +157,32 @@ class TestDiskCache:
         disk = DiskCache(tmp_path)
         assert disk.get("k") is None
 
+    def test_torn_lines_are_counted_misses(
+        self, tmp_path, workload, scenarios, requirements
+    ):
+        results = self._results(workload, scenarios, requirements)
+        writer = ResultCache(cache_dir=tmp_path)
+        for key in ("healthy", "torn-1", "torn-2"):
+            writer.put(key, results)
+        path = tmp_path / DiskCache.FILENAME
+        healthy, torn_1, torn_2 = path.read_text(encoding="utf-8").splitlines()
+        # Writers killed mid-record leave the front part of their lines.
+        path.write_text(
+            "\n".join([torn_1[: len(torn_1) // 2], healthy, torn_2[:40]]) + "\n",
+            encoding="utf-8",
+        )
+        registry = MetricsRegistry()
+        with use(Telemetry(metrics=registry)):
+            reader = ResultCache(cache_dir=tmp_path)
+            assert reader.get("torn-1") == (False, None)
+            assert reader.get("torn-2") == (False, None)
+            hit, value = reader.get("healthy")
+        assert hit and list(value) == list(results)
+        counters = registry.snapshot()["counters"]
+        assert counters["engine.cache.corrupt_records"] == 2
+        assert counters["engine.cache.misses"] == 2
+        assert counters["engine.cache.disk_hits"] == 1
+
     def test_unknown_codec_is_a_miss(self, tmp_path):
         path = tmp_path / DiskCache.FILENAME
         path.write_text(
@@ -265,6 +293,26 @@ class _ModelErrorTask:
         raise ReproError("infeasible candidate")
 
 
+@dataclass(frozen=True)
+class _DyingTask:
+    """Kills the worker process running it; completes when run in the
+    parent, as an inline retry does (module-level: picklable)."""
+
+    name: str
+    parent_pid: int
+
+    def resolve(self):
+        return self
+
+    def key_payload(self):
+        return {"kind": "dying", "name": self.name}
+
+    def run(self):
+        if os.getpid() != self.parent_pid:
+            os._exit(70)
+        return "survived"
+
+
 class TestExecutor:
     def test_serial_default_runs_inline(self, workload, scenarios, requirements):
         task = EvaluationTask(
@@ -326,6 +374,36 @@ class TestExecutor:
         )
         assert outcome2.ok and outcome2.value == "recovered"
 
+    def _run_dying(self, retries):
+        """Three worker-killing tasks in one pool chunk, under a
+        registry and a task log."""
+        tasks = [_DyingTask(f"die-{n}", os.getpid()) for n in range(3)]
+        registry, log = MetricsRegistry(), TaskLog()
+        config = EngineConfig(
+            workers=2, chunk_size=len(tasks), retries=retries, retry_backoff=0.001
+        )
+        with use(Telemetry(metrics=registry, task_log=log)):
+            outcomes = map_evaluations(tasks, config)
+        return tasks, outcomes, registry.snapshot()["counters"], log.records
+
+    def test_killed_worker_fails_its_chunk_by_name(self):
+        tasks, outcomes, counters, records = self._run_dying(retries=0)
+        assert all(isinstance(o.error, BrokenProcessPool) for o in outcomes)
+        assert counters["engine.tasks_failed.BrokenProcessPool"] == len(tasks)
+        assert [r["task"] for r in records] == [task.name for task in tasks]
+        assert len({r["key"] for r in records}) == len(tasks)
+        for record in records:
+            assert len(record["key"]) == 64
+            assert record["error_type"] == "BrokenProcessPool"
+            assert not record["ok"]
+
+    def test_killed_worker_recovers_on_one_retry(self):
+        tasks, outcomes, counters, records = self._run_dying(retries=1)
+        assert all(o.ok and o.value == "survived" for o in outcomes)
+        assert counters["engine.retries"] == len(tasks)
+        assert "engine.tasks_failed" not in counters
+        assert all(r["ok"] and r["attempts"] == 2 for r in records)
+
     def test_timeout_surfaces_without_hanging(self):
         start = time.monotonic()
         (outcome,) = map_evaluations(
@@ -357,7 +435,7 @@ class TestCaching:
         config = EngineConfig(memory_cache_entries=64)
         cache = ResultCache(memory_entries=64)
         registry = MetricsRegistry()
-        with use_metrics(registry):
+        with use(Telemetry(metrics=registry)):
             first = evaluate_design_map(
                 designs, workload, scenarios, requirements,
                 config=config, cache=cache,

@@ -25,7 +25,7 @@ from repro.lint.diagnostics import Severity
 from repro.lint.loader import load_paths, load_source
 from repro.lint.output import diagnostics_from_sarif, render_sarif
 from repro.lint.exncheck import ALLOW_EXN_PRAGMA, EXN_RULES, lint_paths
-from repro.obs import MetricsRegistry, use_metrics
+from repro.obs import MetricsRegistry, Telemetry, use
 
 #: Every corpus file opens with the framework's error-contract shape:
 #: a ReproError root and a small hierarchy beneath it, mirroring
@@ -556,7 +556,7 @@ class TestTreeAndCli:
             "        return None\n"
         )
         registry = MetricsRegistry()
-        with use_metrics(registry):
+        with use(Telemetry(metrics=registry)):
             findings = lint_paths(load_paths([str(dirty)]))
         assert findings
         counters = registry.snapshot()["counters"]

@@ -21,6 +21,9 @@ from repro.techniques.mirroring import BatchedAsyncMirror
 from repro.techniques.primary import PrimaryCopy
 from repro.workload.presets import cello
 
+#: Telemetry contexts deliberately left entered (see the reset test).
+_LEAKED = []
+
 
 class FakeClock:
     """A deterministic clock advanced explicitly by tests."""
@@ -121,8 +124,8 @@ class TestTracerInjection:
 
     def test_use_tracer_installs_and_restores(self):
         tracer = obs.Tracer()
-        with obs.use_tracer(tracer) as installed:
-            assert installed is tracer
+        with obs.use(obs.Telemetry(tracer=tracer)) as installed:
+            assert installed.tracer is tracer
             assert obs.get_tracer() is tracer
             with obs.get_tracer().span("traced"):
                 pass
@@ -181,7 +184,13 @@ class TestMetricsRegistry:
 
     def test_global_registry_is_reset_between_tests_a(self):
         # Paired with ..._b: whichever runs second sees a fresh registry.
-        registry = obs.set_metrics(obs.MetricsRegistry())
+        # The context is entered and never exited, so only the
+        # conftest's obs.reset() can clear it; the module-level list
+        # keeps the context manager alive so nothing else restores it.
+        registry = obs.MetricsRegistry()
+        leak = obs.use(obs.Telemetry(metrics=registry))
+        _LEAKED.append(leak)
+        leak.__enter__()
         registry.inc("leak-check")
         assert obs.get_metrics().counter("leak-check").value == 1
 
@@ -355,13 +364,14 @@ class TestProvenance:
         assert provenance.recovery_size is not None
 
     def test_recovery_failure_recorded_not_swallowed(self):
-        registry = obs.set_metrics(obs.MetricsRegistry())
-        assessment = evaluate(
-            _unprovisionable_design(),
-            cello(),
-            repro.FailureScenario.array_failure("primary-array"),
-            casestudy.case_study_requirements(),
-        )
+        registry = obs.MetricsRegistry()
+        with obs.use(obs.Telemetry(metrics=registry)):
+            assessment = evaluate(
+                _unprovisionable_design(),
+                cello(),
+                repro.FailureScenario.array_failure("primary-array"),
+                casestudy.case_study_requirements(),
+            )
         assert assessment.recovery is None
         assert assessment.recovery_time == float("inf")
         provenance = assessment.provenance
@@ -372,7 +382,7 @@ class TestProvenance:
 
     def test_phase_timings_only_when_tracing(self):
         assert self.evaluate_baseline().provenance.phase_ms == {}
-        with obs.use_tracer(obs.Tracer()):
+        with obs.use(obs.Telemetry(tracer=obs.Tracer())):
             provenance = self.evaluate_baseline().provenance
         assert set(provenance.phase_ms) == {
             "validate", "demands", "utilization", "dataloss", "recovery", "cost",
@@ -395,7 +405,8 @@ class TestProvenance:
 
 class TestTracedEvaluation:
     def test_span_tree_shape(self):
-        with obs.use_tracer(obs.Tracer()) as tracer:
+        tracer = obs.Tracer()
+        with obs.use(obs.Telemetry(tracer=tracer)):
             evaluate(
                 casestudy.baseline_design(),
                 cello(),
@@ -412,13 +423,14 @@ class TestTracedEvaluation:
         assert all(span.finished for span, _d in tracer.walk())
 
     def test_metrics_emitted(self):
-        registry = obs.set_metrics(obs.MetricsRegistry())
-        evaluate_scenarios(
-            casestudy.baseline_design(),
-            cello(),
-            casestudy.case_study_scenarios(),
-            casestudy.case_study_requirements(),
-        )
+        registry = obs.MetricsRegistry()
+        with obs.use(obs.Telemetry(metrics=registry)):
+            evaluate_scenarios(
+                casestudy.baseline_design(),
+                cello(),
+                casestudy.case_study_scenarios(),
+                casestudy.case_study_requirements(),
+            )
         assert registry.counter("evaluate.calls").value == 1
         assert registry.counter("evaluate.scenarios").value == 3
         assert registry.counter("recovery.plans").value == 3

@@ -1,4 +1,4 @@
-"""The cross-process telemetry fabric: capsules, ledger, progress, HTTP.
+"""The cross-process telemetry fabric: capsules, ledger, progress.
 
 Covers the observability additions end to end:
 
@@ -9,14 +9,12 @@ Covers the observability additions end to end:
   parallel runs of the same sweep;
 * the run ledger's artifact round-trips (:mod:`repro.obs.ledger`);
 * the progress reporter's throttling, ETA and heartbeats
-  (:mod:`repro.obs.progress`);
-* the live HTTP endpoint (:mod:`repro.obs.http`).
+  (:mod:`repro.obs.progress`).
 """
 
 import io
 import json
 import pickle
-import urllib.request
 
 import pytest
 
@@ -28,8 +26,8 @@ from repro.obs import (
     MetricsRegistry,
     ProgressReporter,
     RunLedger,
-    TelemetryCapture,
-    TelemetryServer,
+    Telemetry,
+    TelemetryCapsule,
     TraceContext,
     Tracer,
     merge_capsule,
@@ -37,8 +35,7 @@ from repro.obs import (
     read_trace_jsonl,
     skeleton_digest,
     span_skeleton,
-    use_metrics,
-    use_tracer,
+    use,
 )
 from repro.workload.presets import cello
 
@@ -50,18 +47,15 @@ def _no_leftover_pool():
 
 
 def _capture_chunk(ctx, work):
-    """Run ``work()`` under a fresh capture scope; return the capsule."""
-    capture = TelemetryCapture(ctx)
-    try:
+    """Run ``work()`` as a worker runs a chunk; return the capsule."""
+    with use(ctx.capture()) as telemetry:
         work()
-    finally:
-        capsule = capture.finish()
-    return capsule
+    return TelemetryCapsule.pack(telemetry, ctx.base)
 
 
 class TestCapsules:
     def test_capsule_round_trips_through_pickle(self):
-        ctx = TraceContext(run_id="r1", trace=True, metrics=True)
+        ctx = TraceContext(trace=True, metrics=True)
 
         def work():
             with obs.get_tracer().span("w.task", task="t0"):
@@ -69,24 +63,28 @@ class TestCapsules:
 
         capsule = _capture_chunk(ctx, work)
         clone = pickle.loads(pickle.dumps(capsule))
-        assert clone.run_id == "r1"
         assert [s.name for s in clone.spans] == ["w.task"]
         assert clone.metrics["counters"]["w.calls"] == 1.0
 
     def test_capture_restores_previous_instruments(self):
-        before_tracer = obs.get_tracer()
-        before_metrics = obs.get_metrics()
-        ctx = TraceContext(run_id="r1", trace=True, metrics=True)
-        capture = TelemetryCapture(ctx)
-        assert obs.get_tracer() is not before_tracer
-        capture.finish()
-        assert obs.get_tracer() is before_tracer
-        assert obs.get_metrics() is before_metrics
+        """``use`` restores the previous telemetry value exactly, on a
+        normal exit and when the block raises."""
+        outer = Telemetry(tracer=Tracer(), metrics=MetricsRegistry())
+        with use(outer):
+            with use(TraceContext(trace=True, metrics=True).capture()) as inner:
+                assert obs.current() is inner
+                assert obs.get_tracer() is not outer.tracer
+            assert obs.current() is outer
+            with pytest.raises(RuntimeError):
+                with use(Telemetry()):
+                    raise RuntimeError("chunk failed")
+            assert obs.current() is outer
+        assert obs.current() == Telemetry()
 
     def test_counter_deltas_from_workers_sum(self):
         """N capsules each reporting a delta of k land as N*k."""
         parent = MetricsRegistry()
-        ctx = TraceContext(run_id="r1", metrics=True)
+        ctx = TraceContext(metrics=True)
         for _ in range(3):
             capsule = _capture_chunk(
                 ctx, lambda: obs.get_metrics().inc("engine.sub", 2)
@@ -105,7 +103,7 @@ class TestCapsules:
             serial.observe("lat", value)
 
         parent = MetricsRegistry()
-        ctx = TraceContext(run_id="r1", metrics=True)
+        ctx = TraceContext(metrics=True)
         for shard in (samples[0::3], samples[1::3], samples[2::3]):
             capsule = _capture_chunk(
                 ctx,
@@ -123,7 +121,7 @@ class TestCapsules:
 
     def test_merge_tags_roots_with_worker_pid_and_rebases(self):
         tracer = Tracer(clock=lambda: 0.0)
-        ctx = TraceContext(run_id="r1", trace=True, base=5.0)
+        ctx = TraceContext(trace=True, base=5.0)
 
         def work():
             with obs.get_tracer().span("w.task"):
@@ -138,7 +136,7 @@ class TestCapsules:
 
     def test_disabled_context_is_none(self):
         assert obs.current_context() is None
-        with use_tracer(Tracer()):
+        with use(Telemetry(tracer=Tracer())):
             ctx = obs.current_context()
             assert ctx is not None and ctx.trace and not ctx.metrics
 
@@ -157,7 +155,7 @@ class _SweepFixture:
     def run(self, workers):
         tracer = Tracer()
         registry = MetricsRegistry()
-        with use_tracer(tracer), use_metrics(registry):
+        with use(Telemetry(tracer=tracer, metrics=registry)):
             if workers > 1:
                 warm_pool(workers)
             outcomes = evaluate_design_map(
@@ -214,7 +212,7 @@ class TestRunLedger:
     def test_round_trip(self, tmp_path):
         tracer = Tracer()
         registry = MetricsRegistry()
-        with use_tracer(tracer), use_metrics(registry):
+        with use(Telemetry(tracer=tracer, metrics=registry)):
             with tracer.span("work"):
                 registry.inc("calls")
         ledger = RunLedger(tmp_path / "run", argv=["evaluate", "spec.json"])
@@ -329,67 +327,10 @@ class TestProgressReporter:
 
     def test_use_progress_installs_and_restores(self):
         reporter, _ = self._reporter()
-        assert obs.get_progress() is obs.NULL_PROGRESS
-        with obs.use_progress(reporter):
-            assert obs.get_progress() is reporter
-        assert obs.get_progress() is obs.NULL_PROGRESS
-
-
-def _get(url):
-    with urllib.request.urlopen(url, timeout=5) as response:
-        return response.status, response.headers, response.read()
-
-
-class TestTelemetryServer:
-    def test_endpoints(self):
-        registry = MetricsRegistry()
-        registry.inc("engine.tasks", 4)
-        reporter = ProgressReporter()
-        reporter.begin(4, label="sweep")
-        obs.set_run_id("test-run-1")
-        with TelemetryServer(0, registry=registry, progress=reporter) as server:
-            status, headers, body = _get(server.url + "/metrics")
-            assert status == 200
-            assert headers["Content-Type"].startswith(
-                "application/openmetrics-text"
-            )
-            assert b"engine_tasks_total 4" in body
-            assert body.endswith(b"# EOF\n")
-
-            status, _, body = _get(server.url + "/healthz")
-            payload = json.loads(body)
-            assert status == 200
-            assert payload == {"status": "ok", "run_id": "test-run-1"}
-
-            status, _, body = _get(server.url + "/progress")
-            progress = json.loads(body)
-            assert status == 200
-            assert progress["total"] == 4 and progress["label"] == "sweep"
-
-    def test_unknown_path_404(self):
-        with TelemetryServer(0, registry=MetricsRegistry()) as server:
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                _get(server.url + "/nope")
-            assert excinfo.value.code == 404
-
-    def test_active_server_registration(self):
-        assert obs.active_server() is None
-        server = TelemetryServer(0, registry=MetricsRegistry())
-        server.start()
-        try:
-            assert obs.active_server() is server
-        finally:
-            server.stop()
-        assert obs.active_server() is None
-
-    def test_serves_live_state_not_snapshot(self):
-        registry = MetricsRegistry()
-        with TelemetryServer(0, registry=registry) as server:
-            _, _, before = _get(server.url + "/metrics")
-            assert b"engine_tasks_total" not in before
-            registry.inc("engine.tasks")
-            _, _, after = _get(server.url + "/metrics")
-            assert b"engine_tasks_total 1" in after
+        assert obs.current().progress is obs.NULL_PROGRESS
+        with use(Telemetry(progress=reporter)):
+            assert obs.current().progress is reporter
+        assert obs.current().progress is obs.NULL_PROGRESS
 
 
 class TestFailureDiagnosis:
@@ -420,7 +361,7 @@ class TestFailureDiagnosis:
         ]
         tracer = Tracer()
         registry = MetricsRegistry()
-        with use_tracer(tracer), use_metrics(registry):
+        with use(Telemetry(tracer=tracer, metrics=registry)):
             outcomes = map_evaluations(tasks)
         assert outcomes[0].error is not None and outcomes[1].ok
         counters = registry.snapshot()["counters"]

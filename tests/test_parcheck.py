@@ -23,7 +23,7 @@ from repro.lint.parcheck import (
     PAR_RULES,
     lint_paths,
 )
-from repro.obs import MetricsRegistry, use_metrics
+from repro.obs import MetricsRegistry, Telemetry, use
 
 PREAMBLE = (
     "import json\n"
@@ -213,9 +213,9 @@ CORPUS = [
         "PAR004",
     ),
     (
-        # The real defect parcheck caught in the shipped tree:
-        # obs.http.active_server() read _ACTIVE without _ACTIVE_LOCK
-        # while start()/stop() write it under the lock.
+        # The real defect parcheck caught in the shipped tree (in the
+        # since-deleted /metrics server): active_server() read _ACTIVE
+        # without _ACTIVE_LOCK while start()/stop() wrote it under it.
         "module_unlocked_read_active_server",
         "_ACTIVE = None\n"
         "_ACTIVE_LOCK = threading.Lock()\n"
@@ -508,7 +508,7 @@ class TestTreeAndCli:
             "    return [pool.submit(task, i) for i in items]\n"
         )
         registry = MetricsRegistry()
-        with use_metrics(registry):
+        with use(Telemetry(metrics=registry)):
             findings = lint_paths(load_paths([str(dirty)]))
         assert findings
         counters = registry.snapshot()["counters"]

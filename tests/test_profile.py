@@ -109,7 +109,8 @@ class TestBuildProfile:
         assert entry.self_ms == 0.0
 
     def test_real_evaluation_profile(self):
-        with obs.use_tracer(obs.Tracer()) as tracer:
+        tracer = obs.Tracer()
+        with obs.use(obs.Telemetry(tracer=tracer)):
             evaluate(
                 casestudy.baseline_design(),
                 cello(),

@@ -26,7 +26,7 @@ from repro import casestudy
 from repro.core.evaluate import evaluate
 from repro.engine import EngineConfig, EvaluationTask, ResultCache, task_key
 from repro.exceptions import DesignError, ReproError, RiskError
-from repro.obs import MetricsRegistry, Tracer, use_metrics, use_tracer
+from repro.obs import MetricsRegistry, Telemetry, Tracer, use
 from repro.risk import (
     CascadeSpec,
     EnsembleMember,
@@ -745,7 +745,7 @@ class TestMonteCarloGroups:
 
         monkeypatch.setattr(montecarlo, "substream_rng", counted)
         tracer = Tracer()
-        with use_tracer(tracer):
+        with use(Telemetry(tracer=tracer)):
             assessment = assess_risk(
                 design_from_spec(spec["design"]),
                 workload_from_spec(spec["workload"]),
@@ -958,7 +958,7 @@ class TestAssessRisk:
             cache=cache,
         )
         registry = MetricsRegistry()
-        with use_metrics(registry):
+        with use(Telemetry(metrics=registry)):
             assess_risk(
                 casestudy.baseline_design(), workload, ensemble, requirements,
                 cache=cache,

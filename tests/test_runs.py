@@ -35,19 +35,19 @@ from repro.obs import (
     ManifestError,
     MetricsRegistry,
     RunLedger,
+    Telemetry,
     Tracer,
+    current,
     read_manifest,
+    use,
 )
 from repro.obs.diff import diff_runs
 from repro.obs.runs import (
-    NULL_TASK_LOG,
     RunLookupError,
     RunRecord,
     RunStore,
     TaskLog,
-    get_task_log,
     resolve_run,
-    use_task_log,
 )
 from repro.workload.presets import cello
 
@@ -456,11 +456,11 @@ class TestTaskLog:
         ]
 
     def test_null_log_by_default(self):
-        assert get_task_log() is NULL_TASK_LOG
-        assert not get_task_log().enabled
+        assert current().task_log is None
 
     def test_log_records_keys_and_digests(self):
-        with use_task_log(TaskLog()) as log:
+        log = TaskLog()
+        with use(Telemetry(task_log=log)):
             (outcome,) = map_evaluations(self.make_tasks())
         assert outcome.ok
         (record,) = log.records
@@ -471,9 +471,10 @@ class TestTaskLog:
         assert record["error_type"] is None
 
     def test_serial_and_parallel_digests_match(self):
-        with use_task_log(TaskLog()) as serial_log:
+        serial_log, parallel_log = TaskLog(), TaskLog()
+        with use(Telemetry(task_log=serial_log)):
             map_evaluations(self.make_tasks())
-        with use_task_log(TaskLog()) as parallel_log:
+        with use(Telemetry(task_log=parallel_log)):
             map_evaluations(self.make_tasks(), EngineConfig(workers=2))
         (serial,) = serial_log.records
         (parallel,) = parallel_log.records
@@ -590,4 +591,4 @@ class TestRunsCli:
         assert task["task"] == "baseline"
         assert len(task["key"]) == 64 and len(task["digest"]) == 64
         # And the CLI leaves the process-global log reset afterwards.
-        assert get_task_log() is NULL_TASK_LOG
+        assert current().task_log is None
