@@ -59,7 +59,7 @@ def record_run(directory: str, run_id: str) -> None:
             workload=cello(),
             scenarios=tuple(casestudy.case_study_scenarios()),
             requirements=casestudy.case_study_requirements(),
-            factory=casestudy.baseline_design,
+            design=casestudy.baseline_design,
         )
         (outcome,) = map_evaluations([task])
         assert outcome.ok

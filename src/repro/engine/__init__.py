@@ -8,7 +8,8 @@ package exploits both properties behind one call —
 * :mod:`repro.engine.keys` — content-addressed task keys, versioned by
   a digest of the model's own source code;
 * :mod:`repro.engine.cache` — two-tier result cache (in-process LRU +
-  persistent JSONL), round-tripping through :mod:`repro.serialization`;
+  persistent JSONL of assessment maps, round-tripped through
+  :mod:`repro.serialization`);
 * :mod:`repro.engine.executor` — process-pool execution with per-task
   timeouts, retry with backoff on worker crashes, and a graceful
   inline path when ``workers=1`` (the default);
@@ -28,11 +29,11 @@ Layering: the engine depends on ``repro.core`` / ``repro.serialization``
 is scheduled.
 """
 
-from .cache import DiskCache, MemoryCache, ResultCache, register_codec
+from .cache import DiskCache, MemoryCache, ResultCache
 from .executor import (
+    DesignOrFactory,
     EngineConfig,
     EvaluationTask,
-    PortfolioTask,
     TaskOutcome,
     map_evaluations,
     shutdown_pool,
@@ -42,11 +43,11 @@ from .keys import fingerprint, model_schema_version, result_digest, task_key
 from .sweep import evaluate_design_map, evaluate_scenarios_cached
 
 __all__ = [
+    "DesignOrFactory",
     "DiskCache",
     "EngineConfig",
     "EvaluationTask",
     "MemoryCache",
-    "PortfolioTask",
     "ResultCache",
     "TaskOutcome",
     "evaluate_design_map",
@@ -54,7 +55,6 @@ __all__ = [
     "fingerprint",
     "map_evaluations",
     "model_schema_version",
-    "register_codec",
     "result_digest",
     "shutdown_pool",
     "task_key",

@@ -6,10 +6,10 @@ Results are cached by the content-addressed keys of
 * an in-process **memory tier** — a bounded LRU mapping keys to live
   result objects, free to hit, lost at process exit;
 * an optional **disk tier** — an append-only JSONL file under the
-  configured cache directory, surviving across runs.  Records round-trip
-  through :mod:`repro.serialization` via a small codec registry, so a
-  restored assessment renders, explains and compares exactly like the
-  original.
+  configured cache directory, surviving across runs.  Records hold an
+  evaluation's ``{scenario: Assessment}`` map round-tripped through
+  :mod:`repro.serialization`, so a restored assessment renders,
+  explains and compares exactly like the original.
 
 The disk format is deliberately append-only: concurrent writers can
 interleave whole lines without locking, a torn final line is skipped on
@@ -22,71 +22,28 @@ from __future__ import annotations
 import json
 import os
 from collections import OrderedDict
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..core.results import Assessment
 from ..exceptions import EngineError, ReproError
 from ..obs import get_metrics
 from ..serialization import assessment_from_dict, assessment_to_dict
-from .keys import ValueMemo
+from .keys import ValueMemo, is_assessment_map
 
 
-@dataclass(frozen=True)
-class Codec:
-    """Encodes one family of result values to and from JSON payloads."""
-
-    name: str
-    matches: Callable[[Any], bool]
-    encode: Callable[[Any], Any]
-    decode: Callable[[Any], Any]
+#: The ``codec`` tag of every disk record: the one result shape the
+#: cache persists is an evaluation's ``{scenario: Assessment}`` map.
+#: A record with any other tag (written by some other build) is a miss.
+_CODEC_TAG = "assessments"
 
 
-_CODECS: "Dict[str, Codec]" = {}
-
-
-def register_codec(codec: Codec) -> None:
-    """Register a result codec (idempotent for an equal re-registration)."""
-    existing = _CODECS.get(codec.name)
-    if existing is not None and existing is not codec:
-        raise EngineError(f"result codec {codec.name!r} is already registered")
-    _CODECS[codec.name] = codec
-
-
-def _find_codec(value: Any) -> Optional[Codec]:
-    for codec in _CODECS.values():
-        if codec.matches(value):
-            return codec
-    return None
-
-
-def _is_assessment_map(value: Any) -> bool:
-    return (
-        isinstance(value, dict)
-        and bool(value)
-        and all(isinstance(key, str) for key in value)
-        and all(isinstance(item, Assessment) for item in value.values())
-    )
-
-
-def _encode_assessment_map(value: "Dict[str, Assessment]") -> Any:
+def _encode(value: "Dict[str, Assessment]") -> "Dict[str, Any]":
     return {name: assessment_to_dict(item) for name, item in value.items()}
 
 
-def _decode_assessment_map(payload: Any) -> "Dict[str, Assessment]":
+def _decode(payload: "Dict[str, Any]") -> "Dict[str, Assessment]":
     return {name: assessment_from_dict(item) for name, item in payload.items()}
-
-
-#: Evaluation sweeps return ``{scenario: Assessment}`` maps; this codec
-#: makes them persistable.
-ASSESSMENT_MAP_CODEC = Codec(
-    name="assessments",
-    matches=_is_assessment_map,
-    encode=_encode_assessment_map,
-    decode=_decode_assessment_map,
-)
-register_codec(ASSESSMENT_MAP_CODEC)
 
 
 class MemoryCache:
@@ -172,27 +129,24 @@ class DiskCache:
         record = self._load_index().get(key)
         if record is None:
             return None
-        codec = _CODECS.get(record["codec"])
-        if codec is None:
-            # Written by a build with codecs this one lacks: miss.
+        if record["codec"] != _CODEC_TAG:
             return None
         try:
-            return codec.decode(record["payload"])
+            return _decode(record["payload"])
         # A record the current model cannot rebuild (schema digest
         # collisions are the only path here) degrades to a miss:
-        # ReproError covers the codec's own validation, the rest are
+        # ReproError covers the decoder's own validation, the rest are
         # the shapes a stale/corrupt JSON payload produces.  A bug in
-        # the codec itself must propagate, not masquerade as a miss.
+        # the decoder itself must propagate, not masquerade as a miss.
         except (ReproError, ValueError, TypeError, KeyError, AttributeError):
             get_metrics().inc("engine.cache.corrupt_records")
             return None
 
     def put(self, key: str, value: Any) -> bool:
-        """Persist ``value``; returns False when no codec covers it."""
-        codec = _find_codec(value)
-        if codec is None:
+        """Persist ``value``; returns False unless it is an assessments map."""
+        if not is_assessment_map(value):
             return False
-        record = {"key": key, "codec": codec.name, "payload": codec.encode(value)}
+        record = {"key": key, "codec": _CODEC_TAG, "payload": _encode(value)}
         # No sort_keys: the payload's own key order is meaningful (an
         # assessments map keeps its scenario input order) and already
         # deterministic.
@@ -232,10 +186,6 @@ class ResultCache:
         self.memory = MemoryCache(memory_entries)
         self.disk = DiskCache(cache_dir) if cache_dir is not None else None
         self.part_digests = ValueMemo()
-
-    @property
-    def enabled(self) -> bool:
-        return self.memory.max_entries > 0 or self.disk is not None
 
     def get(self, key: str) -> "Tuple[bool, Any]":
         """``(hit, value)`` — the flag disambiguates a cached None."""

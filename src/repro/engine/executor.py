@@ -1,10 +1,10 @@
 """Parallel, fault-tolerant execution of evaluation tasks.
 
 :func:`map_evaluations` is the one entry point: give it a list of
-:class:`EvaluationTask` (or :class:`PortfolioTask`) and an
-:class:`EngineConfig`, get back one :class:`TaskOutcome` per task **in
-input order** — regardless of the completion order of the workers, so
-parallel runs are bit-identical to serial ones.
+:class:`EvaluationTask` and an :class:`EngineConfig`, get back one
+:class:`TaskOutcome` per task **in input order** — regardless of the
+completion order of the workers, so parallel runs are bit-identical to
+serial ones.
 
 The execution strategy, in order of preference:
 
@@ -35,17 +35,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.evaluate import evaluate_scenarios
 from ..core.hierarchy import StorageDesign
@@ -65,11 +56,9 @@ from ..workload.spec import Workload
 from .cache import ResultCache
 from .keys import PartMemo, result_digest, task_key
 
-if TYPE_CHECKING:
-    from ..portfolio import Portfolio, PortfolioAssessment
-
-#: A design factory: builds a fresh design (fresh devices) per call.
-DesignFactory = Any
+#: A built design, or a zero-argument factory that builds a fresh one
+#: (fresh devices) per call.
+DesignOrFactory = Union[StorageDesign, Callable[[], StorageDesign]]
 
 
 @dataclass(frozen=True)
@@ -100,9 +89,9 @@ class EngineConfig:
 class EvaluationTask:
     """One (design, workload, scenarios, requirements) evaluation.
 
-    The design comes either as a built :class:`StorageDesign` or as a
-    zero-argument ``factory`` (the design-space convention: candidates
-    are built on demand rather than held all at once).  Factories are
+    ``design`` is either a built :class:`StorageDesign` or a
+    zero-argument factory (the design-space convention: candidates are
+    built on demand rather than held all at once).  Factories are
     resolved in the parent process before dispatch.
     """
 
@@ -110,20 +99,15 @@ class EvaluationTask:
     workload: Workload
     scenarios: Tuple[FailureScenario, ...]
     requirements: BusinessRequirements
-    design: Optional[StorageDesign] = None
-    factory: Optional[DesignFactory] = field(default=None, compare=False)
+    design: DesignOrFactory
     strict_utilization: bool = True
 
     def resolve(self) -> "EvaluationTask":
-        """The same task with the factory (unpicklable) replaced by the
+        """The same task with a factory (unpicklable) replaced by the
         design it builds (picklable)."""
-        if self.design is not None:
-            return self if self.factory is None else dataclasses.replace(
-                self, factory=None
-            )
-        if self.factory is None:
-            raise EngineError(f"task {self.name!r} has neither design nor factory")
-        return dataclasses.replace(self, design=self.factory(), factory=None)
+        if callable(self.design):
+            return dataclasses.replace(self, design=self.design())
+        return self
 
     def key_payload(self) -> "Dict[str, Any]":
         """The cache-key input (call on a *resolved* task)."""
@@ -139,7 +123,7 @@ class EvaluationTask:
     def run(self, facts: Optional[FactsTable] = None) -> "Dict[str, Assessment]":
         """Evaluate the design, reading technique facts from ``facts``
         (the engine's per-call or per-chunk table; fresh when None)."""
-        if self.design is None:
+        if callable(self.design):
             raise EngineError(f"task {self.name!r} was not resolved before run()")
         return evaluate_scenarios(
             self.design,
@@ -149,43 +133,6 @@ class EvaluationTask:
             strict_utilization=self.strict_utilization,
             facts=facts,
         )
-
-
-@dataclass(frozen=True)
-class PortfolioTask:
-    """One portfolio evaluation (several data objects on shared devices).
-
-    Portfolio tasks are evaluated inline in the parent — they are few
-    (one per scenario) while design sweeps are many.
-    """
-
-    name: str
-    portfolio: "Portfolio"
-    scenario: FailureScenario
-    requirements: BusinessRequirements
-    strict_utilization: bool = True
-
-    def resolve(self) -> "PortfolioTask":
-        return self
-
-    def key_payload(self) -> "Dict[str, Any]":
-        return {
-            "kind": "portfolio",
-            "portfolio": self.portfolio,
-            "scenario": self.scenario,
-            "requirements": self.requirements,
-            "strict_utilization": self.strict_utilization,
-        }
-
-    def run(self) -> "PortfolioAssessment":
-        return self.portfolio.evaluate(
-            self.scenario,
-            self.requirements,
-            strict_utilization=self.strict_utilization,
-        )
-
-
-EngineTask = Union[EvaluationTask, PortfolioTask]
 
 
 @dataclass(frozen=True)
@@ -215,15 +162,8 @@ class _TaskTimeout(Exception):
     """Internal: a task exceeded the per-task timeout inside a worker."""
 
 
-def _run(task: EngineTask, facts: Optional[FactsTable]) -> Any:
-    """Run one task; only evaluation tasks read technique facts."""
-    if isinstance(task, EvaluationTask):
-        return task.run(facts)
-    return task.run()
-
-
 def _run_with_timeout(
-    task: EngineTask, timeout: Optional[float], facts: Optional[FactsTable]
+    task: EvaluationTask, timeout: Optional[float], facts: Optional[FactsTable]
 ) -> Any:
     """Run one task, preempting it after ``timeout`` seconds.
 
@@ -234,7 +174,7 @@ def _run_with_timeout(
     stored only once computed.
     """
     if timeout is None or threading.current_thread() is not threading.main_thread():
-        return _run(task, facts)
+        return task.run(facts)
 
     def _on_alarm(signum: int, frame: Any) -> None:
         raise _TaskTimeout(f"task {task.name!r} exceeded {timeout:g}s")
@@ -242,14 +182,14 @@ def _run_with_timeout(
     previous = signal.signal(signal.SIGALRM, _on_alarm)
     signal.setitimer(signal.ITIMER_REAL, timeout)
     try:
-        return _run(task, facts)
+        return task.run(facts)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
 
 
 def _execute_one(
-    task: EngineTask,
+    task: EvaluationTask,
     timeout: Optional[float],
     facts: Optional[FactsTable],
 ) -> "Tuple[str, Any, Optional[BaseException], bool]":
@@ -267,7 +207,7 @@ def _execute_one(
 
 
 def _execute_one_traced(
-    task: EngineTask,
+    task: EvaluationTask,
     timeout: Optional[float],
     facts: FactsTable,
 ) -> "Tuple[str, Any, Optional[BaseException], bool]":
@@ -290,7 +230,7 @@ def _execute_one_traced(
 
 
 def _execute_chunk(  # lint: worker-boundary
-    tasks: "List[EngineTask]",
+    tasks: "List[EvaluationTask]",
     timeout: Optional[float],
     ctx: Optional[TraceContext] = None,
 ) -> "Tuple[List[Tuple[str, Any, Optional[BaseException], bool]], Optional[TelemetryCapsule]]":
@@ -352,12 +292,7 @@ def shutdown_pool() -> None:
             _POOL_WORKERS = 0
 
 
-def _discard_pool() -> None:
-    """Drop a broken pool so the next ``_get_pool`` builds a fresh one."""
-    shutdown_pool()
-
-
-def _pickles(task: EngineTask) -> bool:
+def _pickles(task: EvaluationTask) -> bool:
     try:
         pickle.dumps(task)
         return True
@@ -368,13 +303,13 @@ def _pickles(task: EngineTask) -> bool:
 
 
 def _chunked(
-    items: "List[Tuple[int, EngineTask]]", size: int
-) -> "List[List[Tuple[int, EngineTask]]]":
+    items: "List[Tuple[int, EvaluationTask]]", size: int
+) -> "List[List[Tuple[int, EvaluationTask]]]":
     return [items[start : start + size] for start in range(0, len(items), size)]
 
 
 def _retry_inline(
-    task: EngineTask, config: EngineConfig, first_error: BaseException
+    task: EvaluationTask, config: EngineConfig, first_error: BaseException
 ) -> TaskOutcome:
     """Re-run a failed task in the parent with exponential backoff."""
     metrics = get_metrics()
@@ -406,7 +341,7 @@ def _retry_inline(
 
 
 def _run_pool(
-    pending: "List[Tuple[int, EngineTask]]",
+    pending: "List[Tuple[int, EvaluationTask]]",
     config: EngineConfig,
     outcomes: "List[Optional[TaskOutcome]]",
 ) -> None:
@@ -449,9 +384,10 @@ def _run_pool(
         try:
             rows, capsule = future.result(timeout=budget)
         except (BrokenProcessPool, FutureTimeoutError, OSError) as exc:
-            # The whole chunk is suspect: drop the pool and redo each
-            # task inline with retries.
-            _discard_pool()
+            # The whole chunk is suspect: drop the pool (the next
+            # sweep builds a fresh one) and redo each task inline with
+            # retries.
+            shutdown_pool()
             chunk_failed = 0
             for index, task in chunk:
                 outcomes[index] = _retry_inline(task, config, exc)
@@ -515,7 +451,7 @@ def _record_failures(
 
 
 def map_evaluations(
-    tasks: "Sequence[EngineTask]",
+    tasks: "Sequence[EvaluationTask]",
     config: Optional[EngineConfig] = None,
     cache: Optional[ResultCache] = None,
     label: str = "sweep",
@@ -550,7 +486,7 @@ def map_evaluations(
     ) as map_span:
         outcomes: "List[Optional[TaskOutcome]]" = [None] * len(tasks)
         keys: "List[Optional[str]]" = [None] * len(tasks)
-        pending: "List[Tuple[int, EngineTask]]" = []
+        pending: "List[Tuple[int, EvaluationTask]]" = []
         # Shared payload parts (one workload, one scenario tuple) are
         # digested once for the whole call, not once per task, and the
         # immutable ones once for the cache's lifetime.
@@ -610,8 +546,8 @@ def map_evaluations(
                     )
                     progress.advance(done=1, failed=1 if error is not None else 0)
             else:
-                parallel: "List[Tuple[int, EngineTask]]" = []
-                inline: "List[Tuple[int, EngineTask]]" = []
+                parallel: "List[Tuple[int, EvaluationTask]]" = []
+                inline: "List[Tuple[int, EvaluationTask]]" = []
                 for pair in pending:
                     (parallel if _pickles(pair[1]) else inline).append(pair)
                 if inline:

@@ -70,7 +70,6 @@ _MODEL_SOURCE_PATHS: "Tuple[str, ...]" = (
     "units.py",
     "casestudy.py",
     "serialization.py",
-    "portfolio.py",
 )
 
 _schema_version: Optional[str] = None
@@ -339,6 +338,18 @@ def part_digest(
     return digest
 
 
+def is_assessment_map(value: Any) -> bool:
+    """Whether ``value`` is an evaluation result: a non-empty
+    ``{str: Assessment}`` map, the one shape that is digested and
+    persisted."""
+    return (
+        isinstance(value, dict)
+        and bool(value)
+        and all(isinstance(key, str) for key in value)
+        and all(isinstance(item, Assessment) for item in value.values())
+    )
+
+
 def result_digest(value: Any) -> Optional[str]:
     """A content digest of one task result, or None if undigestable.
 
@@ -348,16 +359,13 @@ def result_digest(value: Any) -> Optional[str]:
     the same work).  Two runs producing the same digest for the same
     task key therefore computed the same answer; a differing digest
     under an equal key is correctness drift, however fast or slow the
-    runs were.  Result shapes without a canonical serialization (e.g.
-    portfolio assessments) return None —
-    "not comparable", never a guessed hash.
+    runs were.  Any other result shape returns None — "not
+    comparable", never a guessed hash.
     """
-    if not isinstance(value, dict) or not value:
+    if not is_assessment_map(value):
         return None
     encoded: "Dict[str, Any]" = {}
     for label, assessment in sorted(value.items()):
-        if not isinstance(label, str) or not isinstance(assessment, Assessment):
-            return None
         record = assessment_to_dict(assessment)
         record.pop("provenance", None)
         encoded[label] = record

@@ -9,17 +9,7 @@ sensitivity sweeps and the CLI stay thin.
 
 from __future__ import annotations
 
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Tuple,
-    Union,
-)
+from typing import Any, Dict, Iterable, Mapping, Optional
 
 from ..core.hierarchy import StorageDesign
 from ..core.results import Assessment
@@ -27,37 +17,13 @@ from ..scenarios.failures import FailureScenario
 from ..scenarios.requirements import BusinessRequirements
 from ..workload.spec import Workload
 from .cache import ResultCache
-from .executor import EngineConfig, EvaluationTask, TaskOutcome, map_evaluations
-
-#: Designs arrive either built or as zero-argument factories.
-DesignOrFactory = Union[StorageDesign, Callable[[], StorageDesign]]
-
-
-def _as_task(
-    name: str,
-    design: DesignOrFactory,
-    workload: Workload,
-    scenarios: "Tuple[FailureScenario, ...]",
-    requirements: BusinessRequirements,
-    strict_utilization: bool,
-) -> EvaluationTask:
-    if isinstance(design, StorageDesign):
-        return EvaluationTask(
-            name=name,
-            workload=workload,
-            scenarios=scenarios,
-            requirements=requirements,
-            design=design,
-            strict_utilization=strict_utilization,
-        )
-    return EvaluationTask(
-        name=name,
-        workload=workload,
-        scenarios=scenarios,
-        requirements=requirements,
-        factory=design,
-        strict_utilization=strict_utilization,
-    )
+from .executor import (
+    DesignOrFactory,
+    EngineConfig,
+    EvaluationTask,
+    TaskOutcome,
+    map_evaluations,
+)
 
 
 def evaluate_design_map(
@@ -79,8 +45,13 @@ def evaluate_design_map(
     """
     scenario_tuple = tuple(scenarios)
     tasks = [
-        _as_task(
-            name, design, workload, scenario_tuple, requirements, strict_utilization
+        EvaluationTask(
+            name=name,
+            workload=workload,
+            scenarios=scenario_tuple,
+            requirements=requirements,
+            design=design,
+            strict_utilization=strict_utilization,
         )
         for name, design in designs.items()
     ]

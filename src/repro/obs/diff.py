@@ -10,10 +10,9 @@ along three axes:
   regressed root to the deepest path that explains it
   (:class:`Attribution`);
 * **metrics** — counters, gauges and histogram summaries are joined by
-  instrument name (normalized through
-  :func:`~repro.obs.export.prom_metric_name`, so a v2 manifest's dotted
-  names compare equal to names parsed back from a v1 ``metrics.prom``)
-  into :class:`MetricDelta` rows;
+  instrument name, normalized through
+  :func:`~repro.obs.export.prom_metric_name` to the names the run's
+  ``metrics.prom`` exposes, into :class:`MetricDelta` rows;
 * **tasks** — the engine's task records are joined by content-addressed
   task key, splitting differences into *correctness drift* (same key,
   different result digest — the runs computed different answers) and
@@ -32,8 +31,8 @@ positive delta, as long as that child explains at least
 is the deepest span path that still accounts for the regression — the
 place to start profiling, not just the fact that "evaluate got slower".
 
-Everything is computed from the two manifests (with artifact fallbacks
-inside :class:`RunRecord`), so diffing never re-runs anything.
+Everything is computed from the two manifests, so diffing never
+re-runs anything.
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ Readers ignore lines whose ``kind`` they do not know, keeping the
 format forward-compatible.
 
 :func:`openmetrics_text` renders a metrics registry in the
-Prometheus/OpenMetrics text exposition format (the building block for
-a future ``/metrics`` endpoint): counters as ``<name>_total``, gauges
+Prometheus/OpenMetrics text exposition format (the format of
+``--metrics-out`` and of every run ledger's ``metrics.prom``): counters as ``<name>_total``, gauges
 verbatim, histograms as cumulative ``_bucket{le="..."}`` series plus
 ``_sum``/``_count``, terminated by ``# EOF``.
 """
@@ -103,9 +103,9 @@ def _metric_name(name: str) -> str:
 def prom_metric_name(name: str) -> str:
     """The exposition name an instrument appears under in ``.prom``.
 
-    The public face of the sanitizer: :mod:`repro.obs.diff` normalizes
-    through it so a v2 manifest's dotted instrument names compare equal
-    to the sanitized names recovered from a v1 ledger's ``metrics.prom``.
+    The public face of the sanitizer: :mod:`repro.obs.diff` reports
+    metric deltas under these names, so a diff names an instrument the
+    way the runs' ``metrics.prom`` files do.
     """
     return _metric_name(name)
 

@@ -24,8 +24,8 @@ Manifest schema (``manifest_schema``):
   re-parsing the full span stream: a ``rollup`` of per-span-name
   timings and the merged name-path call tree, a ``metrics`` snapshot,
   and the engine's content-addressed ``tasks`` records (task key +
-  result digest per sweep task).  v1 manifests still load everywhere;
-  the enrichment fields are simply absent.
+  result digest per sweep task).  The observatory reads v2 only: it
+  skips and counts a v1 ledger as unreadable.
 
 Span and metric artifacts reuse the existing JSONL / OpenMetrics
 writers, so everything in the ledger round-trips through the same

@@ -9,11 +9,10 @@ whose manifest cannot be parsed are *skipped and counted* — one torn
 run must never hide the healthy ones.
 
 A :class:`RunRecord` is one loaded run.  It reads everything from the
-manifest when the manifest carries it (schema v2: span rollups, metric
-snapshot, task records) and falls back to re-deriving the same views
-from the raw artifacts for pre-v2 ledgers — ``spans.jsonl`` for the
-span rollup, ``metrics.prom`` for counters — so ``repro runs
-list``/``show``/``diff`` work on every ledger ever written.
+manifest (schema v2: span rollups, metric snapshot, task records); a
+run that crashed before ``finish`` reads as an empty rollup and an
+empty metrics snapshot.  Pre-v2 manifests carry none of those fields
+and are rejected on load, so a store skips and counts them.
 
 :class:`TaskLog` is the bridge from the evaluation engine: installed
 in the telemetry context (:mod:`repro.obs.telemetry`), it collects one
@@ -77,157 +76,31 @@ class TaskLog:
 # ---------------------------------------------------------------------------
 
 
-class _PathAccumulator:
-    """Mutable name-path node used when re-rolling v1 span streams."""
-
-    __slots__ = ("name", "calls", "cum_ms", "errors", "children")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.calls = 0
-        self.cum_ms = 0.0
-        self.errors = 0
-        self.children: "Dict[str, _PathAccumulator]" = {}
-
-    def freeze(self) -> "Dict[str, Any]":
-        children = [
-            child.freeze()
-            for child in sorted(self.children.values(), key=lambda c: -c.cum_ms)
-        ]
-        child_cum = sum(child.cum_ms for child in self.children.values())
-        return {
-            "name": self.name,
-            "calls": self.calls,
-            "cum_ms": round(self.cum_ms, 6),
-            "self_ms": round(max(self.cum_ms - child_cum, 0.0), 6),
-            "errors": self.errors,
-            "children": children,
-        }
-
-
-def _rollup_from_span_records(
-    records: "List[Dict[str, Any]]",
-) -> "Dict[str, Any]":
-    """Rebuild a manifest-v2-shaped ``rollup`` from raw span records.
-
-    The records are ``spans.jsonl`` lines: depth-first order with a
-    ``depth`` field, so the tree structure is recoverable from depth
-    alone.  Produces the same shape :func:`repro.obs.ledger.span_rollup`
-    writes, so the diff layer never cares which path the data took.
-    """
-    roots: "Dict[str, _PathAccumulator]" = {}
-    flat: "Dict[str, Dict[str, Any]]" = {}
-    stack: "List[_PathAccumulator]" = []
-    span_count = 0
-    total_ms = 0.0
-    for record in records:
-        if record.get("kind") not in (None, "span") or "depth" not in record:
-            continue
-        span_count += 1
-        name = str(record.get("name", "?"))
-        depth = int(record["depth"])
-        duration = float(record.get("duration_ms") or 0.0)
-        failed = 1 if record.get("status") == "error" else 0
-        del stack[depth:]
-        siblings = stack[-1].children if stack else roots
-        node = siblings.get(name)
-        if node is None:
-            node = siblings[name] = _PathAccumulator(name)
-        node.calls += 1
-        node.cum_ms += duration
-        node.errors += failed
-        stack.append(node)
-        if depth == 0:
-            total_ms += duration
-        entry = flat.setdefault(
-            name, {"calls": 0, "cum_ms": 0.0, "self_ms": 0.0, "errors": 0}
-        )
-        entry["calls"] += 1
-        entry["cum_ms"] = round(float(entry["cum_ms"]) + duration, 6)
-        entry["errors"] += failed
-    # Self time per name: cumulative minus the direct children, summed
-    # over the merged tree (equal to per-instance self time summed).
-    tree = [
-        node.freeze()
-        for node in sorted(roots.values(), key=lambda n: -n.cum_ms)
-    ]
-
-    def _collect_self(node: "Dict[str, Any]") -> None:
-        entry = flat[node["name"]]
-        entry["self_ms"] = round(float(entry["self_ms"]) + node["self_ms"], 6)
-        for child in node["children"]:
-            _collect_self(child)
-
-    for node in tree:
-        _collect_self(node)
-    return {
-        "spans": flat,
-        "tree": tree,
-        "total_ms": round(total_ms, 6),
-        "span_count": span_count,
-    }
-
-
-def _parse_prom_metrics(text: str) -> "Dict[str, Any]":
-    """Counters/gauges/histogram summaries from an OpenMetrics file.
-
-    The v1 fallback: pre-v2 manifests carry no ``metrics`` snapshot, so
-    the run's final counters are recovered from ``metrics.prom``.  Only
-    the shapes :func:`repro.obs.export.openmetrics_text` emits are
-    recognised; names stay in their sanitized (underscore) form.
-    """
-    counters: "Dict[str, float]" = {}
-    gauges: "Dict[str, float]" = {}
-    histograms: "Dict[str, Dict[str, Any]]" = {}
-    kinds: "Dict[str, str]" = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line.split()
-            if len(parts) == 4 and parts[1] == "TYPE":
-                kinds[parts[2]] = parts[3]
-            continue
-        name_part, _, value_part = line.rpartition(" ")
-        if not name_part:
-            continue
-        try:
-            value = float(value_part)
-        except ValueError:
-            continue
-        base = name_part.split("{", 1)[0]
-        if base.endswith("_total") and kinds.get(base[: -len("_total")]) == "counter":
-            counters[base[: -len("_total")]] = value
-        elif kinds.get(base) == "gauge":
-            gauges[base] = value
-        elif base.endswith("_sum") and kinds.get(base[: -len("_sum")]) == "histogram":
-            histograms.setdefault(base[: -len("_sum")], {})["total"] = value
-        elif base.endswith("_count") and kinds.get(base[: -len("_count")]) == "histogram":
-            histograms.setdefault(base[: -len("_count")], {})["count"] = value
-    return {"counters": counters, "gauges": gauges, "histograms": histograms}
-
-
 class RunRecord:
-    """One loaded run ledger: the manifest plus lazy artifact views.
-
-    Every accessor prefers the manifest's v2 enrichment fields and
-    falls back to the raw artifacts for older ledgers; all fall-backs
-    tolerate missing or empty artifact files (a crashed run may have
-    written nothing but its ``begin`` manifest).
-    """
+    """One loaded run ledger: the manifest's identification and its v2
+    enrichment fields (rollup, metrics snapshot, task records)."""
 
     def __init__(self, directory: str, manifest: "Dict[str, Any]") -> None:
         self.directory = directory
         self.manifest = manifest
-        self._rollup: "Optional[Dict[str, Any]]" = None
-        self._metrics: "Optional[Dict[str, Any]]" = None
 
     @classmethod
     def load(cls, directory: "Union[str, os.PathLike]") -> "RunRecord":
-        """Load the run at ``directory`` (raises :class:`ManifestError`)."""
+        """Load the run at ``directory``.
+
+        Raises :class:`ManifestError` when the manifest is unreadable or
+        older than schema v2 (a v1 manifest holds no rollup, metrics or
+        task records to compare).
+        """
         path = os.fspath(directory)
-        return cls(path, read_manifest(path))
+        manifest = read_manifest(path)
+        schema = manifest.get("manifest_schema", 1)
+        if not isinstance(schema, int) or schema < 2:
+            raise ManifestError(
+                f"run manifest in {path!r} has schema {schema!r}; only v2 "
+                "and later ledgers can be read"
+            )
+        return cls(path, manifest)
 
     # -- identification -------------------------------------------------------
 
@@ -255,7 +128,7 @@ class RunRecord:
 
     @property
     def manifest_schema(self) -> int:
-        """The manifest layout version (pre-observatory ledgers are 1)."""
+        """The manifest layout version (2 or later for a loaded run)."""
         return int(self.manifest.get("manifest_schema", 1))
 
     @property
@@ -266,14 +139,11 @@ class RunRecord:
     # -- artifact views -------------------------------------------------------
 
     def rollup(self) -> "Dict[str, Any]":
-        """Per-span-name timings + merged path tree (manifest or rebuilt)."""
-        if self._rollup is None:
-            stored = self.manifest.get("rollup")
-            if isinstance(stored, dict):
-                self._rollup = stored
-            else:
-                self._rollup = _rollup_from_span_records(self._span_records())
-        return self._rollup
+        """Per-span-name timings + merged path tree (empty until finish)."""
+        stored = self.manifest.get("rollup")
+        if isinstance(stored, dict):
+            return stored
+        return {"spans": {}, "tree": [], "total_ms": 0.0, "span_count": 0}
 
     def span_stats(self) -> "Dict[str, Dict[str, Any]]":
         """Flat per-span-name stats: calls, cum_ms, self_ms, errors."""
@@ -286,19 +156,16 @@ class RunRecord:
         return tree if isinstance(tree, list) else []
 
     def tasks(self) -> "List[Dict[str, Any]]":
-        """The engine's task records ([] for pre-v2 or non-sweep runs)."""
+        """The engine's task records ([] for non-sweep or crashed runs)."""
         tasks = self.manifest.get("tasks", [])
         return tasks if isinstance(tasks, list) else []
 
     def metrics(self) -> "Dict[str, Any]":
-        """Counters/gauges/histograms (manifest snapshot or .prom parse)."""
-        if self._metrics is None:
-            stored = self.manifest.get("metrics")
-            if isinstance(stored, dict):
-                self._metrics = stored
-            else:
-                self._metrics = self._metrics_from_prom()
-        return self._metrics
+        """Counters/gauges/histograms (empty until finish)."""
+        stored = self.manifest.get("metrics")
+        if isinstance(stored, dict):
+            return stored
+        return {"counters": {}, "gauges": {}, "histograms": {}}
 
     def heartbeats(self) -> "List[Dict[str, Any]]":
         """The progress heartbeats ([] when the file is missing/empty)."""
@@ -309,27 +176,6 @@ class RunRecord:
             return read_trace_jsonl(path)
         except (OSError, ValueError):
             return []
-
-    # -- internals ------------------------------------------------------------
-
-    def _span_records(self) -> "List[Dict[str, Any]]":
-        path = os.path.join(self.directory, RunLedger.SPANS)
-        if not os.path.exists(path):
-            return []
-        try:
-            return read_trace_jsonl(path)
-        except (OSError, ValueError):
-            return []
-
-    def _metrics_from_prom(self) -> "Dict[str, Any]":
-        path = os.path.join(self.directory, RunLedger.METRICS)
-        if not os.path.exists(path):
-            return {"counters": {}, "gauges": {}, "histograms": {}}
-        try:
-            text = open(path).read()
-        except OSError:
-            return {"counters": {}, "gauges": {}, "histograms": {}}
-        return _parse_prom_metrics(text)
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,8 @@ single flag away (``serialize_recoveries=True``).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core.dataloss import DataLossResult, compute_data_loss
 from .core.demands import DemandLedger, register_design_demands
@@ -292,40 +291,18 @@ class Portfolio:
         scenarios: "Iterable[FailureScenario]",
         requirements: BusinessRequirements,
         strict_utilization: bool = True,
-        config: "Optional[Any]" = None,
     ) -> "Dict[str, PortfolioAssessment]":
-        """Assess the portfolio under each scenario, through the engine.
+        """Assess the portfolio under each scenario.
 
-        Returns ``{scenario description: assessment}`` in input order.
-        Portfolio tasks run inline in the parent, but routing them through
-        :func:`repro.engine.map_evaluations` gives them the engine's
-        result caching and uniform failure reporting; ``config`` is an
-        :class:`repro.engine.EngineConfig` (imported lazily — the model
-        layer never depends on the engine at import time).
+        Returns ``{scenario description: assessment}`` in input order;
+        the first scenario that fails raises its error.
         """
-        from .engine import EngineConfig, PortfolioTask, map_evaluations
-
-        tasks = [
-            PortfolioTask(
-                name=scenario.describe(),
-                portfolio=self,
-                scenario=scenario,
-                requirements=requirements,
-                strict_utilization=strict_utilization,
+        return {
+            scenario.describe(): self.evaluate(
+                scenario, requirements, strict_utilization=strict_utilization
             )
             for scenario in scenarios
-        ]
-        engine_config = config if config is not None else EngineConfig()
-        # Portfolio tasks always run inline in this process.
-        if engine_config.workers > 1:
-            engine_config = dataclasses.replace(engine_config, workers=1)
-        outcomes = map_evaluations(tasks, config=engine_config, label="portfolio")
-        results: "Dict[str, PortfolioAssessment]" = {}
-        for outcome in outcomes:
-            if outcome.error is not None:
-                raise outcome.error
-            results[outcome.name] = outcome.value
-        return results
+        }
 
     def evaluate_contended(
         self,

@@ -36,11 +36,17 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..core.hierarchy import StorageDesign
 from ..core.results import Assessment
-from ..engine import EngineConfig, EvaluationTask, ResultCache, map_evaluations
+from ..engine import (
+    DesignOrFactory,
+    EngineConfig,
+    EvaluationTask,
+    ResultCache,
+    map_evaluations,
+)
 from ..exceptions import RiskError
 from ..obs import get_metrics, get_tracer
 from ..scenarios.failures import FailureScenario
@@ -51,8 +57,6 @@ from ..workload.spec import Workload
 from .distributions import RiskDistribution, compound_poisson_distribution
 from .ensemble import EnsembleMember, ScenarioEnsemble
 from .montecarlo import MonteCarloResult, SeverityRow, cross_check
-
-DesignOrFactory = Union[StorageDesign, Callable[[], StorageDesign]]
 
 
 def scenario_digest(scenario: FailureScenario) -> str:
@@ -202,6 +206,10 @@ def assess_risk(
     """
     if not years > 0:
         raise RiskError(f"assessment horizon must be positive, got {years!r}")
+    if not isinstance(design, StorageDesign) and not callable(design):
+        raise RiskError(
+            f"design must be a StorageDesign or a factory, got {design!r}"
+        )
     metrics = get_metrics()
     tracer = get_tracer()
     with tracer.span(
@@ -350,16 +358,6 @@ def _make_evaluator(
     scenario, named ``risk:{digest}`` so run ledgers and traces
     attribute work to content, not member ids.
     """
-    if isinstance(design, StorageDesign):
-        task_design: "Optional[StorageDesign]" = design
-        factory = None
-    elif callable(design):
-        task_design = None
-        factory = design
-    else:
-        raise RiskError(
-            f"design must be a StorageDesign or a factory, got {design!r}"
-        )
 
     def evaluate(scenarios: "Iterable[FailureScenario]") -> None:
         fresh: "Dict[str, FailureScenario]" = {}
@@ -375,8 +373,7 @@ def _make_evaluator(
                 workload=workload,
                 scenarios=(scenario,),
                 requirements=requirements,
-                design=task_design,
-                factory=factory,
+                design=design,
             )
             for digest, scenario in fresh.items()
         ]

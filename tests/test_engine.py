@@ -2,19 +2,19 @@
 
 import json
 import os
+import re
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import pytest
 
-from repro import Portfolio, StorageDesign, casestudy
+from repro import casestudy
 from repro.design import DesignSpace, candidate_designs, optimize, run_whatif
 from repro.engine import (
     EngineConfig,
     EvaluationTask,
     MemoryCache,
-    PortfolioTask,
     ResultCache,
     fingerprint,
     map_evaluations,
@@ -22,18 +22,11 @@ from repro.engine import (
     shutdown_pool,
     task_key,
 )
-from repro.devices import SpareConfig
-from repro.devices.catalog import (
-    enterprise_tape_library,
-    midrange_disk_array,
-    san_link,
-)
 from repro.engine.cache import DiskCache
 from repro.engine.sweep import evaluate_design_map, evaluate_scenarios_cached
 from repro.exceptions import CacheKeyError, ReproError
 from repro.obs import MetricsRegistry, TaskLog, Telemetry, use
-from repro.techniques import Backup, PrimaryCopy
-from repro.workload.presets import cello, oltp_database, web_server
+from repro.workload.presets import cello
 
 
 @pytest.fixture()
@@ -257,7 +250,7 @@ class _FlakyTask:
     def key_payload(self):
         return {"kind": "flaky", "name": self.name}
 
-    def run(self):
+    def run(self, facts=None):
         if len(self.log) < self.failures:
             self.log.append("boom")
             raise RuntimeError(f"transient #{len(self.log)}")
@@ -274,7 +267,7 @@ class _HangingTask:
     def key_payload(self):
         return {"kind": "hang", "name": self.name}
 
-    def run(self):
+    def run(self, facts=None):
         time.sleep(30.0)
         return "unreachable"
 
@@ -289,7 +282,7 @@ class _ModelErrorTask:
     def key_payload(self):
         return {"kind": "modelerror", "name": self.name}
 
-    def run(self):
+    def run(self, facts=None):
         raise ReproError("infeasible candidate")
 
 
@@ -307,7 +300,7 @@ class _DyingTask:
     def key_payload(self):
         return {"kind": "dying", "name": self.name}
 
-    def run(self):
+    def run(self, facts=None):
         if os.getpid() != self.parent_pid:
             os._exit(70)
         return "survived"
@@ -320,7 +313,7 @@ class TestExecutor:
             workload=workload,
             scenarios=tuple(scenarios),
             requirements=requirements,
-            factory=casestudy.baseline_design,
+            design=casestudy.baseline_design,
         )
         (outcome,) = map_evaluations([task])
         assert outcome.ok and not outcome.cached
@@ -416,6 +409,48 @@ class TestExecutor:
         assert not outcome.ok and outcome.retryable
         assert elapsed < 10.0
 
+    def test_timeout_is_counted_and_logged(self):
+        # SIGALRM preempts the task in its worker, and again in the
+        # parent's one inline retry: one failure, named by type.
+        registry, log = MetricsRegistry(), TaskLog()
+        config = EngineConfig(
+            workers=2, retries=1, retry_backoff=0.001, task_timeout=0.2
+        )
+        with use(Telemetry(metrics=registry, task_log=log)):
+            (outcome,) = map_evaluations([_HangingTask("hang")], config)
+        assert not outcome.ok and outcome.retryable
+        counters = registry.snapshot()["counters"]
+        assert counters["engine.tasks_failed._TaskTimeout"] == 1
+        assert counters["engine.retries"] == 1
+        (record,) = log.records
+        assert re.fullmatch("[0-9a-f]{64}", record["key"])
+        assert record["error_type"] == "_TaskTimeout"
+        assert record["attempts"] == 2
+
+    def test_unpicklable_task_runs_inline(self):
+        # A class local to this test cannot be pickled, so the engine
+        # runs its task in the parent instead of shipping it.
+        @dataclass(frozen=True)
+        class LocalTask:
+            name: str
+
+            def resolve(self):
+                return self
+
+            def key_payload(self):
+                return {"kind": "local", "name": self.name}
+
+            def run(self, facts=None):
+                return os.getpid()
+
+        registry = MetricsRegistry()
+        with use(Telemetry(metrics=registry)):
+            (outcome,) = map_evaluations([LocalTask("local")], EngineConfig(workers=2))
+        counters = registry.snapshot()["counters"]
+        assert counters["engine.tasks_inline"] == 1
+        assert outcome.ok and outcome.value == os.getpid()
+        assert "engine.chunks" not in counters
+
     def test_outcomes_keep_input_order(self):
         tasks = [
             _ModelErrorTask("a"),
@@ -486,7 +521,7 @@ class TestCaching:
             def key_payload(self):
                 return {"cb": lambda: None}
 
-            def run(self):
+            def run(self, facts=None):
                 return 42
 
         (outcome,) = map_evaluations(
@@ -518,34 +553,6 @@ class TestReevaluationHitsCache:
             for _ in range(2)
         ]
         assert [outcome.cached for outcome in outcomes] == [False, True]
-
-    def test_same_portfolio_object_hits_on_second_run(self, scenarios, requirements):
-        array, library = midrange_disk_array(), enterprise_tape_library()
-        portfolio = Portfolio("shared")
-        for name, workload in (("db", oltp_database()), ("web", web_server())):
-            design = StorageDesign(name, recovery_facility=SpareConfig.shared())
-            design.add_level(PrimaryCopy(f"{name} foreground"), store=array)
-            design.add_level(
-                Backup("1 wk", "48 hr", "1 hr", 4, name=f"{name} backup"),
-                store=library,
-                transport=san_link(),
-            )
-            portfolio.add_object(name, workload, design)
-        tasks = [
-            PortfolioTask(
-                name=scenario.describe(),
-                portfolio=portfolio,
-                scenario=scenario,
-                requirements=requirements,
-            )
-            for scenario in scenarios
-        ]
-        config = EngineConfig(memory_cache_entries=8)
-        cache = ResultCache(memory_entries=8)
-        first = map_evaluations(tasks, config=config, cache=cache)
-        second = map_evaluations(tasks, config=config, cache=cache)
-        assert all(outcome.ok and not outcome.cached for outcome in first)
-        assert [outcome.cached for outcome in second] == [True] * len(tasks)
 
 
 class TestSweepHelpers:

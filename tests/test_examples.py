@@ -1,7 +1,8 @@
-"""The telemetry examples run end to end as standalone scripts.
+"""Examples run end to end as standalone scripts.
 
 CI only lints ``examples/``; these run the two that drive the
-telemetry API, each in a fresh interpreter from a scratch directory.
+telemetry API and the one that drives :mod:`repro.portfolio`, each in
+a fresh interpreter from a scratch directory.
 """
 
 import os
@@ -17,7 +18,10 @@ EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 SRC = str(Path(repro.__file__).resolve().parents[1])
 
 
-@pytest.mark.parametrize("script", ["traced_evaluation.py", "run_observatory.py"])
+@pytest.mark.parametrize(
+    "script",
+    ["traced_evaluation.py", "run_observatory.py", "multi_object_portfolio.py"],
+)
 def test_example_runs(script, tmp_path):
     result = subprocess.run(
         [sys.executable, str(EXAMPLES / script)],

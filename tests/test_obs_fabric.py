@@ -349,14 +349,14 @@ class TestFailureDiagnosis:
                 workload=sweep.workload,
                 scenarios=tuple(sweep.scenarios),
                 requirements=sweep.requirements,
-                factory=boom,
+                design=boom,
             ),
             EvaluationTask(
                 name="good",
                 workload=sweep.workload,
                 scenarios=tuple(sweep.scenarios),
                 requirements=sweep.requirements,
-                factory=good_design,
+                design=good_design,
             ),
         ]
         tracer = Tracer()

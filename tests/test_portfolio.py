@@ -250,3 +250,18 @@ class TestPortfolioCosts:
             repro.FailureScenario.array_failure("primary-array"), requirements
         )
         assert "db+app" in assessment.summary()
+
+
+class TestEvaluateScenarios:
+    def test_one_assessment_per_scenario_in_input_order(
+        self, portfolio, requirements
+    ):
+        scenarios = [
+            repro.FailureScenario.site_disaster(),
+            repro.FailureScenario.array_failure("primary-array"),
+        ]
+        results = portfolio.evaluate_scenarios(scenarios, requirements)
+        assert results == {
+            s.describe(): portfolio.evaluate(s, requirements) for s in scenarios
+        }
+        assert list(results) == [s.describe() for s in scenarios]

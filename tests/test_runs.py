@@ -1,12 +1,11 @@
-"""The run observatory: store, record fallbacks, diff, attribution, CLI.
+"""The run observatory: store, records, diff, attribution, CLI.
 
 Covers the observatory end to end:
 
 * manifest schema v2 round-trips (rollup, metrics snapshot, task
   records) and the crash-safe atomic manifest write;
-* v1 backward compatibility against the committed fixture in
-  ``tests/data/ledger_v1`` — span rollups rebuilt from ``spans.jsonl``,
-  counters recovered from ``metrics.prom``;
+* v1 rejection: the committed fixture in ``tests/data/ledger_v1``
+  fails to load and is skipped and counted by a store;
 * ledger edge cases: crashed runs (manifest stuck ``running``), empty
   span streams, heartbeat-only progress files, unparseable manifests
   (skip-and-count), schema-version mismatches between compared runs;
@@ -24,6 +23,7 @@ assertion is exact, not statistical.
 
 import json
 import os
+import shutil
 
 import pytest
 
@@ -181,55 +181,20 @@ class TestManifestV2:
             read_manifest(tmp_path / "missing")
 
 
-class TestV1Compatibility:
-    def test_fixture_loads_with_schema_1(self):
-        record = RunRecord.load(FIXTURE_V1)
-        assert record.manifest_schema == 1
-        assert record.run_id == "20260101T000000-0001-deadbeef"
-        assert record.command == "optimize"
-        assert record.status == "ok"
-
-    def test_rollup_rebuilt_from_span_stream(self):
-        record = RunRecord.load(FIXTURE_V1)
-        stats = record.span_stats()
-        # Two engine.task spans, 48ms + 45ms, merged by name.
-        assert stats["engine.task"]["calls"] == 2
-        assert stats["engine.task"]["cum_ms"] == pytest.approx(93.0)
-        # Self time subtracts the nested evaluate_scenarios.
-        assert stats["engine.task"]["self_ms"] == pytest.approx(53.0)
-        (root,) = record.tree()
-        assert root["name"] == "optimizer.optimize"
-        assert record.rollup()["total_ms"] == pytest.approx(100.0)
-        assert record.rollup()["span_count"] == 5
-
-    def test_metrics_recovered_from_prom(self):
-        record = RunRecord.load(FIXTURE_V1)
-        metrics = record.metrics()
-        assert metrics["counters"]["evaluate_calls"] == 16
-        assert metrics["gauges"]["engine_tasks_inflight"] == 0
-        assert metrics["histograms"]["evaluate_ms"]["count"] == 16
-
-    def test_fixture_diffs_cleanly_against_itself(self):
-        record = RunRecord.load(FIXTURE_V1)
-        diff = diff_runs(record, RunRecord.load(FIXTURE_V1))
-        assert not diff.has_regressions and not diff.has_drift
-        assert diff.total_delta_ms == pytest.approx(0.0)
-        assert all(d.delta == 0.0 for d in diff.counter_deltas)
-
-    def test_v1_counters_align_with_v2_dotted_names(self, tmp_path):
-        # v1 stores sanitized prom names; v2 stores dotted instrument
-        # names. The diff must join them as the same counter.
-        make_run(
-            tmp_path / "v2",
-            BASE_PLAN,
-            run_id="r-v2",
-            counters={"evaluate.calls": 16, "engine.cache.misses": 0},
-        )
-        diff = diff_runs(RunRecord.load(FIXTURE_V1), RunRecord.load(tmp_path / "v2"))
-        deltas = {d.name: d for d in diff.counter_deltas}
-        assert deltas["evaluate_calls"].base == 16
-        assert deltas["evaluate_calls"].cand == 16
-        assert deltas["evaluate_calls"].delta == 0.0
+class TestV1Manifests:
+    def test_v1_manifest_is_rejected(self, tmp_path):
+        # v1 ledgers carry no rollup, metrics snapshot or task records:
+        # loading one fails like a torn manifest, and a store skips and
+        # counts it without hiding the readable runs beside it.
+        with pytest.raises(ManifestError, match="schema 1"):
+            RunRecord.load(FIXTURE_V1)
+        shutil.copytree(FIXTURE_V1, tmp_path / "v1")
+        make_run(tmp_path / "v2", BASE_PLAN, run_id="r-v2")
+        store = RunStore(tmp_path)
+        assert [r.run_id for r in store.scan()] == ["r-v2"]
+        assert [directory for directory, _ in store.skipped] == [
+            str(tmp_path / "v1")
+        ]
 
 
 class TestLedgerEdgeCases:
@@ -240,6 +205,7 @@ class TestLedgerEdgeCases:
         record = RunRecord.load(tmp_path / "crash")
         assert record.status == "running"
         assert record.span_stats() == {}
+        assert record.metrics() == {"counters": {}, "gauges": {}, "histograms": {}}
         assert record.tasks() == []
         assert record.wall_time_s is None
 
@@ -410,6 +376,22 @@ class TestDiff:
         assert diff.schema_mismatch
         assert diff.to_dict()["schema_mismatch"] is True
 
+    def test_counter_deltas_use_exposition_names(self, tmp_path):
+        # Dotted instrument names are reported the way metrics.prom
+        # exposes them.
+        make_run(tmp_path / "base", BASE_PLAN, run_id="rb",
+                 counters={"evaluate.calls": 16})
+        make_run(tmp_path / "cand", BASE_PLAN, run_id="rc",
+                 counters={"evaluate.calls": 12})
+        diff = diff_runs(
+            RunRecord.load(tmp_path / "base"), RunRecord.load(tmp_path / "cand")
+        )
+        deltas = {d.name: d for d in diff.counter_deltas}
+        assert (deltas["evaluate_calls"].base, deltas["evaluate_calls"].cand) == (
+            16, 12
+        )
+        assert deltas["evaluate_calls"].delta == -4
+
     def test_span_added_and_removed_marked(self, tmp_path):
         make_run(tmp_path / "base", BASE_PLAN, run_id="rb")
         extra = [("optimize", 3.0, [("brand.new", 7.0, [])])]
@@ -451,7 +433,7 @@ class TestTaskLog:
                 workload=workload,
                 scenarios=scenarios,
                 requirements=requirements,
-                factory=casestudy.baseline_design,
+                design=casestudy.baseline_design,
             )
         ]
 
