@@ -91,18 +91,27 @@ def risk_report(assessment: "RiskAssessment") -> str:
 def top_members_report(
     assessment: "RiskAssessment", limit: int = 10
 ) -> str:
-    """The members contributing the most expected annual penalty."""
-    ranked = sorted(
-        assessment.members,
-        key=lambda m: (-m.expected_penalty_per_year, m.member_id),
-    )
-    shown = ranked[:limit]
+    """The members contributing the most expected annual penalty.
+
+    An assessment's lazy :class:`~repro.risk.aggregate.MemberOutcomes`
+    ranks from its columns and builds only the members shown.
+    """
+    from ..risk.aggregate import MemberOutcomes
+
+    members = assessment.members
+    if isinstance(members, MemberOutcomes):
+        shown = members.heaviest(limit)
+    else:
+        shown = sorted(
+            members,
+            key=lambda m: (-m.expected_penalty_per_year, m.member_id),
+        )[:limit]
     table = Table(
         headers=[
             "member", "scenario", "rate/yr", "RT", "DL", "E[penalty]/yr",
         ],
         title=(
-            f"Top {len(shown)} of {len(ranked)} members by expected "
+            f"Top {len(shown)} of {len(members)} members by expected "
             "annual penalty"
         ),
     )

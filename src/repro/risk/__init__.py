@@ -6,7 +6,8 @@ package answers "how much dependability risk does the design carry
 scenarios, folds the evaluator's per-event severities into annualized
 distributions, and cross-checks the analytics by simulation:
 
-* :mod:`repro.risk.ensemble` — rated scenario ensembles, correlated
+* :mod:`repro.risk.ensemble` — rated scenario ensembles (a generated
+  grid stays a rule, :class:`MemberGrid`, read lazily), correlated
   events (array failure during the backup window) and cascades (a
   second fault during recovery, parameterized by the evaluator's own
   recovery time);
@@ -45,6 +46,8 @@ from .distributions import (
 from .ensemble import (
     CascadeSpec,
     EnsembleMember,
+    EnsembleMembers,
+    MemberGrid,
     ScenarioEnsemble,
     array_failure_during_backup_window,
     correlated_pair,
@@ -62,7 +65,9 @@ __all__ = [
     "BoundCheck",
     "CascadeSpec",
     "EnsembleMember",
+    "EnsembleMembers",
     "KofNModel",
+    "MemberGrid",
     "MemberOutcome",
     "MonteCarloResult",
     "PERCENTILES",

@@ -24,7 +24,17 @@ Two properties make large generated ensembles cheap:
   recovery time for the primary fault, so primaries are evaluated
   first, every :class:`~repro.risk.ensemble.CascadeSpec` is expanded
   with the measured recovery times, and only then are the escalated
-  scenarios (usually already deduplicated away) evaluated.
+  scenarios (usually already deduplicated away) evaluated;
+* **a member table** — a generated grid stays a rule
+  (:class:`~repro.risk.ensemble.MemberGrid`).  The few declared,
+  correlated and cascade-expanded members are merged into its
+  member-id order as columns: a rate per row and an index into a
+  short list of scenario slots, whose severities are looked up once.
+  The folds and the Monte Carlo read the columns, and
+  :class:`MemberOutcomes` builds a :class:`MemberOutcome` only when
+  one is read.  Every float is computed, and every sum taken, in the
+  same order as a per-member loop would, so the report's bytes do
+  not change.
 
 Everything downstream of the evaluations is deterministic arithmetic,
 so the JSON report is byte-identical across serial, parallel and
@@ -34,9 +44,18 @@ warm-cache runs — the property the CI ``risk`` job diffs for.
 from __future__ import annotations
 
 import hashlib
-import math
+import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..core.hierarchy import StorageDesign
 from ..core.results import Assessment
@@ -54,9 +73,19 @@ from ..scenarios.requirements import BusinessRequirements
 from ..serialization import canonical_json, scenario_to_dict
 from ..units import Seconds, YEAR
 from ..workload.spec import Workload
-from .distributions import RiskDistribution, compound_poisson_distribution
-from .ensemble import EnsembleMember, ScenarioEnsemble
-from .montecarlo import MonteCarloResult, SeverityRow, cross_check
+from .distributions import (
+    EntryColumns,
+    RiskDistribution,
+    compound_poisson_distribution,
+)
+from .ensemble import (
+    EnsembleMember,
+    LazySequence,
+    MemberGrid,
+    MemberIds,
+    ScenarioEnsemble,
+)
+from .montecarlo import MonteCarloResult, SeverityTable, cross_check
 
 
 def scenario_digest(scenario: FailureScenario) -> str:
@@ -122,6 +151,102 @@ class MemberOutcome:
         }
 
 
+class MemberOutcomes(LazySequence[MemberOutcome]):
+    """An assessment's members as columns, in member-id order.
+
+    ``rows`` is the severity table the folds and the Monte Carlo read;
+    this view adds each row's rate per year and cascade flag and each
+    scenario slot's ``(label, digest)``.  ``len()`` is the row count;
+    a :class:`MemberOutcome` is built only when one is read.
+    """
+
+    __slots__ = ("rows", "rates_per_year", "from_cascade", "scenarios")
+
+    def __init__(
+        self,
+        rows: SeverityTable,
+        rates_per_year: "Sequence[float]",
+        from_cascade: "Sequence[bool]",
+        scenarios: "Sequence[Tuple[str, str]]",
+    ) -> None:
+        self.rows = rows
+        self.rates_per_year = rates_per_year
+        self.from_cascade = from_cascade
+        self.scenarios = scenarios
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def _outcome(
+        self, member_id: str, slot: int, rate_per_year: float, cascaded: bool
+    ) -> MemberOutcome:
+        label, digest = self.scenarios[slot]
+        recovery_time, data_loss, penalty = self.rows.severities[slot]
+        return MemberOutcome(
+            member_id=member_id,
+            scenario=label,
+            scenario_digest=digest,
+            rate_per_year=rate_per_year,
+            recovery_time=recovery_time,
+            data_loss=data_loss,
+            penalty=penalty,
+            from_cascade=cascaded,
+        )
+
+    def _item(self, row: int) -> MemberOutcome:
+        return self._outcome(
+            self.rows.ids[row],
+            self.rows.slots[row],
+            self.rates_per_year[row],
+            self.from_cascade[row],
+        )
+
+    def __iter__(self) -> "Iterator[MemberOutcome]":
+        return map(
+            self._outcome,
+            self.rows.ids,
+            self.rows.slots,
+            self.rates_per_year,
+            self.from_cascade,
+        )
+
+    def heaviest(self, limit: int) -> "List[MemberOutcome]":
+        """The ``limit`` members with the most expected annual penalty.
+
+        The head of sorting every member by ``(-penalty, member_id)``,
+        built without them: rows are in id order, so the row index
+        breaks ties, and the penalty is worked out once per (slot,
+        rate) pair.
+        """
+        pairs = list(zip(self.rows.slots, self.rates_per_year))
+        penalty = {
+            pair: _expected(pair[1], self.rows.severities[pair[0]][2])
+            for pair in set(pairs)
+        }
+        column = list(map(penalty.__getitem__, pairs))
+        rows = heapq.nsmallest(
+            limit, range(len(column)), key=lambda row: (-column[row], row)
+        )
+        return [self[row] for row in rows]
+
+    def to_dicts(self) -> "List[Dict[str, object]]":
+        """Each member's :meth:`MemberOutcome.to_dict`, in order.
+
+        Rows that share a slot, a rate and a cascade flag differ only
+        in their id, so each distinct triple is rendered once.
+        """
+        tails: "Dict[Tuple[int, float, bool], Dict[str, object]]" = {}
+        rendered = []
+        keys = zip(self.rows.slots, self.rates_per_year, self.from_cascade)
+        for member_id, key in zip(self.rows.ids, keys):
+            tail = tails.get(key)
+            if tail is None:
+                tail = tails[key] = self._outcome(member_id, *key).to_dict()
+                del tail["member_id"]
+            rendered.append({"member_id": member_id, **tail})
+        return rendered
+
+
 def _expected(rate_per_year: float, severity: float) -> float:
     """Rate x severity with the inf * 0 convention: no events, no risk."""
     if severity == 0 or rate_per_year == 0:
@@ -138,7 +263,9 @@ class RiskAssessment:
     years: float
     total_rate_per_year: float
     unique_scenarios: int
-    members: "Tuple[MemberOutcome, ...]"
+    #: :class:`MemberOutcomes` from :func:`assess_risk`; any sequence
+    #: of :class:`MemberOutcome` renders the same way.
+    members: "Sequence[MemberOutcome]"
     downtime: RiskDistribution
     loss: RiskDistribution
     penalty: RiskDistribution
@@ -176,7 +303,11 @@ class RiskAssessment:
             "downtime": self.downtime.to_dict(),
             "loss": self.loss.to_dict(),
             "penalty": self.penalty.to_dict(),
-            "per_member": [m.to_dict() for m in self.members],
+            "per_member": (
+                self.members.to_dicts()
+                if isinstance(self.members, MemberOutcomes)
+                else [m.to_dict() for m in self.members]
+            ),
         }
         if self.monte_carlo is not None:
             data["monte_carlo"] = self.monte_carlo.to_dict()
@@ -222,88 +353,41 @@ def assess_risk(
             design, workload, requirements, config, cache, keys, assessments
         )
 
-        # Round 1: declared members plus every cascade's primary (the
-        # recovery time of which sets the cascade probability).
-        first_round = [m.scenario for m in ensemble.members]
+        members = ensemble.members
+        grid = members.grid
+        # Round 1: declared members, the grid's scenario cycle and every
+        # cascade's primary (whose recovery time sets the cascade
+        # probability).
+        first_round = [m.scenario for m in members.declared]
+        if grid is not None:
+            first_round.extend(grid.scenarios)
         first_round.extend(c.primary for c in ensemble.cascades)
         evaluate(first_round)
 
-        expanded: "List[Tuple[EnsembleMember, bool]]" = [
-            (m, False) for m in ensemble.members
+        explicit: "List[Tuple[EnsembleMember, bool]]" = [
+            (m, False) for m in members.declared
         ]
         for cascade in ensemble.cascades:
             primary = assessments[keys[cascade.primary][0]]
-            expanded.extend(
+            explicit.extend(
                 (m, True) for m in cascade.split(primary.recovery_time)
             )
 
         # Round 2: escalated scenarios the splits introduced (already
         # in ``assessments`` if any declared member shares them).
-        scenarios = _by_identity(m.scenario for m, _ in expanded)
-        evaluate(scenarios.values())
+        evaluate(m.scenario for m, _ in explicit)
 
-        # Per scenario object: digest, label and the three per-event
-        # severities.  ``scenarios`` keeps the objects (and so their
-        # ids) alive until the member pass below is done.
-        facts = {}
-        for key, scenario in scenarios.items():
-            digest, label = keys[scenario]
-            assessment = assessments[digest]
-            facts[key] = (
-                digest,
-                label,
-                assessment.recovery_time,
-                assessment.recent_data_loss,
-                assessment.costs.total_penalties,
-            )
-        # One pass builds the outcomes (in member-id order), the Monte
-        # Carlo rows and the three severity columns.
-        expanded.sort(key=lambda pair: pair[0].member_id)
-        outcomes = []
-        rows: "List[SeverityRow]" = []
-        downtime_entries: "List[Tuple[float, float]]" = []
-        loss_entries: "List[Tuple[float, float]]" = []
-        penalty_entries: "List[Tuple[float, float]]" = []
-        for member, from_cascade in expanded:
-            digest, label, recovery_time, data_loss, penalty_cost = facts[
-                id(member.scenario)
-            ]
-            rate_per_year = member.rate_per_year
-            rate = rate_per_year / YEAR
-            outcomes.append(
-                MemberOutcome(
-                    member_id=member.member_id,
-                    scenario=label,
-                    scenario_digest=digest,
-                    rate_per_year=rate_per_year,
-                    recovery_time=recovery_time,
-                    data_loss=data_loss,
-                    penalty=penalty_cost,
-                    from_cascade=from_cascade,
-                )
-            )
-            rows.append(
-                (
-                    member.member_id,
-                    rate,
-                    recovery_time,
-                    data_loss,
-                    penalty_cost,
-                )
-            )
-            downtime_entries.append((rate, recovery_time))
-            loss_entries.append((rate, data_loss))
-            penalty_entries.append((rate, penalty_cost))
-
-        with tracer.span("risk.fold", entries=len(outcomes)):
+        outcomes = _member_table(grid, explicit, keys, assessments)
+        rows = outcomes.rows
+        with tracer.span("risk.fold", entries=len(rows)):
             downtime = compound_poisson_distribution(
-                downtime_entries, horizon, grid_bins
+                EntryColumns(rows.rates, rows.column(0)), horizon, grid_bins
             )
             loss = compound_poisson_distribution(
-                loss_entries, horizon, grid_bins
+                EntryColumns(rows.rates, rows.column(1)), horizon, grid_bins
             )
             penalty = compound_poisson_distribution(
-                penalty_entries, horizon, grid_bins
+                EntryColumns(rows.rates, rows.column(2)), horizon, grid_bins
             )
 
         monte_carlo = None
@@ -320,7 +404,7 @@ def assess_risk(
             years=years,
             total_rate_per_year=ensemble.total_rate * YEAR,
             unique_scenarios=len(assessments),
-            members=tuple(outcomes),
+            members=outcomes,
             downtime=downtime,
             loss=loss,
             penalty=penalty,
@@ -329,13 +413,68 @@ def assess_risk(
         )
 
 
+def _member_table(
+    grid: "Optional[MemberGrid]",
+    explicit: "List[Tuple[EnsembleMember, bool]]",
+    keys: _ScenarioKeys,
+    assessments: "Dict[str, Assessment]",
+) -> "MemberOutcomes":
+    """The expanded members as columns, in member-id order.
+
+    ``explicit`` (declared, correlated and cascade-expanded members,
+    with their cascade flags) is merged into the grid's rows by id.
+    Scenario slots are the grid's cycle, then each distinct explicit
+    scenario object; digest, label and severities are looked up once
+    per slot.  Each row's rate is ``rate_per_year / YEAR`` from its
+    own member, exactly as a per-member loop computes it.
+    """
+    explicit.sort(key=lambda pair: pair[0].member_id)
+    ids = MemberIds(grid, [member.member_id for member, _ in explicit])
+    scenarios: "List[FailureScenario]" = []
+    slots: "List[int]" = []
+    rates_per_year: "List[float]" = []
+    rates: "List[float]" = []
+    if grid is not None:
+        scenarios.extend(grid.scenarios)
+        slots = grid.scenario_column(ids.order)
+        # As ``EnsembleMember.rate_per_year`` computes it.
+        rate_per_year = grid.occurrence_rate * YEAR
+        rates_per_year = [rate_per_year] * grid.count
+        rates = [rate_per_year / YEAR] * grid.count
+    from_cascade = [False] * len(slots)
+    slot_of: "Dict[int, int]" = {}
+    for position, (member, cascaded) in zip(ids.positions, explicit):
+        slot = slot_of.setdefault(id(member.scenario), len(scenarios))
+        if slot == len(scenarios):
+            scenarios.append(member.scenario)
+        rate_per_year = member.rate_per_year
+        slots.insert(position, slot)
+        rates_per_year.insert(position, rate_per_year)
+        rates.insert(position, rate_per_year / YEAR)
+        from_cascade.insert(position, cascaded)
+    labels = []
+    severities = []
+    for scenario in scenarios:
+        digest, label = keys[scenario]
+        assessment = assessments[digest]
+        labels.append((label, digest))
+        severities.append(
+            (
+                assessment.recovery_time,
+                assessment.recent_data_loss,
+                assessment.costs.total_penalties,
+            )
+        )
+    rows = SeverityTable(ids, rates, slots, severities)
+    return MemberOutcomes(rows, rates_per_year, from_cascade, labels)
+
+
 def _by_identity(
     scenarios: "Iterable[FailureScenario]",
 ) -> "Dict[int, FailureScenario]":
     """``id(scenario) -> scenario`` per distinct object, in first-seen order.
 
-    Members share scenario objects (a generated grid holds one per
-    distinct age), so looking each object up once in
+    Members share scenario objects, so looking each object up once in
     :class:`_ScenarioKeys` hashes per object rather than per member.
     The dict holds the objects, so their ids stay unique while it lives.
     """

@@ -29,6 +29,10 @@ probability (p99 unless that one is infinite), and runs the whole
 grid only when the grid's mass never gets there.  Every value it
 computes is bit-identical to a full-grid run.
 
+Entries arrive either as ``(rate, severity)`` pairs or, from the
+aggregator, as :class:`EntryColumns`: the same entries held as two
+parallel columns, which the fold reads without transposing.
+
 For very large ``Lambda`` the recursion's starting term underflows;
 there the central limit theorem is already excellent and the quantiles
 switch to the matched normal approximation.  Everything is
@@ -49,6 +53,7 @@ import numpy as np
 
 from ..exceptions import RiskError
 from ..units import PerSecond, Seconds
+from .ensemble import LazySequence
 
 #: The reported quantiles, as (label, probability) pairs.
 PERCENTILES: "Tuple[Tuple[str, float], ...]" = (
@@ -90,6 +95,26 @@ class RiskDistribution:
         }
 
 
+class EntryColumns(LazySequence[Tuple[PerSecond, float]]):
+    """``(rate, severity)`` entries held as two parallel columns."""
+
+    __slots__ = ("rates", "severities")
+
+    def __init__(
+        self, rates: "Sequence[PerSecond]", severities: "Sequence[float]"
+    ) -> None:
+        if len(rates) != len(severities):
+            raise RiskError("entry columns differ in length")
+        self.rates = rates
+        self.severities = severities
+
+    def __len__(self) -> int:
+        return len(self.rates)
+
+    def _item(self, index: int) -> "Tuple[PerSecond, float]":
+        return self.rates[index], self.severities[index]
+
+
 def compound_poisson_distribution(
     entries: "Sequence[Tuple[PerSecond, float]]",
     horizon: Seconds,
@@ -106,7 +131,10 @@ def compound_poisson_distribution(
         raise RiskError(f"risk horizon must be positive, got {horizon!r}")
     if bins < 2:
         raise RiskError(f"severity grid needs >= 2 bins, got {bins}")
-    rates, severities = tuple(zip(*entries)) or ((), ())
+    if isinstance(entries, EntryColumns):
+        rates, severities = entries.rates, entries.severities
+    else:
+        rates, severities = tuple(zip(*entries)) or ((), ())
     check_entries(rates, severities)
 
     is_finite = list(map(math.isfinite, severities))

@@ -43,6 +43,7 @@ from .distributions import (
     check_entries,
     empirical_distribution,
 )
+from .ensemble import LazySequence
 
 #: (member_id, rate per second, downtime, loss, penalty) — the flat
 #: severity row the aggregator hands to :func:`cross_check`.
@@ -50,6 +51,43 @@ SeverityRow = Tuple[str, PerSecond, float, float, float]
 
 #: Per-event (downtime, loss, penalty) — one Monte Carlo group's key.
 Severity = Tuple[float, float, float]
+
+
+class SeverityTable(LazySequence[SeverityRow]):
+    """Severity rows held as columns, sorted by member id.
+
+    Row ``j`` is ``(ids[j], rates[j], *severities[slots[j]])``: each
+    member indexes a short list of per-event severity triples (one per
+    distinct scenario), so a row costs a rate and an index.  Rows must
+    be in member-id order.
+    """
+
+    __slots__ = ("ids", "rates", "slots", "severities")
+
+    def __init__(
+        self,
+        ids: "Sequence[str]",
+        rates: "Sequence[PerSecond]",
+        slots: "Sequence[int]",
+        severities: "Sequence[Severity]",
+    ) -> None:
+        if not len(ids) == len(rates) == len(slots):
+            raise RiskError("severity table columns differ in length")
+        self.ids = ids
+        self.rates = rates
+        self.slots = slots
+        self.severities = severities
+
+    def __len__(self) -> int:
+        return len(self.rates)
+
+    def _item(self, row: int) -> SeverityRow:
+        return (self.ids[row], self.rates[row], *self.severities[self.slots[row]])
+
+    def column(self, metric: int) -> "List[float]":
+        """Each row's severity ``metric`` (0 downtime, 1 loss, 2 penalty)."""
+        values = [severity[metric] for severity in self.severities]
+        return list(map(values.__getitem__, self.slots))
 
 
 @dataclass(frozen=True)
@@ -119,6 +157,17 @@ def cross_check(
         )
 
 
+def _as_table(rows: "Sequence[SeverityRow]") -> SeverityTable:
+    """``rows`` sorted and held as a :class:`SeverityTable` of one slot each."""
+    if isinstance(rows, SeverityTable):
+        return rows
+    ordered = sorted(rows)
+    ids, rates, *severities = tuple(zip(*ordered)) or ((),) * 5
+    return SeverityTable(
+        ids, rates, range(len(ordered)), list(zip(*severities))
+    )
+
+
 def _severity_groups(
     rows: "Sequence[SeverityRow]",
 ) -> "Dict[Severity, Tuple[str, List[PerSecond]]]":
@@ -128,12 +177,12 @@ def _severity_groups(
     insertion order is therefore the order of each group's smallest
     member id, whatever the hash seed.
     """
-    ordered = sorted(rows)
-    columns = tuple(zip(*ordered)) or ((),) * 5
-    ids, rates, *severities = columns
-    check_entries(rates, *severities)
+    table = _as_table(rows)
+    check_entries(table.rates, *map(table.column, range(3)))
     groups: "Dict[Severity, Tuple[str, List[PerSecond]]]" = {}
-    for member_id, rate, severity in zip(ids, rates, zip(*severities)):
+    severities = table.severities
+    for member_id, slot, rate in zip(table.ids, table.slots, table.rates):
+        severity = severities[slot]
         group = groups.get(severity)
         if group is None:
             groups[severity] = (member_id, [rate])

@@ -72,6 +72,25 @@ def _require(mapping: Mapping[str, Any], key: str, context: str) -> Any:
     return mapping[key]
 
 
+def _integer(
+    mapping: Mapping[str, Any], key: str, context: str, default: Any = None
+) -> int:
+    """An integer field; required unless ``default`` is given.
+
+    A bool, a float (``1000.5``) or a numeric string (``"1000"``) is a
+    :class:`DesignError` naming the field, not a ``TypeError`` later.
+    """
+    if default is None:
+        value = _require(mapping, key, context)
+    else:
+        value = mapping.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DesignError(
+            f"{context}: {key!r} must be an integer, got {value!r}"
+        )
+    return value
+
+
 def _check_keys(mapping: Mapping[str, Any], allowed: set, context: str) -> None:
     unknown = set(mapping) - allowed
     if unknown:
@@ -865,11 +884,13 @@ def ensemble_from_spec(spec: Mapping[str, Any]) -> "Any":
     either from an explicit ``rate`` or from a ``kofn`` redundancy
     model — exactly one.  A cascade takes exactly one of
     ``secondary_rate`` / ``probability``.  ``generate`` appends the
-    members of a generated ensemble (currently ``object_grid``).
+    members of a generated ensemble (currently ``object_grid``), kept
+    as a :class:`repro.risk.MemberGrid` rule rather than built.
     """
     from .risk import (
         CascadeSpec,
         EnsembleMember,
+        EnsembleMembers,
         KofNModel,
         ScenarioEnsemble,
         correlated_pair,
@@ -907,8 +928,8 @@ def ensemble_from_spec(spec: Mapping[str, Any]) -> "Any":
                 f"{context} kofn",
             )
             model = KofNModel(
-                n=_require(kofn_spec, "n", f"{context} kofn"),
-                k=_require(kofn_spec, "k", f"{context} kofn"),
+                n=_integer(kofn_spec, "n", f"{context} kofn"),
+                k=_integer(kofn_spec, "k", f"{context} kofn"),
                 unit_rate=_event_rate_from_spec(
                     _require(kofn_spec, "unit_rate", f"{context} kofn"),
                     f"{context} kofn",
@@ -970,6 +991,7 @@ def ensemble_from_spec(spec: Mapping[str, Any]) -> "Any":
             )
         )
 
+    grid = None
     generate = spec.get("generate")
     if generate is not None:
         _check_keys(generate, {"object_grid"}, "ensemble generate")
@@ -981,19 +1003,22 @@ def ensemble_from_spec(spec: Mapping[str, Any]) -> "Any":
             "object_grid",
         )
         grid = object_corruption_grid(
-            count=_require(grid_spec, "count", "object_grid"),
+            count=_integer(grid_spec, "count", "object_grid"),
             total_rate_per_year=_event_rate_from_spec(
                 _require(grid_spec, "total_rate", "object_grid"),
                 "object_grid",
             ) * YEAR,
-            distinct_ages=grid_spec.get("distinct_ages", 64),
+            distinct_ages=_integer(
+                grid_spec, "distinct_ages", "object_grid", default=64
+            ),
             max_age=grid_spec.get("max_age", "1 wk"),
             object_size=grid_spec.get("object_size", "1 MB"),
-        )
-        members.extend(grid.members)
+        ).members.grid
 
     return ScenarioEnsemble(
-        name=name, members=tuple(members), cascades=tuple(cascades)
+        name=name,
+        members=EnsembleMembers(members, grid),
+        cascades=tuple(cascades),
     )
 
 

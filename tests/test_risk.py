@@ -27,9 +27,11 @@ from repro.core.evaluate import evaluate
 from repro.engine import EngineConfig, EvaluationTask, ResultCache, task_key
 from repro.exceptions import DesignError, ReproError, RiskError
 from repro.obs import MetricsRegistry, Telemetry, Tracer, use
+from repro.reporting.risk_report import risk_report
 from repro.risk import (
     CascadeSpec,
     EnsembleMember,
+    EnsembleMembers,
     KofNModel,
     ScenarioEnsemble,
     array_failure_during_backup_window,
@@ -184,6 +186,65 @@ class TestObjectCorruptionGrid:
             (m.member_id, m.scenario, m.occurrence_rate)
             for m in ensemble.members
         ] == expected
+
+    def test_members_read_like_a_tuple(self):
+        ensemble = object_corruption_grid(12, 6.0, distinct_ages=5)
+        members = ensemble.members
+        built = tuple(members)
+        assert len(members) == 12
+        assert members[-1] == built[-1] and members[3] == built[3]
+        assert members[2:9:3] == built[2:9:3]
+        assert members == built and hash(members) == hash(built)
+        assert members + built[:1] == built + built[:1]
+        assert built[:1] + members == built[:1] + built
+        assert members + members == built + built
+        with pytest.raises(IndexError):
+            members[12]
+
+    @pytest.mark.parametrize("field", ["count", "distinct_ages"])
+    @pytest.mark.parametrize("value", ["1000", 1000.5, True])
+    def test_non_integer_sizes_rejected(self, field, value):
+        arguments = {"count": 2000, "distinct_ages": 8, field: value}
+        with pytest.raises(RiskError, match=f"{field} must be an integer"):
+            object_corruption_grid(
+                arguments["count"], 6.0,
+                distinct_ages=arguments["distinct_ages"],
+            )
+
+    @pytest.mark.parametrize(
+        "declared, cascades, duplicate",
+        [
+            (("x", "obj-0003", "x"), (), "obj-0003"),
+            (("x", "x", "obj-0001"), (), "x"),
+            (("y",), ("obj-0002",), "obj-0002"),
+            (("y",), ("y",), "y"),
+        ],
+    )
+    def test_duplicate_of_a_grid_id_rejected(
+        self, declared, cascades, duplicate
+    ):
+        grid = object_corruption_grid(5, 6.0, distinct_ages=2).members.grid
+        members = [EnsembleMember.per_year(i, array(), 1.0) for i in declared]
+        specs = tuple(
+            CascadeSpec(i, array(), 0.1 / YEAR, site(), probability=0.5)
+            for i in cascades
+        )
+        with pytest.raises(
+            RiskError, match=f"duplicate member id '{duplicate}'"
+        ):
+            ScenarioEnsemble("e", EnsembleMembers(members, grid), specs)
+
+    def test_ids_that_only_look_generated_are_not_grid_ids(self):
+        grid = object_corruption_grid(5, 6.0, distinct_ages=2).members.grid
+        lookalikes = [
+            "obj-0005", "obj-00001", "obj-1", "obj-0001a", "obj-",
+            "obj-" + "1" * 5000,  # past CPython's int() digit limit
+        ]
+        assert [grid.index_of(i) for i in lookalikes] == [None] * 6
+        assert grid.index_of("obj-0004") == 4
+        members = [EnsembleMember.per_year(i, array(), 1.0) for i in lookalikes]
+        ensemble = ScenarioEnsemble("e", EnsembleMembers(members, grid))
+        assert len(ensemble.members) == 11
 
 
 class TestCorrelatedPair:
@@ -613,6 +674,28 @@ class TestMonteCarlo:
                 cross_check([("a", rate, 0.0, severity, 0.0)], YEAR, 10)
             assert str(fold.value) == str(sampler.value)
 
+    def test_severity_table_samples_and_rejects_as_its_rows(self):
+        # A table's rows share triples through slots; walked as columns
+        # it must sample, and fail, exactly as its materialized rows.
+        triples = [(HOUR, 0.0, 5.0), (2 * HOUR, DAY, 0.0), (0.0, 0.0, 0.0)]
+        rng = random.Random(4)
+        slots = [rng.randrange(3) for _ in range(60)]
+        rates = [rng.uniform(0.1, 3.0) / YEAR for _ in slots]
+        ids = [f"m{index:03d}" for index in range(60)]
+        table = montecarlo.SeverityTable(ids, rates, slots, triples)
+        assert cross_check(table, YEAR, 500, seed=2) == cross_check(
+            list(table), YEAR, 500, seed=2
+        )
+        for bad in ((HOUR, -1.0, 0.0), (float("nan"), 0.0, 0.0)):
+            broken = montecarlo.SeverityTable(
+                ids, rates, slots, triples[:2] + [bad]
+            )
+            with pytest.raises(RiskError) as columns:
+                cross_check(broken, YEAR, 10)
+            with pytest.raises(RiskError) as rows:
+                cross_check(list(broken), YEAR, 10)
+            assert str(columns.value) == str(rows.value)
+
 
 def _per_member_cross_check(rows, horizon, samples, seed=0):
     """The per-member sampler ``cross_check`` replaced, kept verbatim.
@@ -992,6 +1075,45 @@ class TestAssessRisk:
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
 
+    def test_member_objects_do_not_grow_with_members(
+        self, baseline, workload, requirements, monkeypatch
+    ):
+        # A path that renders no per-member output (the human report
+        # included) builds the same member objects whatever the grid
+        # size; len() builds none.
+        built = []
+        for cls in (EnsembleMember, aggregate.MemberOutcome):
+            real = cls.__init__
+
+            def counted(self, *args, _real=real, _cls=cls, **kwargs):
+                built.append(_cls)
+                _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        counts = []
+        for count in (500, 4000):
+            built.clear()
+            spec = dict(TestEnsembleSpec.SPEC)
+            spec["generate"] = {"object_grid": {
+                "count": count, "total_rate": "6/yr", "distinct_ages": 16,
+            }}
+            ensemble = ensemble_from_spec(spec)
+            assessment = assess_risk(
+                baseline, workload, ensemble, requirements,
+                samples=50, seed=1,
+            )
+            assert len(ensemble.members) == count + 4
+            assert len(assessment.members) == count + 6
+            assert "Top 10 of" in risk_report(assessment)
+            counts.append(
+                (built.count(EnsembleMember),
+                 built.count(aggregate.MemberOutcome))
+            )
+        # The spec's four declared members, the cascade's two and one
+        # grid member built to validate the grid's rate; the human
+        # report builds the ten members it shows.
+        assert counts[0] == counts[1] == (7, 10)
+
     def test_shared_and_fresh_scenario_objects_byte_identical(
         self, baseline, workload, requirements
     ):
@@ -1250,6 +1372,43 @@ class TestEnsembleSpec:
         })
         assert len(ensemble.members) == 10
         assert ensemble.total_rate * YEAR == pytest.approx(5.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "path", ["count", "distinct_ages", "kofn.n", "kofn.k"]
+    )
+    @pytest.mark.parametrize("value", ["1000", 1000.5, True])
+    def test_non_integer_fields_name_the_field(self, path, value):
+        spec = {
+            "name": "ints",
+            "members": [{
+                "id": "raid", "scenario": "array",
+                "kofn": {"n": 8, "k": 6, "unit_rate": "2/yr",
+                         "repair_time": "8 hr"},
+            }],
+            "generate": {"object_grid": {
+                "count": 2000, "total_rate": "5/yr", "distinct_ages": 8,
+            }},
+        }
+        if path.startswith("kofn."):
+            spec["members"][0]["kofn"][path[5:]] = value
+        else:
+            spec["generate"]["object_grid"][path] = value
+        field = path.split(".")[-1]
+        with pytest.raises(
+            DesignError, match=f"'{field}' must be an integer, got"
+        ):
+            ensemble_from_spec(spec)
+
+    def test_cli_reports_a_non_integer_count(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"ensemble": {
+            "name": "g",
+            "generate": {"object_grid": {"count": "10", "total_rate": "5/yr"}},
+        }}))
+        assert main(["risk", str(path)]) == 2
+        assert "'count' must be an integer" in capsys.readouterr().err
 
     def test_output_record_round_trip(self):
         ensemble = ensemble_from_spec(self.SPEC)
