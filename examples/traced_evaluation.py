@@ -7,8 +7,8 @@ installed (both are no-ops by default), then prints:
 * the per-phase span tree — where the evaluation spent its time,
 * the aggregated span profile — call counts, cumulative/self time,
   and the merged hot call paths,
-* the metrics table — counters, gauges, and latency histograms with
-  p50/p90/p99 estimates,
+* the metrics table — counters and gauges (phase timings are the
+  spans above, not metrics),
 * the provenance record — *why* each of the four output metrics
   (utilization, recovery time, data loss, cost) came out as it did,
 

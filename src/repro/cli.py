@@ -453,7 +453,7 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--metrics",
         action="store_true",
-        help="print the run's metrics (counters, gauges, histograms)",
+        help="print the run's metrics (counters and gauges)",
     )
     parser.add_argument(
         "--metrics-out",

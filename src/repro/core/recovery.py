@@ -24,7 +24,6 @@ Figure 4 dependency chart can be rendered.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 from typing import List, Optional, Tuple
 
 from ..devices.base import Device
@@ -199,9 +198,6 @@ def plan_recovery(
     """
     tracer = get_tracer()
     metrics = get_metrics()
-    timed = metrics.enabled
-    if timed:
-        t0 = perf_counter()
     if label is None:
         label = scenario.describe()
     with tracer.span("recovery.plan", scenario=label) as span:
@@ -214,8 +210,6 @@ def plan_recovery(
         )
     metrics.inc("recovery.plans")
     metrics.inc("recovery.steps", len(plan.steps))
-    if timed:
-        metrics.observe("recovery.plan_ms", (perf_counter() - t0) * 1e3)
     return plan
 
 

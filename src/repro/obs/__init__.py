@@ -13,10 +13,10 @@ Zero-dependency instrumentation for the evaluation pipeline:
   operation, with attributes and nested children;
 * :mod:`repro.obs.tracer` — the :class:`Tracer` collecting span trees,
   and its no-op twin :data:`NULL_TRACER`;
-* :mod:`repro.obs.metrics` — the :class:`MetricsRegistry` of counters,
-  gauges and histograms (``evaluate.calls``, ``recovery.plan_ms``,
-  ``optimizer.designs_pruned``, ``sim.events_processed``, ...), and
-  its no-op twin :data:`NULL_METRICS`;
+* :mod:`repro.obs.metrics` — the :class:`MetricsRegistry` of counters
+  and gauges, two dicts of floats (``evaluate.calls``,
+  ``recovery.plans``, ``engine.cache.hits``, ...), and its no-op twin
+  :data:`NULL_METRICS`.  Phases are timed by spans only;
 * :mod:`repro.obs.provenance` — the :class:`EvaluationProvenance`
   record attached to every :class:`~repro.core.results.Assessment`:
   which recovery source was chosen, why planning failed, which penalty
@@ -51,14 +51,7 @@ Enable tracing and metrics for one block of code::
 
 from .spans import Span
 from .tracer import NULL_TRACER, NullTracer, Tracer
-from .metrics import (
-    NULL_METRICS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullMetricsRegistry,
-)
+from .metrics import NULL_METRICS, MetricsRegistry, NullMetricsRegistry
 from .provenance import EvaluationProvenance, explain_assessment
 from .profile import (
     PathNode,
@@ -109,9 +102,6 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "NullMetricsRegistry",
     "NULL_METRICS",

@@ -2,8 +2,8 @@
 
 The process pool in :mod:`repro.engine.executor` runs tasks in child
 processes, where the parent's tracer and metrics registry do not
-exist: every span, counter and histogram sample recorded there would
-be silently dropped.  This module closes that gap with three pieces:
+exist: every span, counter and gauge recorded there would be silently
+dropped.  This module closes that gap with three pieces:
 
 * :class:`TraceContext` — the compact, picklable description of the
   parent's telemetry state that rides along with each dispatched task
@@ -20,9 +20,9 @@ be silently dropped.  This module closes that gap with three pieces:
 * :func:`merge_capsule` — the parent side: worker span roots are
   adopted under the currently open span (tagged with the worker's
   ``pid`` and rebased by the dispatch-time offset), counter deltas
-  are summed into the parent registry, histogram buckets merged, and
-  gauges applied in chunk order (which is submission order, so the
-  final gauge value matches a serial run).
+  are summed into the parent registry, and gauges applied in chunk
+  order (which is submission order, so the final gauge value matches
+  a serial run).
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ class TelemetryCapsule:
     primitives keeps the per-chunk transport cost off the sweep's
     critical path.  Times stay relative to the worker's capture epoch
     until :func:`merge_capsule` rebases them.  ``metrics`` is the
-    worker registry's full state — counter values are *deltas* because
+    worker registry's snapshot — counter values are *deltas* because
     the capture registry starts empty.
     """
 
@@ -113,7 +113,7 @@ class TelemetryCapsule:
             base=base,
             packed_spans=tuple(pack_span(root) for root in roots),
             metrics=(
-                telemetry.metrics.state() if telemetry.metrics.enabled else None
+                telemetry.metrics.snapshot() if telemetry.metrics.enabled else None
             ),
             span_count=sum(1 for root in roots for _ in root.walk()),
         )
@@ -127,8 +127,8 @@ def merge_capsule(
     """Fold one worker capsule into the parent's instruments.
 
     Span roots gain a ``pid`` attribute and are adopted under the
-    currently open parent span; counter deltas are summed, histogram
-    buckets merged, gauges applied last-write-wins.  Two bookkeeping
+    currently open parent span; counter deltas are summed, gauges
+    applied last-write-wins.  Two bookkeeping
     counters record the merge itself: ``obs.capsules_merged`` and
     ``obs.worker_spans``.
     """
@@ -145,7 +145,7 @@ def merge_capsule(
             capsule.packed_spans, shift=capsule.base, pid=capsule.pid
         )
     if capsule.metrics:
-        target_metrics.merge_state(capsule.metrics)
+        target_metrics.merge(capsule.metrics)
     if target_metrics.enabled:
         target_metrics.inc("obs.capsules_merged")
         if capsule.span_count:

@@ -9,10 +9,10 @@ along three axes:
   name-path call trees are walked top-down to *attribute* each
   regressed root to the deepest path that explains it
   (:class:`Attribution`);
-* **metrics** — counters, gauges and histogram summaries are joined by
-  instrument name, normalized through
-  :func:`~repro.obs.export.prom_metric_name` to the names the run's
-  ``metrics.prom`` exposes, into :class:`MetricDelta` rows;
+* **metrics** — counters and gauges are joined by instrument name,
+  normalized through :func:`~repro.obs.export.prom_metric_name` to the
+  names the run's ``metrics.prom`` exposes, into :class:`MetricDelta`
+  rows (other keys an older manifest's ``metrics`` holds are ignored);
 * **tasks** — the engine's task records are joined by content-addressed
   task key, splitting differences into *correctness drift* (same key,
   different result digest — the runs computed different answers) and
@@ -123,27 +123,19 @@ class MetricDelta:
     """One instrument's change between two runs (normalized name)."""
 
     name: str
-    kind: str  #: ``counter`` | ``gauge`` | ``histogram``
+    kind: str  #: ``counter`` | ``gauge``
     base: Optional[float]
     cand: Optional[float]
     delta: float
-    base_count: Optional[int] = None
-    cand_count: Optional[int] = None
-    delta_count: int = 0
 
     def to_dict(self) -> "Dict[str, Any]":
-        record: "Dict[str, Any]" = {
+        return {
             "name": self.name,
             "kind": self.kind,
             "base": self.base,
             "cand": self.cand,
             "delta": round(self.delta, 6),
         }
-        if self.kind == "histogram":
-            record["base_count"] = self.base_count
-            record["cand_count"] = self.cand_count
-            record["delta_count"] = self.delta_count
-        return record
 
 
 @dataclass
@@ -183,7 +175,6 @@ class RunDiff:
     regressions: "List[Attribution]" = field(default_factory=list)
     counter_deltas: "List[MetricDelta]" = field(default_factory=list)
     gauge_deltas: "List[MetricDelta]" = field(default_factory=list)
-    histogram_deltas: "List[MetricDelta]" = field(default_factory=list)
     correctness_drift: "List[TaskDrift]" = field(default_factory=list)
     tasks_added: "List[str]" = field(default_factory=list)
     tasks_removed: "List[str]" = field(default_factory=list)
@@ -229,7 +220,6 @@ class RunDiff:
             "metrics": {
                 "counters": [d.to_dict() for d in self.counter_deltas],
                 "gauges": [d.to_dict() for d in self.gauge_deltas],
-                "histograms": [d.to_dict() for d in self.histogram_deltas],
             },
             "tasks": {
                 "matched": self.matched_tasks,
@@ -379,9 +369,12 @@ def _normalized_scalars(mapping: Any) -> "Dict[str, float]":
     return normalized
 
 
-def _scalar_deltas(
-    base_map: "Dict[str, float]", cand_map: "Dict[str, float]", kind: str
+def _metric_deltas(
+    base_metrics: "Dict[str, Any]", cand_metrics: "Dict[str, Any]", kind: str
 ) -> "List[MetricDelta]":
+    """One row per ``kind`` instrument either run's metrics holds."""
+    base_map = _normalized_scalars(base_metrics.get(kind + "s"))
+    cand_map = _normalized_scalars(cand_metrics.get(kind + "s"))
     deltas: "List[MetricDelta]" = []
     for name in sorted(set(base_map) | set(cand_map)):
         base_value = base_map.get(name)
@@ -393,42 +386,6 @@ def _scalar_deltas(
                 base=base_value,
                 cand=cand_value,
                 delta=(cand_value or 0.0) - (base_value or 0.0),
-            )
-        )
-    return deltas
-
-
-def _normalized_histograms(mapping: Any) -> "Dict[str, Dict[str, Any]]":
-    if not isinstance(mapping, dict):
-        return {}
-    return {
-        prom_metric_name(str(name)): stats
-        for name, stats in mapping.items()
-        if isinstance(stats, dict)
-    }
-
-
-def _histogram_deltas(base: Any, cand: Any) -> "List[MetricDelta]":
-    base_map = _normalized_histograms(base)
-    cand_map = _normalized_histograms(cand)
-    deltas: "List[MetricDelta]" = []
-    for name in sorted(set(base_map) | set(cand_map)):
-        b = base_map.get(name)
-        c = cand_map.get(name)
-        base_total = _stat(b, "total") if b is not None else None
-        cand_total = _stat(c, "total") if c is not None else None
-        base_count = int(_stat(b, "count")) if b is not None else None
-        cand_count = int(_stat(c, "count")) if c is not None else None
-        deltas.append(
-            MetricDelta(
-                name=name,
-                kind="histogram",
-                base=base_total,
-                cand=cand_total,
-                delta=(cand_total or 0.0) - (base_total or 0.0),
-                base_count=base_count,
-                cand_count=cand_count,
-                delta_count=(cand_count or 0) - (base_count or 0),
             )
         )
     return deltas
@@ -534,19 +491,8 @@ def diff_runs(
         regressions=_regressions(
             base, cand, rel_threshold, abs_threshold_ms, explain_fraction
         ),
-        counter_deltas=_scalar_deltas(
-            _normalized_scalars(base_metrics.get("counters")),
-            _normalized_scalars(cand_metrics.get("counters")),
-            "counter",
-        ),
-        gauge_deltas=_scalar_deltas(
-            _normalized_scalars(base_metrics.get("gauges")),
-            _normalized_scalars(cand_metrics.get("gauges")),
-            "gauge",
-        ),
-        histogram_deltas=_histogram_deltas(
-            base_metrics.get("histograms"), cand_metrics.get("histograms")
-        ),
+        counter_deltas=_metric_deltas(base_metrics, cand_metrics, "counter"),
+        gauge_deltas=_metric_deltas(base_metrics, cand_metrics, "gauge"),
         correctness_drift=drift,
         tasks_added=added,
         tasks_removed=removed,

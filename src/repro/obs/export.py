@@ -8,17 +8,17 @@ The JSONL wire format is one JSON object per line, each tagged with a
   "error", "attributes": {...}}`` — spans in depth-first order, so a
   reader can rebuild the tree from ``depth`` alone; errored spans
   additionally carry ``error_type`` / ``error_message``;
-* ``{"kind": "counter" | "gauge" | "histogram", "name": ..., ...}`` —
-  one line per instrument of the metrics snapshot.
+* ``{"kind": "counter" | "gauge", "name": ..., "value": ...}`` — one
+  line per instrument of the metrics snapshot.
 
 Readers ignore lines whose ``kind`` they do not know, keeping the
-format forward-compatible.
+format forward-compatible (and older traces, whose ``histogram``
+lines nothing reads any more, still load).
 
 :func:`openmetrics_text` renders a metrics registry in the
 Prometheus/OpenMetrics text exposition format (the format of
 ``--metrics-out`` and of every run ledger's ``metrics.prom``): counters as ``<name>_total``, gauges
-verbatim, histograms as cumulative ``_bucket{le="..."}`` series plus
-``_sum``/``_count``, terminated by ``# EOF``.
+verbatim, terminated by ``# EOF``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import json
 import re
 from typing import IO, Any, Dict, List, Optional, Union
 
-from .metrics import BUCKET_BOUNDS, OVERFLOW_BUCKET, Histogram, MetricsRegistry
+from .metrics import MetricsRegistry
 from .tracer import Tracer
 
 
@@ -53,8 +53,6 @@ def metric_records(registry: MetricsRegistry) -> "List[Dict[str, Any]]":
         records.append({"kind": "counter", "name": name, "value": value})
     for name, value in snapshot["gauges"].items():
         records.append({"kind": "gauge", "name": name, "value": value})
-    for name, stats in snapshot["histograms"].items():
-        records.append({"kind": "histogram", "name": name, **stats})
     return records
 
 
@@ -123,27 +121,6 @@ def _format_value(value: float) -> str:
     return repr(float(value))
 
 
-def _histogram_lines(name: str, histogram: Histogram) -> "List[str]":
-    """The ``_bucket``/``_sum``/``_count`` sample lines of one histogram.
-
-    Buckets are cumulative; empty buckets are elided (the format does
-    not require every boundary to appear) and the mandatory
-    ``le="+Inf"`` bucket always closes the series.
-    """
-    lines = [f"# TYPE {name} histogram"]
-    cumulative = 0
-    for index in sorted(histogram.buckets):
-        if index >= OVERFLOW_BUCKET:
-            break
-        cumulative += histogram.buckets[index]
-        bound = _format_value(BUCKET_BOUNDS[index])
-        lines.append(f'{name}_bucket{{le="{bound}"}} {cumulative}')
-    lines.append(f'{name}_bucket{{le="+Inf"}} {histogram.count}')
-    lines.append(f"{name}_sum {_format_value(histogram.total)}")
-    lines.append(f"{name}_count {histogram.count}")
-    return lines
-
-
 def openmetrics_text(
     registry: MetricsRegistry, run_id: Optional[str] = None
 ) -> str:
@@ -162,16 +139,15 @@ def openmetrics_text(
         escaped = run_id.replace("\\", "\\\\").replace('"', '\\"')
         lines.append("# TYPE repro_run info")
         lines.append(f'repro_run_info{{run_id="{escaped}"}} 1')
-    for name, counter in sorted(registry.counters.items()):
+    snapshot = registry.snapshot()
+    for name, value in snapshot["counters"].items():
         metric = _metric_name(name)
         lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric}_total {_format_value(counter.value)}")
-    for name, gauge in sorted(registry.gauges.items()):
+        lines.append(f"{metric}_total {_format_value(value)}")
+    for name, value in snapshot["gauges"].items():
         metric = _metric_name(name)
         lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {_format_value(gauge.value)}")
-    for name, histogram in sorted(registry.histograms.items()):
-        lines.extend(_histogram_lines(_metric_name(name), histogram))
+        lines.append(f"{metric} {_format_value(value)}")
     lines.append("# EOF")
     return "\n".join(lines) + "\n"
 

@@ -161,11 +161,11 @@ class RunRecord:
         return tasks if isinstance(tasks, list) else []
 
     def metrics(self) -> "Dict[str, Any]":
-        """Counters/gauges/histograms (empty until finish)."""
+        """Counters and gauges (empty until finish)."""
         stored = self.manifest.get("metrics")
         if isinstance(stored, dict):
             return stored
-        return {"counters": {}, "gauges": {}, "histograms": {}}
+        return {"counters": {}, "gauges": {}}
 
     def heartbeats(self) -> "List[Dict[str, Any]]":
         """The progress heartbeats ([] when the file is missing/empty)."""

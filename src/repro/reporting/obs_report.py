@@ -3,9 +3,8 @@
 * :func:`span_tree_report` — the per-phase timing breakdown of a
   :class:`~repro.obs.tracer.Tracer` as an indented tree (errored spans
   are flagged with their exception type and message);
-* :func:`metrics_report` — every instrument of a
-  :class:`~repro.obs.metrics.MetricsRegistry` as one table (histograms
-  include the log-bucket p50/p90/p99 estimates);
+* :func:`metrics_report` — every counter and gauge of a
+  :class:`~repro.obs.metrics.MetricsRegistry` as one table;
 * :func:`profile_report` — the aggregated span profile of a
   :class:`~repro.obs.profile.Profile`: a ranked per-name table plus a
   flamegraph-style merged call tree;
@@ -51,22 +50,13 @@ def span_tree_report(tracer: Tracer, title: str = "Trace (per-phase timings)") -
 
 
 def metrics_report(registry: MetricsRegistry, title: str = "Metrics") -> str:
-    """Render every counter, gauge and histogram as one table."""
+    """Render every counter and gauge as one table."""
     table = Table(headers=["metric", "type", "value"], title=title)
     snapshot = registry.snapshot()
     for name, value in snapshot["counters"].items():
         table.add_row(name, "counter", f"{value:g}")
     for name, value in snapshot["gauges"].items():
         table.add_row(name, "gauge", f"{value:g}")
-    for name, stats in snapshot["histograms"].items():
-        table.add_row(
-            name,
-            "histogram",
-            f"n={stats['count']} mean={stats['mean']:.3f} "
-            f"p50={stats['p50']:.3f} p90={stats['p90']:.3f} "
-            f"p99={stats['p99']:.3f} "
-            f"min={stats['min']:.3f} max={stats['max']:.3f}",
-        )
     if not table.rows:
         table.add_row("(none recorded)", "", "")
     return table.render()

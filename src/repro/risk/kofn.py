@@ -59,6 +59,9 @@ class KofNModel:
     repair: str = "parallel"
 
     def __post_init__(self) -> None:
+        for name, value in (("n", self.n), ("k", self.k)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise RiskError(f"{name} must be an integer, got {value!r}")
         if self.n < 1 or self.k < 1 or self.k > self.n:
             raise RiskError(
                 f"need 1 <= k <= n, got k={self.k}, n={self.n}"

@@ -157,7 +157,7 @@ class TestObservabilityFlags:
         # ... the metrics table ...
         assert "Metrics" in out
         assert "evaluate.calls" in out
-        assert "recovery.plan_ms" in out
+        assert "recovery.plans" in out
         # ... and a provenance explanation of all four output metrics.
         assert "Provenance" in out
         for fragment in ("utilization =", "recovery time =", "data loss =", "cost ="):

@@ -142,18 +142,17 @@ class TestTracerInjection:
 
 class TestMetricsRegistry:
     def test_counters_gauges_histograms(self):
+        # Two instrument kinds; phases are timed by spans, so the
+        # registry has no histogram kind and no instrument handles.
         registry = obs.MetricsRegistry()
         registry.inc("calls")
         registry.inc("calls", 2)
         registry.set_gauge("depth", 7.5)
-        registry.observe("latency", 10.0)
-        registry.observe("latency", 30.0)
-        assert registry.counter("calls").value == 3
-        assert registry.gauge("depth").value == 7.5
-        histogram = registry.histogram("latency")
-        assert histogram.count == 2
-        assert histogram.mean == pytest.approx(20.0)
-        assert (histogram.min, histogram.max) == (10.0, 30.0)
+        assert registry.snapshot() == {
+            "counters": {"calls": 3}, "gauges": {"depth": 7.5},
+        }
+        for gone in ("observe", "histogram", "counter", "gauge", "state"):
+            assert not hasattr(registry, gone)
 
     def test_counters_cannot_decrease(self):
         registry = obs.MetricsRegistry()
@@ -162,25 +161,38 @@ class TestMetricsRegistry:
 
     def test_snapshot_and_reset(self):
         registry = obs.MetricsRegistry()
+        registry.inc("b")
         registry.inc("a")
-        registry.observe("b", 1.0)
+        registry.set_gauge("g", 1.0)
         snapshot = registry.snapshot()
-        assert snapshot["counters"] == {"a": 1}
-        assert snapshot["histograms"]["b"]["count"] == 1
+        assert snapshot == {"counters": {"a": 1, "b": 1}, "gauges": {"g": 1.0}}
+        assert list(snapshot["counters"]) == ["a", "b"]
+        # A snapshot is a copy: later emissions do not reach it.
+        registry.inc("a")
+        assert snapshot["counters"]["a"] == 1
         registry.reset()
+        assert registry.snapshot() == {"counters": {}, "gauges": {}}
+
+    def test_merge_sums_counters_and_overwrites_gauges(self):
+        registry = obs.MetricsRegistry()
+        registry.inc("calls", 2)
+        registry.set_gauge("depth", 1.0)
+        registry.merge({"counters": {"calls": 3, "new": 1}, "gauges": {"depth": 4.0}})
         assert registry.snapshot() == {
-            "counters": {}, "gauges": {}, "histograms": {},
+            "counters": {"calls": 5, "new": 1}, "gauges": {"depth": 4.0},
         }
+        # A snapshot from an older writer may carry other keys; merge
+        # reads only the two kinds.
+        registry.merge({"counters": {}, "histograms": {"x": {"count": 1}}})
+        assert registry.snapshot()["counters"] == {"calls": 5, "new": 1}
 
     def test_null_registry_discards_everything(self):
         registry = obs.get_metrics()
         assert registry.enabled is False
         registry.inc("calls")
-        registry.observe("latency", 1.0)
         registry.set_gauge("depth", 2.0)
-        assert registry.snapshot() == {
-            "counters": {}, "gauges": {}, "histograms": {},
-        }
+        registry.merge({"counters": {"calls": 1}, "gauges": {"depth": 1.0}})
+        assert registry.snapshot() == {"counters": {}, "gauges": {}}
 
     def test_global_registry_is_reset_between_tests_a(self):
         # Paired with ..._b: whichever runs second sees a fresh registry.
@@ -192,78 +204,11 @@ class TestMetricsRegistry:
         _LEAKED.append(leak)
         leak.__enter__()
         registry.inc("leak-check")
-        assert obs.get_metrics().counter("leak-check").value == 1
+        assert obs.get_metrics().snapshot()["counters"]["leak-check"] == 1
 
     def test_global_registry_is_reset_between_tests_b(self):
         assert obs.get_metrics().enabled is False
         assert obs.get_metrics().snapshot()["counters"] == {}
-
-
-class TestHistogramBuckets:
-    def test_single_observation_percentiles_are_exact(self):
-        histogram = obs.MetricsRegistry().histogram("h")
-        histogram.observe(12.0)
-        # min/max clamping pins every percentile to the one value.
-        assert histogram.p50 == 12.0
-        assert histogram.p90 == 12.0
-        assert histogram.p99 == 12.0
-
-    def test_percentiles_are_order_independent_estimates(self):
-        forward, backward = obs.Histogram("f"), obs.Histogram("b")
-        values = [float(v) for v in range(1, 101)]
-        for value in values:
-            forward.observe(value)
-        for value in reversed(values):
-            backward.observe(value)
-        assert forward.buckets == backward.buckets
-        assert forward.p50 == backward.p50
-
-    def test_percentile_accuracy_within_bucket_resolution(self):
-        histogram = obs.Histogram("h")
-        for value in range(1, 1001):
-            histogram.observe(float(value))
-        # Quarter-decade log buckets: estimates within ~2x of truth is
-        # the guarantee; in practice interpolation does much better.
-        assert histogram.p50 == pytest.approx(500.0, rel=0.5)
-        assert histogram.p90 == pytest.approx(900.0, rel=0.5)
-        assert histogram.p99 == pytest.approx(990.0, rel=0.5)
-        # Estimates never leave the observed range and stay ordered.
-        assert 1.0 <= histogram.p50 <= histogram.p90 <= histogram.p99 <= 1000.0
-
-    def test_empty_histogram_percentiles_are_zero(self):
-        histogram = obs.Histogram("h")
-        assert histogram.p50 == 0.0
-        assert histogram.p99 == 0.0
-
-    def test_bad_quantile_rejected(self):
-        with pytest.raises(ValueError):
-            obs.Histogram("h").percentile(1.5)
-
-    def test_nonpositive_values_land_in_the_first_bucket(self):
-        histogram = obs.Histogram("h")
-        histogram.observe(0.0)
-        histogram.observe(-3.0)
-        assert histogram.count == 2
-        assert histogram.buckets == {0: 2}
-        # Log buckets cannot resolve below zero; the estimate clamps
-        # into the observed [min, max] range.
-        assert histogram.min <= histogram.p50 <= histogram.max
-
-    def test_overflow_bucket(self):
-        from repro.obs.metrics import OVERFLOW_BUCKET
-
-        histogram = obs.Histogram("h")
-        histogram.observe(1e12)
-        assert histogram.buckets == {OVERFLOW_BUCKET: 1}
-        assert histogram.p99 == 1e12
-
-    def test_snapshot_includes_percentiles(self):
-        registry = obs.MetricsRegistry()
-        for value in (1.0, 2.0, 4.0):
-            registry.observe("latency", value)
-        stats = registry.snapshot()["histograms"]["latency"]
-        assert {"p50", "p90", "p99"} <= set(stats)
-        assert stats["min"] == 1.0 and stats["max"] == 4.0
 
 
 class TestThreadSafety:
@@ -276,7 +221,6 @@ class TestThreadSafety:
         def hammer():
             for i in range(per_thread):
                 registry.inc("calls")
-                registry.observe("latency", float(i % 7 + 1))
                 registry.set_gauge("depth", float(i))
 
         threads = [threading.Thread(target=hammer) for _ in range(thread_count)]
@@ -285,21 +229,20 @@ class TestThreadSafety:
         for thread in threads:
             thread.join()
         expected = per_thread * thread_count
-        assert registry.counter("calls").value == expected
-        histogram = registry.histogram("latency")
-        assert histogram.count == expected
-        assert sum(histogram.buckets.values()) == expected
+        assert registry.snapshot() == {
+            "counters": {"calls": expected},
+            "gauges": {"depth": float(per_thread - 1)},
+        }
 
     def test_concurrent_instrument_creation_yields_one_instrument(self):
         import threading
 
         registry = obs.MetricsRegistry()
         barrier = threading.Barrier(8)
-        seen = []
 
         def create(index):
             barrier.wait()
-            seen.append(registry.counter("shared"))
+            registry.inc("shared")
 
         threads = [
             threading.Thread(target=create, args=(i,)) for i in range(8)
@@ -308,8 +251,7 @@ class TestThreadSafety:
             thread.start()
         for thread in threads:
             thread.join()
-        assert len(registry.counters) == 1
-        assert all(instrument is seen[0] for instrument in seen)
+        assert registry.snapshot()["counters"] == {"shared": 8}
 
 
 def _unprovisionable_design():
@@ -377,7 +319,7 @@ class TestProvenance:
         provenance = assessment.provenance
         assert not provenance.total_loss
         assert "no surviving spare" in provenance.recovery_failure
-        assert registry.counter("recovery.plan_failed").value == 1
+        assert registry.snapshot()["counters"]["recovery.plan_failed"] == 1
         assert any("planning failed" in d for d in provenance.decisions)
 
     def test_phase_timings_only_when_tracing(self):
@@ -423,18 +365,21 @@ class TestTracedEvaluation:
         assert all(span.finished for span, _d in tracer.walk())
 
     def test_metrics_emitted(self):
-        registry = obs.MetricsRegistry()
-        with obs.use(obs.Telemetry(metrics=registry)):
+        registry, tracer = obs.MetricsRegistry(), obs.Tracer()
+        with obs.use(obs.Telemetry(tracer=tracer, metrics=registry)):
             evaluate_scenarios(
                 casestudy.baseline_design(),
                 cello(),
                 casestudy.case_study_scenarios(),
                 casestudy.case_study_requirements(),
             )
-        assert registry.counter("evaluate.calls").value == 1
-        assert registry.counter("evaluate.scenarios").value == 3
-        assert registry.counter("recovery.plans").value == 3
-        assert registry.histogram("recovery.plan_ms").count == 3
+        counters = registry.snapshot()["counters"]
+        assert counters["evaluate.calls"] == 1
+        assert counters["evaluate.scenarios"] == 3
+        assert counters["recovery.plans"] == 3
+        # Each planning call is timed once, by its span.
+        plans = [span for span, _d in tracer.walk() if span.name == "recovery.plan"]
+        assert len(plans) == 3 and all(span.finished for span in plans)
 
 
 class TestExport:
@@ -459,7 +404,7 @@ class TestExport:
         tracer = self.make_tracer()
         registry = obs.MetricsRegistry()
         registry.inc("evaluate.calls", 2)
-        registry.observe("recovery.plan_ms", 12.5)
+        registry.set_gauge("utilization.max_capacity", 0.5)
         path = str(tmp_path / "trace.jsonl")
         count = write_trace_jsonl(path, tracer=tracer, metrics=registry)
         records = read_trace_jsonl(path)
@@ -470,7 +415,7 @@ class TestExport:
         ] == span_records(tracer)
         by_kind = {(r["kind"], r["name"]): r for r in records}
         assert by_kind[("counter", "evaluate.calls")]["value"] == 2
-        assert by_kind[("histogram", "recovery.plan_ms")]["count"] == 1
+        assert by_kind[("gauge", "utilization.max_capacity")]["value"] == 0.5
 
     def test_jsonl_to_file_object(self):
         buffer = io.StringIO()
@@ -506,14 +451,6 @@ class TestObsReportEdgeCases:
 
         report = metrics_report(obs.MetricsRegistry())
         assert "(none recorded)" in report
-
-    def test_metrics_report_histogram_percentiles(self):
-        from repro.reporting.obs_report import metrics_report
-
-        registry = obs.MetricsRegistry()
-        registry.observe("latency", 5.0)
-        report = metrics_report(registry)
-        assert "p50=" in report and "p99=" in report
 
     def test_span_tree_single_span(self):
         from repro.reporting.obs_report import span_tree_report

@@ -3,8 +3,7 @@
 Covers the observability additions end to end:
 
 * worker-side capture and parent-side merge (:mod:`repro.obs.context`),
-  including the delta semantics of counters and the percentile
-  preservation of histogram merges;
+  including the delta semantics of counters;
 * byte-stability of the merged span *skeleton* between serial and
   parallel runs of the same sweep;
 * the run ledger's artifact round-trips (:mod:`repro.obs.ledger`);
@@ -93,31 +92,6 @@ class TestCapsules:
         snapshot = parent.snapshot()
         assert snapshot["counters"]["engine.sub"] == 6.0
         assert snapshot["counters"]["obs.capsules_merged"] == 3.0
-
-    def test_histogram_merge_preserves_percentiles(self):
-        """Merged worker histograms estimate the same p50/p90/p99 as a
-        single registry observing every sample (shared bucket layout)."""
-        samples = [0.001 * (i + 1) for i in range(300)]
-        serial = MetricsRegistry()
-        for value in samples:
-            serial.observe("lat", value)
-
-        parent = MetricsRegistry()
-        ctx = TraceContext(metrics=True)
-        for shard in (samples[0::3], samples[1::3], samples[2::3]):
-            capsule = _capture_chunk(
-                ctx,
-                lambda shard=shard: [
-                    obs.get_metrics().observe("lat", v) for v in shard
-                ],
-            )
-            merge_capsule(capsule, metrics=parent)
-
-        one = serial.histogram("lat")
-        merged = parent.histogram("lat")
-        assert merged.count == one.count == 300
-        for quantile in (0.50, 0.90, 0.99):
-            assert merged.percentile(quantile) == one.percentile(quantile)
 
     def test_merge_tags_roots_with_worker_pid_and_rebases(self):
         tracer = Tracer(clock=lambda: 0.0)

@@ -4,15 +4,13 @@ No ``prometheus_client`` in this repo, so conformance is checked two
 ways: a golden-file comparison against a hand-audited exposition, and
 a small grammar validator covering the slice of the Prometheus text
 format the exporter emits (``# TYPE`` lines, ``name{labels} value``
-samples, cumulative ``le`` buckets, the ``# EOF`` terminator).
+samples, the ``# EOF`` terminator).
 """
 
 import io
-import math
 import pathlib
 import re
 
-import pytest
 
 from repro.obs.export import openmetrics_text, write_openmetrics
 from repro.obs.metrics import MetricsRegistry
@@ -24,7 +22,7 @@ _SAMPLE = re.compile(
     r"(?:\{(?P<labels>[^}]*)\})?"
     r" (?P<value>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|[+-]Inf|NaN)$"
 )
-_TYPE = re.compile(r"^# TYPE (?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*) (?P<type>counter|gauge|histogram)$")
+_TYPE = re.compile(r"^# TYPE (?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*) (?P<type>counter|gauge)$")
 _LABEL = re.compile(r'^[a-zA-Z_][a-zA-Z0-9_]*="[^"\\]*"$')
 
 
@@ -34,9 +32,7 @@ def golden_registry() -> MetricsRegistry:
     registry.inc("lint.diagnostics.warning")
     registry.set_gauge("utilization.max_capacity", 0.75)
     registry.set_gauge("utilization.max_bandwidth", 1.0)
-    for value in (0.8, 1.2, 15.0, 15.0, 250.0):
-        registry.observe("recovery.plan_ms", value)
-    registry.observe("weird-name.with dots!", 2.5e9)  # sanitized + overflow
+    registry.set_gauge("weird-name.with dots!", 2.5e9)  # sanitized
     return registry
 
 
@@ -74,29 +70,15 @@ class TestGoldenFile:
         types, samples = parse_exposition(GOLDEN.read_text())
         assert types["evaluate_calls"] == "counter"
         assert types["utilization_max_capacity"] == "gauge"
-        assert types["recovery_plan_ms"] == "histogram"
+        assert types["weird_name_with_dots_"] == "gauge"
         names = {name for name, _labels, _value in samples}
-        # Counter samples carry the _total suffix; histograms expose
-        # _bucket/_sum/_count under their # TYPE name.
+        # Counter samples carry the _total suffix; gauges expose their
+        # # TYPE name verbatim.
         assert "evaluate_calls_total" in names
-        assert {"recovery_plan_ms_sum", "recovery_plan_ms_count"} <= names
+        assert {"utilization_max_capacity", "weird_name_with_dots_"} <= names
 
 
 class TestExpositionGrammar:
-    def test_histogram_buckets_are_cumulative_and_end_at_inf(self):
-        _types, samples = parse_exposition(openmetrics_text(golden_registry()))
-        buckets = [
-            (labels["le"], float(value))
-            for name, labels, value in samples
-            if name == "recovery_plan_ms_bucket"
-        ]
-        assert buckets[-1][0] == "+Inf"
-        counts = [count for _le, count in buckets]
-        assert counts == sorted(counts), "bucket counts must be cumulative"
-        assert counts[-1] == 5.0
-        bounds = [float(le) for le, _count in buckets[:-1]]
-        assert bounds == sorted(bounds), "le bounds must ascend"
-
     def test_name_sanitization(self):
         registry = MetricsRegistry()
         registry.inc("9starts.with-digit")
@@ -117,15 +99,6 @@ class TestExpositionGrammar:
 
     def test_empty_registry_is_just_eof(self):
         assert openmetrics_text(MetricsRegistry()) == "# EOF\n"
-
-    def test_histogram_sum_matches_observations(self):
-        registry = golden_registry()
-        _types, samples = parse_exposition(openmetrics_text(registry))
-        by_name = {name: value for name, _labels, value in samples}
-        assert float(by_name["recovery_plan_ms_sum"]) == pytest.approx(282.0)
-        assert math.isclose(
-            float(by_name["recovery_plan_ms_count"]), 5.0
-        )
 
 
 class TestWriteOpenmetrics:

@@ -368,6 +368,15 @@ class TestKofN:
         with pytest.raises(RiskError, match="positive"):
             KofNModel(2, 1, 0.0, 8 * HOUR)
 
+    @pytest.mark.parametrize("field", ["n", "k"])
+    @pytest.mark.parametrize("bad", ["8", 8.0, True, None])
+    def test_non_integer_shapes_rejected(self, field, bad):
+        # A string, a float or a bool escaped as a TypeError, failed
+        # inside math.comb, or was silently read as 1.
+        shape = {"n": 8, "k": 6, field: bad}
+        with pytest.raises(RiskError, match=f"{field} must be an integer"):
+            KofNModel(unit_rate=2.0 / YEAR, repair_time=8 * HOUR, **shape)
+
     def test_approximation_validity_enforced(self):
         # unit_rate * repair_time = 0.1: the first-order approximation
         # is no longer trustworthy and construction must refuse.

@@ -6,6 +6,10 @@ Covers the observatory end to end:
   records) and the crash-safe atomic manifest write;
 * v1 rejection: the committed fixture in ``tests/data/ledger_v1``
   fails to load and is skipped and counted by a store;
+* files from older writers: ``tests/data/ledger_v2_histograms`` is a
+  v2 ledger whose metrics snapshot still carries the retired
+  ``histograms`` kind, and ``tests/data/trace_v2_histogram.jsonl`` a
+  trace with a ``"kind": "histogram"`` record; both still read;
 * ledger edge cases: crashed runs (manifest stuck ``running``), empty
   span streams, heartbeat-only progress files, unparseable manifests
   (skip-and-count), schema-version mismatches between compared runs;
@@ -32,6 +36,7 @@ from repro.cli import main
 from repro.engine import EngineConfig, EvaluationTask, map_evaluations, shutdown_pool
 from repro.obs import (
     MANIFEST_SCHEMA,
+    read_trace_jsonl,
     ManifestError,
     MetricsRegistry,
     RunLedger,
@@ -51,7 +56,12 @@ from repro.obs.runs import (
 )
 from repro.workload.presets import cello
 
-FIXTURE_V1 = os.path.join(os.path.dirname(__file__), "data", "ledger_v1")
+DATA = os.path.join(os.path.dirname(__file__), "data")
+FIXTURE_V1 = os.path.join(DATA, "ledger_v1")
+#: An ``optimize --run-dir`` ledger written while the registry still
+#: had a histogram kind: its ``metrics`` holds a ``recovery.plan_ms``
+#: histogram summary beside the counters and gauges.
+FIXTURE_V2_HISTOGRAMS = os.path.join(DATA, "ledger_v2_histograms")
 
 
 class FakeClock:
@@ -93,7 +103,7 @@ def make_run(
         emit_spans(tracer, clock, plan)
     registry = MetricsRegistry()
     for name, value in (counters or {}).items():
-        registry.counter(name).inc(value)
+        registry.inc(name, value)
     ledger = RunLedger(directory, run_id=run_id, argv=[command])
     ledger.begin(extra={"command": command, "model_schema_version": model_version})
     ledger.finish(tracer, registry, status=status, tasks=tasks)
@@ -197,6 +207,98 @@ class TestV1Manifests:
         ]
 
 
+class TestFilesFromOlderWriters:
+    """Ledgers and traces written before the histogram kind was retired
+    still load, render and diff; readers ignore the extra key."""
+
+    def copy_legacy(self, tmp_path):
+        shutil.copytree(FIXTURE_V2_HISTOGRAMS, tmp_path / "legacy")
+        return str(tmp_path / "legacy")
+
+    def test_manifest_schema_is_still_2(self):
+        assert MANIFEST_SCHEMA == 2
+        record = RunRecord.load(FIXTURE_V2_HISTOGRAMS)
+        assert record.manifest["manifest_schema"] == MANIFEST_SCHEMA
+        assert "recovery.plan_ms" in record.metrics()["histograms"]
+        assert record.metrics()["counters"]["recovery.plans"] == 24
+
+    def test_runs_show_renders_it(self, tmp_path, capsys):
+        legacy = self.copy_legacy(tmp_path)
+        assert main(["runs", "show", legacy]) == 0
+        out = capsys.readouterr().out
+        assert "manifest v2" in out
+        assert "recovery.plans" in out
+        assert main(["runs", "show", legacy, "--format", "json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["metrics"]["counters"]["recovery.plans"] == 24
+        assert document["metrics"]["gauges"]["engine.workers"] == 1
+
+    def test_runs_diff_against_a_fresh_run(self, tmp_path, capsys):
+        self.copy_legacy(tmp_path)
+        assert main(["optimize", "--run-dir", str(tmp_path / "fresh")]) == 0
+        capsys.readouterr()
+        code = main(["runs", "diff", "legacy", "fresh", "--runs-root",
+                     str(tmp_path), "--format", "json"])
+        assert code == 0
+        metrics = json.loads(capsys.readouterr().out)["metrics"]
+        assert set(metrics) == {"counters", "gauges"}
+        counters = {d["name"]: d for d in metrics["counters"]}
+        assert counters["recovery_plans"]["base"] == 24
+        assert counters["recovery_plans"]["cand"] == 24
+        assert counters["recovery_plans"]["delta"] == 0
+        gauges = {d["name"]: d for d in metrics["gauges"]}
+        assert gauges["engine_workers"]["base"] == 1
+        assert gauges["engine_workers"]["cand"] == 1
+        assert main(["runs", "diff", "legacy", "fresh", "--runs-root",
+                     str(tmp_path)]) == 0
+
+    def test_trace_with_a_histogram_record_reads(self):
+        records = read_trace_jsonl(os.path.join(DATA, "trace_v2_histogram.jsonl"))
+        kinds = {record["kind"] for record in records}
+        assert kinds == {"span", "counter", "gauge", "histogram"}
+        (histogram,) = [r for r in records if r["kind"] == "histogram"]
+        assert histogram["name"] == "recovery.plan_ms"
+
+
+class TestTornManifest:
+    """A run whose manifest was cut mid-JSON beside a readable one: the
+    store and ``runs list`` skip it with a reason, ``runs show`` on it
+    exits 2 with an ``error:`` line, and nothing raises a traceback."""
+
+    def seed(self, tmp_path):
+        make_run(tmp_path / "good", BASE_PLAN, run_id="r-good")
+        text = (tmp_path / "good" / "manifest.json").read_text()
+        torn = tmp_path / "torn"
+        torn.mkdir()
+        (torn / "manifest.json").write_text(text[: len(text) // 2])
+        return torn
+
+    def test_store_lists_only_the_valid_run(self, tmp_path):
+        torn = self.seed(tmp_path)
+        store = RunStore(tmp_path)
+        assert [r.run_id for r in store.list()] == ["r-good"]
+        ((directory, reason),) = store.skipped
+        assert directory == str(torn)
+        assert "not valid JSON" in reason
+
+    def test_runs_list_json_names_it_under_skipped(self, tmp_path, capsys):
+        torn = self.seed(tmp_path)
+        code = main(["runs", "list", "--runs-root", str(tmp_path),
+                     "--format", "json"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [r["run_id"] for r in payload["runs"]] == ["r-good"]
+        assert [s["directory"] for s in payload["skipped"]] == [str(torn)]
+        assert payload["skipped"][0]["reason"]
+
+    def test_runs_show_exits_2_with_an_error_line(self, tmp_path, capsys):
+        torn = self.seed(tmp_path)
+        assert main(["runs", "show", str(torn)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "torn" in err and "Traceback" not in err
+
+
 class TestLedgerEdgeCases:
     def test_crashed_run_status_stays_running(self, tmp_path):
         ledger = RunLedger(tmp_path / "crash", run_id="r-crash", argv=[])
@@ -205,7 +307,7 @@ class TestLedgerEdgeCases:
         record = RunRecord.load(tmp_path / "crash")
         assert record.status == "running"
         assert record.span_stats() == {}
-        assert record.metrics() == {"counters": {}, "gauges": {}, "histograms": {}}
+        assert record.metrics() == {"counters": {}, "gauges": {}}
         assert record.tasks() == []
         assert record.wall_time_s is None
 
