@@ -27,116 +27,62 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-versus-measured record of every table and figure.
 """
 
-from . import casestudy, obs, units, workload
-from .core import (
-    Assessment,
-    Level,
-    StorageDesign,
-    evaluate,
-    evaluate_scenarios,
-    plan_recovery,
-    validate_design,
-)
-from .devices import (
-    CostModel,
-    DiskArray,
-    NetworkLink,
-    Shipment,
-    SpareConfig,
-    SpareType,
-    TapeLibrary,
-    Vault,
-)
-from .exceptions import (
-    BandwidthExceededError,
-    CapacityExceededError,
-    DesignError,
-    DeviceError,
-    PolicyError,
-    RecoveryError,
-    ReproError,
-    UnitError,
-    WorkloadError,
-)
-from .scenarios import (
-    BusinessRequirements,
-    FailureScenario,
-    FailureScope,
-    Location,
-)
-from .techniques import (
-    AsyncMirror,
-    Backup,
-    BatchedAsyncMirror,
-    ErasureCodedArchive,
-    IncrementalKind,
-    IncrementalPolicy,
-    PrimaryCopy,
-    RemoteVaulting,
-    SplitMirror,
-    SyncMirror,
-    VirtualSnapshot,
-)
-from .portfolio import Portfolio, PortfolioAssessment, ProtectedObject
-from .workload import BatchUpdateCurve, Workload
+from typing import List
+
+from .lazy import lazy_getattr
+
+#: Every re-exported name and the sub-module it lives in; a sub-module
+#: kept importable as a namespace (``repro.workload.cello()``) maps to
+#: itself.  Nothing here is imported until first use (PEP 562), so
+#: ``import repro.units`` loads the units module, not the whole model,
+#: and no process pays for a layer it never touches.
+_EXPORTS = {
+    **{name: name for name in ("casestudy", "obs", "units", "workload")},
+    **dict.fromkeys(
+        (
+            "Assessment", "Level", "StorageDesign", "evaluate",
+            "evaluate_scenarios", "plan_recovery", "validate_design",
+        ),
+        "core",
+    ),
+    **dict.fromkeys(
+        (
+            "CostModel", "DiskArray", "NetworkLink", "Shipment", "SpareConfig",
+            "SpareType", "TapeLibrary", "Vault",
+        ),
+        "devices",
+    ),
+    **dict.fromkeys(
+        (
+            "BandwidthExceededError", "CapacityExceededError", "DesignError",
+            "DeviceError", "PolicyError", "RecoveryError", "ReproError",
+            "UnitError", "WorkloadError",
+        ),
+        "exceptions",
+    ),
+    **dict.fromkeys(
+        ("BusinessRequirements", "FailureScenario", "FailureScope", "Location"),
+        "scenarios",
+    ),
+    **dict.fromkeys(
+        (
+            "AsyncMirror", "Backup", "BatchedAsyncMirror", "ErasureCodedArchive",
+            "IncrementalKind", "IncrementalPolicy", "PrimaryCopy", "RemoteVaulting",
+            "SplitMirror", "SyncMirror", "VirtualSnapshot",
+        ),
+        "techniques",
+    ),
+    **dict.fromkeys(("Portfolio", "PortfolioAssessment", "ProtectedObject"), "portfolio"),
+    **dict.fromkeys(("BatchUpdateCurve", "Workload"), "workload"),
+}
+
+__getattr__ = lazy_getattr(__name__, _EXPORTS)
+
+
+def __dir__() -> "List[str]":
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "1.0.0"
 
-__all__ = [
-    # sub-modules kept importable as namespaces
-    "casestudy",
-    "obs",
-    "units",
-    "workload",
-    # workload
-    "Workload",
-    "BatchUpdateCurve",
-    # scenarios
-    "BusinessRequirements",
-    "FailureScenario",
-    "FailureScope",
-    "Location",
-    # devices
-    "CostModel",
-    "DiskArray",
-    "TapeLibrary",
-    "Vault",
-    "NetworkLink",
-    "Shipment",
-    "SpareConfig",
-    "SpareType",
-    # techniques
-    "PrimaryCopy",
-    "VirtualSnapshot",
-    "SplitMirror",
-    "SyncMirror",
-    "AsyncMirror",
-    "BatchedAsyncMirror",
-    "Backup",
-    "IncrementalKind",
-    "IncrementalPolicy",
-    "RemoteVaulting",
-    "ErasureCodedArchive",
-    # multi-object portfolios
-    "Portfolio",
-    "PortfolioAssessment",
-    "ProtectedObject",
-    # core
-    "StorageDesign",
-    "Level",
-    "evaluate",
-    "evaluate_scenarios",
-    "plan_recovery",
-    "validate_design",
-    "Assessment",
-    # exceptions
-    "ReproError",
-    "UnitError",
-    "WorkloadError",
-    "DeviceError",
-    "CapacityExceededError",
-    "BandwidthExceededError",
-    "PolicyError",
-    "DesignError",
-    "RecoveryError",
-]
+__all__ = list(_EXPORTS)

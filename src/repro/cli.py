@@ -57,7 +57,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from .casestudy import (
     all_table7_designs,
@@ -76,21 +76,15 @@ from .obs import (
     NULL_TRACER,
     MetricsRegistry,
     ProgressReporter,
-    RunLedger,
-    TaskLog,
     Telemetry,
     Tracer,
-    write_openmetrics,
-    write_trace_jsonl,
 )
 from .obs import use as use_telemetry
-from .obs.diff import (
+from .obs.spans import (
     DEFAULT_ABS_THRESHOLD_MS,
     DEFAULT_EXPLAIN_FRACTION,
     DEFAULT_REL_THRESHOLD,
-    diff_runs,
 )
-from .obs.runs import RunRecord, RunStore, resolve_run
 from .reporting.obs_report import (
     metrics_report,
     profile_report,
@@ -110,6 +104,10 @@ from .serialization import (
     workload_from_spec,
 )
 from .workload.presets import cello
+
+if TYPE_CHECKING:
+    from .obs.ledger import RunLedger
+    from .obs.runs import RunRecord
 
 
 def _engine_config(args: argparse.Namespace) -> "Optional[EngineConfig]":
@@ -343,6 +341,8 @@ def _run_summary(record: RunRecord) -> "Dict[str, Any]":
 
 def _cmd_runs(args: argparse.Namespace) -> int:
     """Inspect, compare and prune the run ledgers under a runs root."""
+    from .obs.diff import diff_runs
+    from .obs.runs import RunStore, resolve_run
     from .reporting.runs_report import (
         run_diff_report,
         run_show_report,
@@ -645,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     runs_list.add_argument(
         "--status",
         default=None,
-        help="only runs with this status (ok, error, running)",
+        help="only runs with this status (ok, verdict, error, running)",
     )
     runs_list.add_argument(
         "--schema",
@@ -765,6 +765,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         or getattr(args, "metrics_out", None)
         or ledgered
     )
+    task_log = None
+    if ledgered:
+        from .obs.runs import TaskLog
+
+        task_log = TaskLog()
     telemetry = Telemetry(
         tracer=Tracer() if traced else NULL_TRACER,
         metrics=MetricsRegistry() if measured else NULL_METRICS,
@@ -773,10 +778,17 @@ def main(argv: Optional[List[str]] = None) -> int:
             if want_progress or ledgered
             else NULL_PROGRESS
         ),
-        task_log=TaskLog() if ledgered else None,
+        task_log=task_log,
     )
     with use_telemetry(telemetry):
         return _run_instrumented(args, argv, telemetry)
+
+
+#: The ledger status of an exit code.  Exit 1 is a verdict (objectives
+#: violated, no feasible design, lint findings): the command did its
+#: work, so it is not recorded as an ``error`` (exit 2, a bad spec or
+#: an I/O failure).
+_LEDGER_STATUS = {0: "ok", 1: "verdict"}
 
 
 def _run_instrumented(
@@ -794,6 +806,7 @@ def _run_instrumented(
     ledger: "Optional[RunLedger]" = None
     if run_dir is not None:
         from .engine import model_schema_version
+        from .obs.ledger import RunLedger
 
         try:
             ledger = RunLedger(
@@ -839,6 +852,8 @@ def _run_instrumented(
         print(file=report_stream)
         print(metrics_report(registry), file=report_stream)
     if trace_out is not None:
+        from .obs.export import write_trace_jsonl
+
         try:
             count = write_trace_jsonl(trace_out, tracer=tracer, metrics=registry)
         except OSError as exc:
@@ -846,6 +861,8 @@ def _run_instrumented(
             return 2
         print(f"wrote {count} trace records to {trace_out}", file=sys.stderr)
     if metrics_out is not None and registry.enabled:
+        from .obs.export import write_openmetrics
+
         try:
             write_openmetrics(metrics_out, registry)
         except OSError as exc:
@@ -857,7 +874,7 @@ def _run_instrumented(
             ledger.finish(
                 tracer,
                 registry,
-                status="ok" if code == 0 else "error",
+                status=_LEDGER_STATUS.get(code, "error"),
                 tasks=(
                     telemetry.task_log.records
                     if telemetry.task_log is not None
@@ -875,6 +892,8 @@ def _run_instrumented(
     if baseline_run is not None and ledger is not None:
         # Auto-diff the fresh ledger against the named baseline.
         # On stderr: stdout stays the evaluation report alone.
+        from .obs.diff import diff_runs
+        from .obs.runs import RunRecord, resolve_run
         from .reporting.runs_report import run_diff_report
 
         try:

@@ -32,11 +32,11 @@ import pickle
 import signal
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union,
+)
 
 from ..core.evaluate import evaluate_scenarios
 from ..core.hierarchy import StorageDesign
@@ -55,6 +55,9 @@ from ..techniques.facts import FactsTable
 from ..workload.spec import Workload
 from .cache import ResultCache
 from .keys import PartMemo, result_digest, task_key
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 #: A built design, or a zero-argument factory that builds a fresh one
 #: (fresh devices) per call.
@@ -253,6 +256,8 @@ def _execute_chunk(  # lint: worker-boundary
 
 # One pool per worker count, reused across sweeps: fork+import costs far
 # more than a typical sweep, so per-call pools would erase the speedup.
+# ``concurrent.futures.process`` (and with it ``multiprocessing``) is
+# imported when the first pool is built, so a serial run never loads it.
 _POOL: "Optional[ProcessPoolExecutor]" = None
 _POOL_WORKERS: int = 0
 _POOL_LOCK = threading.Lock()
@@ -260,6 +265,8 @@ _POOL_LOCK = threading.Lock()
 
 def _get_pool(workers: int) -> ProcessPoolExecutor:
     global _POOL, _POOL_WORKERS
+    from concurrent.futures.process import ProcessPoolExecutor
+
     with _POOL_LOCK:
         if _POOL is None or _POOL_WORKERS != workers:
             if _POOL is not None:
@@ -351,6 +358,8 @@ def _run_pool(
     budget are retried *individually inline* — correctness first; the
     pool keeps serving the healthy chunks.
     """
+    from concurrent.futures.process import BrokenProcessPool
+
     metrics = get_metrics()
     progress = current().progress
     workers = min(config.workers, len(pending))

@@ -49,46 +49,54 @@ Enable tracing and metrics for one block of code::
     print(assessment.provenance.describe())
 """
 
+from ..lazy import lazy_getattr
 from .spans import Span
 from .tracer import NULL_TRACER, NullTracer, Tracer
 from .metrics import NULL_METRICS, MetricsRegistry, NullMetricsRegistry
 from .provenance import EvaluationProvenance, explain_assessment
-from .profile import (
-    PathNode,
-    Profile,
-    ProfileEntry,
-    build_profile,
-    skeleton_digest,
-    span_skeleton,
-)
-from .export import (
-    metric_records,
-    openmetrics_text,
-    read_trace_jsonl,
-    span_records,
-    write_openmetrics,
-    write_trace_jsonl,
-)
 from .progress import NULL_PROGRESS, NullProgress, ProgressReporter
 from .telemetry import Telemetry, current, get_metrics, get_tracer, reset, use
 from .context import TelemetryCapsule, TraceContext, current_context, merge_capsule
-from .ledger import (
-    MANIFEST_SCHEMA,
-    ManifestError,
-    RunLedger,
-    new_run_id,
-    read_manifest,
-    span_rollup,
-)
-from .runs import RunLookupError, RunRecord, RunStore, TaskLog, resolve_run
-from .diff import (
-    Attribution,
-    MetricDelta,
-    RunDiff,
-    SpanDelta,
-    TaskDrift,
-    diff_runs,
-)
+
+#: The run observatory — profiles, exports, the ledger, the run store
+#: and run diffs — imported on first use (PEP 562): evaluation code
+#: reads only the telemetry slot and should not pay for the rest.
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "PathNode", "Profile", "ProfileEntry", "build_profile",
+            "skeleton_digest", "span_skeleton",
+        ),
+        "profile",
+    ),
+    **dict.fromkeys(
+        (
+            "metric_records", "openmetrics_text", "read_trace_jsonl",
+            "span_records", "write_openmetrics", "write_trace_jsonl",
+        ),
+        "export",
+    ),
+    **dict.fromkeys(
+        (
+            "MANIFEST_SCHEMA", "ManifestError", "RunLedger", "new_run_id",
+            "read_manifest", "span_rollup",
+        ),
+        "ledger",
+    ),
+    **dict.fromkeys(
+        ("RunLookupError", "RunRecord", "RunStore", "TaskLog", "resolve_run"),
+        "runs",
+    ),
+    **dict.fromkeys(
+        (
+            "Attribution", "MetricDelta", "RunDiff", "SpanDelta", "TaskDrift",
+            "diff_runs",
+        ),
+        "diff",
+    ),
+}
+
+__getattr__ = lazy_getattr(__name__, _LAZY)
 
 
 __all__ = [

@@ -38,18 +38,17 @@ re-runs anything.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from .export import prom_metric_name
-from .runs import RunRecord
+from .spans import (
+    DEFAULT_ABS_THRESHOLD_MS,
+    DEFAULT_EXPLAIN_FRACTION,
+    DEFAULT_REL_THRESHOLD,
+)
 
-#: A span must slow down by more than this many milliseconds ...
-DEFAULT_ABS_THRESHOLD_MS = 5.0
-#: ... *and* by more than this fraction of its baseline to regress.
-DEFAULT_REL_THRESHOLD = 0.25
-#: A child must explain at least this fraction of its parent's delta
-#: for the attribution walk to descend into it.
-DEFAULT_EXPLAIN_FRACTION = 0.5
+if TYPE_CHECKING:
+    from .runs import RunRecord
 
 
 @dataclass

@@ -5,7 +5,7 @@ run; :func:`build_profile` collapses them two ways:
 
 * **per span name** (:class:`ProfileEntry`) — call count, cumulative
   time (span durations, children included), *self* time (duration
-  minus the direct children's durations), min/max and error count,
+  minus the direct children's durations) and error count,
   ranked hottest-self-time first;
 * **per call path** (:class:`PathNode`) — the merged call tree, every
   occurrence of the same root-to-span name path folded into one node,
@@ -34,8 +34,6 @@ class ProfileEntry:
     calls: int
     cum_ms: float
     self_ms: float
-    min_ms: float
-    max_ms: float
     errors: int = 0
 
     @property
@@ -86,14 +84,12 @@ class Profile:
 class _NameStats:
     """Mutable per-name accumulator used while building."""
 
-    __slots__ = ("calls", "cum", "self", "min", "max", "errors")
+    __slots__ = ("calls", "cum", "self", "errors")
 
     def __init__(self) -> None:
         self.calls = 0
         self.cum = 0.0
         self.self = 0.0
-        self.min = float("inf")
-        self.max = 0.0
         self.errors = 0
 
 
@@ -152,8 +148,6 @@ def build_profile(tracer: "Union[Tracer, NullTracer]") -> Profile:
         stats.calls += 1
         stats.cum += duration
         stats.self += own
-        stats.min = min(stats.min, duration)
-        stats.max = max(stats.max, duration)
         stats.errors += failed
 
         node = siblings.get(span.name)
@@ -176,8 +170,6 @@ def build_profile(tracer: "Union[Tracer, NullTracer]") -> Profile:
             calls=stats.calls,
             cum_ms=stats.cum,
             self_ms=stats.self,
-            min_ms=0.0 if stats.min == float("inf") else stats.min,
-            max_ms=stats.max,
             errors=stats.errors,
         )
         for name, stats in by_name.items()

@@ -15,6 +15,16 @@ if TYPE_CHECKING:
 
     from .tracer import Tracer
 
+# The run diff's defaults (:func:`repro.obs.diff.diff_runs`), kept here
+# so the CLI's parser can show them without importing the observatory.
+#: A span must slow down by more than this many milliseconds ...
+DEFAULT_ABS_THRESHOLD_MS = 5.0
+#: ... *and* by more than this fraction of its baseline to regress.
+DEFAULT_REL_THRESHOLD = 0.25
+#: A child must explain at least this fraction of its parent's delta
+#: for the attribution walk to descend into it.
+DEFAULT_EXPLAIN_FRACTION = 0.5
+
 #: The compact tuple form of one span subtree (see :func:`pack_span`).
 PackedSpan = Tuple[
     str,

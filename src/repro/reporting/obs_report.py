@@ -14,13 +14,15 @@
 
 from __future__ import annotations
 
-from typing import List, Mapping, Union
+from typing import TYPE_CHECKING, List, Mapping, Union
 
 from ..obs.metrics import MetricsRegistry
-from ..obs.profile import Profile, build_profile
 from ..obs.provenance import explain_assessment
 from ..obs.tracer import NullTracer, Tracer
 from .tables import Table
+
+if TYPE_CHECKING:
+    from ..obs.profile import Profile
 
 
 def span_tree_report(tracer: Tracer, title: str = "Trace (per-phase timings)") -> str:
@@ -76,6 +78,8 @@ def profile_report(
     flamegraph-style merged call tree, each node's bar proportional to
     its cumulative share of the run.
     """
+    from ..obs.profile import Profile, build_profile
+
     profile = source if isinstance(source, Profile) else build_profile(source)
     if not profile.span_count:
         return f"{title}\n  (no spans recorded)"

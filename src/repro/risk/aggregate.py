@@ -233,17 +233,28 @@ class MemberOutcomes(LazySequence[MemberOutcome]):
         """Each member's :meth:`MemberOutcome.to_dict`, in order.
 
         Rows that share a slot, a rate and a cascade flag differ only
-        in their id, so each distinct triple is rendered once.
+        in their id, so each distinct triple is rendered once; a row is
+        a copy of its triple's dict with the id set in place, which
+        keeps ``member_id`` the first key.
         """
-        tails: "Dict[Tuple[int, float, bool], Dict[str, object]]" = {}
-        rendered = []
         keys = zip(self.rows.slots, self.rates_per_year, self.from_cascade)
-        for member_id, key in zip(self.rows.ids, keys):
-            tail = tails.get(key)
-            if tail is None:
-                tail = tails[key] = self._outcome(member_id, *key).to_dict()
-                del tail["member_id"]
-            rendered.append({"member_id": member_id, **tail})
+        rendered = list(map(dict.copy, map(_Rendered(self).__getitem__, keys)))
+        for row, member_id in zip(rendered, self.rows.ids):
+            row["member_id"] = member_id
+        return rendered
+
+
+class _Rendered(Dict[Tuple[int, float, bool], Dict[str, object]]):
+    """``(slot, rate per year, cascade flag) -> MemberOutcome.to_dict()``
+    of one :class:`MemberOutcomes`, each rendered on its first lookup
+    (its ``member_id`` is left for the caller to set)."""
+
+    def __init__(self, outcomes: MemberOutcomes) -> None:
+        super().__init__()
+        self.outcomes = outcomes
+
+    def __missing__(self, key: "Tuple[int, float, bool]") -> "Dict[str, object]":
+        rendered = self[key] = self.outcomes._outcome("", *key).to_dict()
         return rendered
 
 

@@ -47,13 +47,14 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress, repeat
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from ..exceptions import RiskError
 from ..units import PerSecond, Seconds
 from .ensemble import LazySequence
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: The reported quantiles, as (label, probability) pairs.
 PERCENTILES: "Tuple[Tuple[str, float], ...]" = (
@@ -197,6 +198,8 @@ def empirical_distribution(samples: "np.ndarray") -> RiskDistribution:
     interpolation, so infinite samples never bleed into finite
     quantiles.
     """
+    import numpy as np
+
     if samples.size == 0:
         raise RiskError("cannot summarize an empty sample set")
     ordered = np.sort(samples)
@@ -228,6 +231,8 @@ def _finite_quantiles(
     ``rates`` and ``severities`` are the finite entries as columns and
     ``products`` their rate x severity terms.
     """
+    import numpy as np
+
     if not probs:
         return []
     if lam == 0 or not any(map(operator.gt, severities, repeat(0))):
@@ -308,6 +313,8 @@ def _panjer(
     keeps the dense dot product and the CDF adds the terms one by one,
     as ``np.cumsum`` would, so every value matches the full-grid fold.
     """
+    import numpy as np
+
     bins = severity_mass.shape[0]
     total = np.zeros(bins)
     total[0] = cumulative = math.exp(-lam * (1.0 - severity_mass[0]))

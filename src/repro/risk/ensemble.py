@@ -39,7 +39,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from operator import attrgetter
-from typing import Iterator, List, Optional, Tuple, TypeVar
+from typing import Iterable, Iterator, List, Optional, Tuple, TypeVar
 
 from ..exceptions import RiskError
 from ..scenarios.failures import FailureScenario
@@ -207,6 +207,10 @@ class CascadeSpec:
         return members
 
 
+#: A grid member's id from its index: member 42 is ``obj-0042``.
+_grid_id = "obj-%04d".__mod__
+
+
 @dataclass(frozen=True)
 class MemberGrid:
     """Generated members as a rule: an id rule, one rate, a scenario cycle.
@@ -233,7 +237,11 @@ class MemberGrid:
         return self.share_per_year / YEAR
 
     def member_id(self, index: int) -> str:
-        return f"obj-{index:04d}"
+        return _grid_id(index)
+
+    def member_ids(self, order: "Sequence[int]") -> "Iterator[str]":
+        """The ids of the indices in ``order``, rendered in one pass."""
+        return map(_grid_id, order)
 
     def member(self, index: int) -> EnsembleMember:
         return EnsembleMember.per_year(
@@ -349,15 +357,18 @@ class MemberIds(LazySequence[str]):
         return self._grid.member_id(self.order[row - before])
 
     def __iter__(self) -> "Iterator[str]":
+        # Runs of grid ids between the explicit ids, chained: the ids
+        # are rendered and merged without a Python step per id.
         grid_ids: "Iterator[str]" = iter(())
         if self._grid is not None:
-            grid_ids = map(self._grid.member_id, self.order)
+            grid_ids = self._grid.member_ids(self.order)
+        pieces: "List[Iterable[str]]" = []
         cursor = 0
         for position, member_id in zip(self.positions, self._explicit):
-            yield from islice(grid_ids, position - cursor)
-            yield member_id
+            pieces += (islice(grid_ids, position - cursor), (member_id,))
             cursor = position + 1
-        yield from grid_ids
+        pieces.append(grid_ids)
+        return chain.from_iterable(pieces)
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import RiskError
 from ..obs import get_tracer
@@ -44,6 +42,9 @@ from .distributions import (
     empirical_distribution,
 )
 from .ensemble import LazySequence
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: (member_id, rate per second, downtime, loss, penalty) — the flat
 #: severity row the aggregator hands to :func:`cross_check`.
@@ -128,6 +129,8 @@ def cross_check(
     smallest member id, so input order never matters.  The
     ``risk.monte_carlo`` span records the member and substream counts.
     """
+    import numpy as np
+
     if samples < 1:
         raise RiskError(f"Monte Carlo needs >= 1 sample, got {samples}")
     if not horizon > 0:
@@ -193,6 +196,8 @@ def _severity_groups(
 
 def _scaled(counts: "np.ndarray", severity: float) -> "np.ndarray":
     """Total severity per sample; 0 events x infinite severity is 0."""
+    import numpy as np
+
     if math.isfinite(severity):
         return counts * severity
     return np.where(counts > 0, float("inf"), 0.0)

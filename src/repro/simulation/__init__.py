@@ -25,19 +25,28 @@ analytic worst case is *tight* (approached by adversarial failure
 times).
 """
 
+from ..lazy import lazy_getattr
 from .engine import Event, SimulationEngine
 from .rp_store import RPStore, RetrievalPoint
 from .simulator import DependabilitySimulator, SimulatedLoss
-from .failure_injection import (
-    adversarial_times,
-    random_times,
-    substream_rng,
-    substream_seed,
-    sweep_times,
-)
-from .metrics import LossStatistics, summarize_losses
 from .recovery_sim import RecoverySimulator, SimulatedRecovery, TransferSpec
 from .exposure import ExposurePoint, ExposureProfile, exposure_profile
+
+#: Names of the numpy-backed modules, imported on first use (PEP 562)
+#: so the package import loads no numpy.
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "adversarial_times", "random_times", "substream_rng",
+            "substream_seed", "sweep_times",
+        ),
+        "failure_injection",
+    ),
+    **dict.fromkeys(("LossStatistics", "summarize_losses"), "metrics"),
+}
+
+__getattr__ = lazy_getattr(__name__, _LAZY)
+
 
 __all__ = [
     "Event",

@@ -14,12 +14,13 @@ Three flavors:
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional
 
 from ..exceptions import SimulationError
 from .simulator import DependabilitySimulator
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def substream_seed(root_seed: int, stream_id: str) -> int:
@@ -41,6 +42,8 @@ def substream_seed(root_seed: int, stream_id: str) -> int:
 
 def substream_rng(root_seed: int, stream_id: str) -> np.random.Generator:
     """A generator over the named substream of ``root_seed``."""
+    import numpy as np
+
     return np.random.default_rng(
         np.random.SeedSequence(substream_seed(root_seed, stream_id))
     )
@@ -48,6 +51,8 @@ def substream_rng(root_seed: int, stream_id: str) -> np.random.Generator:
 
 def sweep_times(start: float, end: float, count: int) -> "List[float]":
     """``count`` evenly spaced failure times across ``[start, end]``."""
+    import numpy as np
+
     if count < 1:
         raise SimulationError("need at least one failure time")
     if end < start:
@@ -72,6 +77,8 @@ def random_times(
     each gets its own independent, order-insensitive sequence.  Without
     it, ``seed`` is used directly (the historical behaviour).
     """
+    import numpy as np
+
     if count < 1:
         raise SimulationError("need at least one failure time")
     if end < start:

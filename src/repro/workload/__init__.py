@@ -17,14 +17,27 @@ The sub-modules provide:
   trace by measuring rates, burstiness and unique update bytes;
 * :mod:`repro.workload.presets` — ready-made workloads, including
   :func:`~repro.workload.presets.cello` (the paper's Table 2).
+
+Only the first and last two load with the package: the trace modules
+use numpy and are imported on first use of one of their names.
 """
 
+from ..lazy import lazy_getattr
 from .batch_curve import BatchUpdateCurve
 from .spec import Workload
-from .traces import Trace, TraceRecord
-from .synthetic import SyntheticWorkloadConfig, generate_trace
-from .characterize import characterize_trace
 from .presets import cello, oltp_database, web_server
+
+#: The numpy-backed trace tooling, imported on first use (PEP 562) so a
+#: process that only evaluates designs never loads numpy.
+_LAZY = {
+    "Trace": "traces",
+    "TraceRecord": "traces",
+    "SyntheticWorkloadConfig": "synthetic",
+    "generate_trace": "synthetic",
+    "characterize_trace": "characterize",
+}
+
+__getattr__ = lazy_getattr(__name__, _LAZY)
 
 __all__ = [
     "BatchUpdateCurve",

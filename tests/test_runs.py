@@ -57,6 +57,7 @@ from repro.obs.runs import (
 from repro.workload.presets import cello
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+EXAMPLE_SPECS = os.path.join(os.path.dirname(__file__), "..", "examples", "specs")
 FIXTURE_V1 = os.path.join(DATA, "ledger_v1")
 #: An ``optimize --run-dir`` ledger written while the registry still
 #: had a histogram kind: its ``metrics`` holds a ``recovery.plan_ms``
@@ -641,6 +642,40 @@ class TestRunsCli:
         root = self.seed_pair(tmp_path)
         assert main(["runs", "show", "nope", "--runs-root", root]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_verdict_exit_records_verdict_status(self, tmp_path, capsys):
+        # Exit 1 is the evaluation's verdict (the spec's objectives are
+        # violated), not a failed run: its own status, and a filter.
+        spec = os.path.join(EXAMPLE_SPECS, "baseline_array_failure.json")
+        assert main(["evaluate", spec, "--run-dir", str(tmp_path / "v")]) == 1
+        assert read_manifest(tmp_path / "v")["status"] == "verdict"
+        capsys.readouterr()
+        assert main(["runs", "list", "--runs-root", str(tmp_path),
+                     "--status", "verdict", "--format", "json"]) == 0
+        (run,) = json.loads(capsys.readouterr().out)["runs"]
+        assert run["status"] == "verdict"
+
+    def test_spec_error_still_records_error_status(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"design": "no-such-design", "scenarios": ["array"]}')
+        assert main(["evaluate", str(spec), "--run-dir", str(tmp_path / "e")]) == 2
+        assert read_manifest(tmp_path / "e")["status"] == "error"
+
+    def test_error_manifest_lists_shows_and_diffs(self, tmp_path, capsys):
+        tasks = [task_record("k1", "d1")]
+        make_run(tmp_path / "ok", BASE_PLAN, run_id="r-ok", tasks=tasks)
+        make_run(
+            tmp_path / "err", BASE_PLAN, run_id="r-err", tasks=tasks,
+            status="error",
+        )
+        root = str(tmp_path)
+        assert main(["runs", "list", "--runs-root", root, "--status", "error"]) == 0
+        out = capsys.readouterr().out
+        assert "r-err" in out and "r-ok" not in out
+        assert main(["runs", "show", "r-err", "--runs-root", root]) == 0
+        assert "status:   error" in capsys.readouterr().out
+        assert main(["runs", "diff", "r-ok", "r-err", "--runs-root", root]) == 0
+        assert "no span regressions" in capsys.readouterr().out
 
     def test_baseline_requires_run_dir(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
