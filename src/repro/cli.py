@@ -57,16 +57,14 @@ import argparse
 import json
 import os
 import sys
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from .casestudy import (
     all_table7_designs,
     case_study_requirements,
     case_study_scenarios,
 )
-from .engine import EngineConfig
-from .engine.sweep import evaluate_design_map, evaluate_scenarios_cached
-from .exceptions import ReproError
+from .exceptions import DesignError, ReproError
 from .lint.diagnostics import exit_code as lint_exit_code
 from .lint.output import FORMATS as LINT_FORMATS
 from .lint.output import render as render_diagnostics
@@ -97,15 +95,10 @@ from .reporting.report import (
     utilization_report,
     whatif_report,
 )
-from .serialization import (
-    design_from_spec,
-    requirements_from_spec,
-    scenario_from_spec,
-    workload_from_spec,
-)
 from .workload.presets import cello
 
 if TYPE_CHECKING:
+    from .engine import EngineConfig
     from .obs.ledger import RunLedger
     from .obs.runs import RunRecord
 
@@ -116,6 +109,8 @@ def _engine_config(args: argparse.Namespace) -> "Optional[EngineConfig]":
     None (= the engine's serial, uncached default) when neither flag
     was given, so default CLI runs stay on the historical code path.
     """
+    from .engine import EngineConfig
+
     workers = getattr(args, "workers", None) or 1
     cache_dir = getattr(args, "cache_dir", None)
     if workers <= 1 and cache_dir is None:
@@ -127,8 +122,54 @@ def _engine_config(args: argparse.Namespace) -> "Optional[EngineConfig]":
     )
 
 
+def _read_spec(
+    path: str, *parts: str, scenarios: "Sequence[str]" = ("array",)
+) -> "List[Any]":
+    """Build the named parts of a JSON spec file, in order.
+
+    An absent part takes its default: the cello workload, the baseline
+    design, the ``scenarios`` scopes and the case-study requirements.
+    ``ensemble`` has no default.
+    """
+    from . import serialization
+
+    with open(path) as handle:
+        try:
+            spec = json.load(handle)
+        except json.JSONDecodeError as error:
+            raise DesignError(f"spec {path!r} is not valid JSON: {error}") from None
+    if not isinstance(spec, dict):
+        raise DesignError(f"spec {path!r}: expected an object, got {spec!r:.60}")
+    if "ensemble" in parts and "ensemble" not in spec:
+        raise ReproError(
+            f"spec {path!r} has no 'ensemble' section; "
+            "'repro risk' needs rated scenarios (see 'repro evaluate' "
+            "for single-scenario worst cases)"
+        )
+    readers = {
+        "workload": lambda: serialization.workload_from_spec(
+            spec.get("workload", "cello")
+        ),
+        "design": lambda: serialization.design_from_spec(
+            spec.get("design", "baseline")
+        ),
+        "scenarios": lambda: serialization.scenarios_from_spec(
+            spec.get("scenarios", scenarios)
+        ),
+        "ensemble": lambda: serialization.ensemble_from_spec(spec["ensemble"]),
+        "requirements": lambda: (
+            serialization.requirements_from_spec(spec["requirements"])
+            if "requirements" in spec
+            else case_study_requirements()
+        ),
+    }
+    return [readers[part]() for part in parts]
+
+
 def _cmd_case_study(args: argparse.Namespace) -> int:
     """Print the paper's Tables 5, 6 and the Figure 5 breakdown."""
+    from .engine.sweep import evaluate_design_map, evaluate_scenarios_cached
+
     workload = cello()
     requirements = case_study_requirements()
     scenarios = case_study_scenarios()
@@ -169,17 +210,11 @@ def _cmd_case_study(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     """Evaluate the design/workload/scenarios of a JSON spec file."""
-    with open(args.spec) as handle:
-        spec = json.load(handle)
-    workload = workload_from_spec(spec.get("workload", "cello"))
-    design = design_from_spec(spec.get("design", "baseline"))
-    scenario_specs = spec.get("scenarios", ["array"])
-    scenarios = [scenario_from_spec(s) for s in scenario_specs]
-    if "requirements" in spec:
-        requirements = requirements_from_spec(spec["requirements"])
-    else:
-        requirements = case_study_requirements()
+    from .engine.sweep import evaluate_scenarios_cached
 
+    workload, design, scenarios, requirements = _read_spec(
+        args.spec, "workload", "design", "scenarios", "requirements"
+    )
     results = evaluate_scenarios_cached(
         design, workload, scenarios, requirements, config=_engine_config(args)
     )
@@ -212,24 +247,11 @@ def _cmd_risk(args: argparse.Namespace) -> int:
     """Assess annualized risk for a spec file's scenario ensemble."""
     from .reporting.risk_report import risk_report
     from .risk import assess_risk
-    from .serialization import canonical_json, ensemble_from_spec
+    from .serialization import canonical_json
 
-    with open(args.spec) as handle:
-        spec = json.load(handle)
-    workload = workload_from_spec(spec.get("workload", "cello"))
-    design = design_from_spec(spec.get("design", "baseline"))
-    if "ensemble" not in spec:
-        raise ReproError(
-            f"spec {args.spec!r} has no 'ensemble' section; "
-            "'repro risk' needs rated scenarios (see 'repro evaluate' "
-            "for single-scenario worst cases)"
-        )
-    ensemble = ensemble_from_spec(spec["ensemble"])
-    if "requirements" in spec:
-        requirements = requirements_from_spec(spec["requirements"])
-    else:
-        requirements = case_study_requirements()
-
+    workload, design, ensemble, requirements = _read_spec(
+        args.spec, "workload", "design", "ensemble", "requirements"
+    )
     assessment = assess_risk(
         design,
         workload,
@@ -281,17 +303,10 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     from .units import format_money
 
     if args.spec is not None:
-        with open(args.spec) as handle:
-            spec = json.load(handle)
-        workload = workload_from_spec(spec.get("workload", "cello"))
-        scenarios = [
-            scenario_from_spec(s)
-            for s in spec.get("scenarios", ["array", "site"])
-        ]
-        if "requirements" in spec:
-            requirements = requirements_from_spec(spec["requirements"])
-        else:
-            requirements = case_study_requirements()
+        workload, scenarios, requirements = _read_spec(
+            args.spec, "workload", "scenarios", "requirements",
+            scenarios=("array", "site"),
+        )
     else:
         workload = cello()
         scenarios = [

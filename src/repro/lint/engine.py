@@ -76,6 +76,7 @@ def lint_spec(spec: "Mapping[str, Any]") -> "List[Diagnostic]":
         design_from_spec,
         requirements_from_spec,
         scenario_from_spec,
+        scenarios_from_spec,
         workload_from_spec,
     )
 
@@ -103,6 +104,9 @@ def lint_spec(spec: "Mapping[str, Any]") -> "List[Diagnostic]":
     )
     scenario_specs = spec.get("scenarios", [])
     scenarios = []
+    if not isinstance(scenario_specs, list):
+        build("/scenarios", lambda: scenarios_from_spec(scenario_specs))
+        scenario_specs = []
     for index, scenario_spec in enumerate(scenario_specs):
         scenario = build(
             f"/scenarios/{index}", lambda s=scenario_spec: scenario_from_spec(s)

@@ -153,20 +153,6 @@ class Span:
         self.attributes.update(attributes)
         return self
 
-    def shift(self, offset: float) -> "Span":
-        """Move this span (and its subtree) ``offset`` seconds later.
-
-        Used when adopting spans recorded against another tracer's
-        epoch (a worker process's) onto this tracer's timeline;
-        durations are unchanged.
-        """
-        self.start += offset
-        if self.end is not None:
-            self.end += offset
-        for child in self.children:
-            child.shift(offset)
-        return self
-
     def walk(self, depth: int = 0) -> "Iterator[Tuple[Span, int]]":
         """Depth-first iteration of this span and its descendants."""
         yield self, depth
@@ -218,11 +204,8 @@ def pack_span(span: Span) -> PackedSpan:
 
 
 def unpack_span(packed: PackedSpan, shift: float = 0.0) -> Span:
-    """Rebuild a :func:`pack_span` subtree, shifting times by ``shift``.
-
-    Folding the rebase into reconstruction saves the separate
-    :meth:`Span.shift` walk when a capsule is merged.
-    """
+    """Rebuild a :func:`pack_span` subtree, shifting times by ``shift``
+    (the rebase onto the adopting tracer's epoch)."""
     name, start, end, attributes, status, error_type, error_message, kids = packed
     return Span(
         name=name,

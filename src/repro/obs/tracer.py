@@ -59,9 +59,6 @@ class NullTracer:
         """Always empty."""
         return iter(())
 
-    def adopt(self, spans: "Iterable[Span]", shift: float = 0.0) -> None:
-        """Discard externally-recorded spans."""
-
     def adopt_packed(
         self,
         packed_roots: "Iterable[tuple]",
@@ -121,24 +118,6 @@ class Tracer:
         """
         return Span(name, attributes=attributes, tracer=self)
 
-    def adopt(self, spans: "Iterable[Span]", shift: float = 0.0) -> None:
-        """Attach externally-recorded span trees to this tracer.
-
-        The roots become children of the currently open span (or new
-        roots when no span is open) — how a worker's telemetry capsule
-        lands under the parent's ``engine.map`` span.  ``shift`` is
-        added to every start/end time so spans recorded against a
-        different epoch (a worker tracer's) line up with this tracer's
-        timeline.
-        """
-        if self._pending:
-            self._materialize()
-        target = self._stack[-1].children if self._stack else self._roots
-        for span in spans:
-            if shift:
-                span.shift(shift)
-            target.append(span)
-
     def adopt_packed(
         self,
         packed_roots: "Iterable[tuple]",
@@ -152,9 +131,12 @@ class Tracer:
         allocations per worker capsule — is deferred until the spans
         are actually read (:attr:`roots` / :meth:`walk`), which for a
         sweep means export time, not the sweep's critical path.  The
-        currently open span is captured as the anchor so deferred
-        trees still land exactly where an eager :meth:`adopt` would
-        have put them; ``pid`` is stamped on each expanded root.
+        currently open span is captured as the anchor, so the trees
+        land as its children (or as new roots when no span is open)
+        however late they expand.  ``shift`` is added to every
+        start/end time, so spans recorded against a different epoch (a
+        worker tracer's) line up with this tracer's timeline; ``pid`` is
+        stamped on each expanded root.
         """
         self._pending.append(
             (tuple(packed_roots), shift, pid, self._stack[-1] if self._stack else None)

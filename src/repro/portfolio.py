@@ -25,8 +25,9 @@ Evaluation then:
 
 Recovery concurrency is modeled optimistically within a dependency
 level (independent objects restore in parallel, each at its own
-available bandwidth) — the conservative serialized alternative is a
-single flag away (``serialize_recoveries=True``).
+available bandwidth, without contending for shared devices) — the
+conservative serialized alternative is a single flag away
+(``serialize_recoveries=True``).
 """
 
 from __future__ import annotations
@@ -303,121 +304,6 @@ class Portfolio:
             )
             for scenario in scenarios
         }
-
-    def evaluate_contended(
-        self,
-        scenario: FailureScenario,
-        requirements: BusinessRequirements,
-        background_load: float = 1.0,
-        strict_utilization: bool = True,
-    ) -> PortfolioAssessment:
-        """Assess the portfolio with recoveries contending for bandwidth.
-
-        The plain :meth:`evaluate` lets independent objects restore in
-        parallel at full rate — optimistic when they share devices.
-        This variant replays every object's recovery transfers through
-        the event-level :class:`~repro.simulation.RecoverySimulator`:
-        objects at the same dependency depth contend for their shared
-        devices (processor sharing); deeper objects start when their
-        dependencies finish.  ``background_load`` scales how much of the
-        normal-mode RP propagation demand stays active during recovery.
-        """
-        from .simulation.recovery_sim import RecoverySimulator, TransferSpec
-
-        demands, utilization = self._prepare(strict_utilization)
-
-        # Device envelopes and background demands for the simulator; the
-        # source-read efficiency folds into each transfer's nominal rate.
-        bandwidths: "Dict[str, float]" = {}
-        background: "Dict[str, float]" = {}
-        for device in self.devices():
-            if device.max_bandwidth != float("inf"):
-                bandwidths[device.name] = device.max_bandwidth
-                background[device.name] = device.bandwidth_demand(demands[device])
-
-        # Layer objects by dependency depth.
-        depth: "Dict[str, int]" = {}
-        for obj in self._topological_order():
-            depth[obj.name] = (
-                max((depth[d] for d in obj.depends_on), default=-1) + 1
-            )
-        max_depth = max(depth.values(), default=0)
-
-        simulator = RecoverySimulator(
-            bandwidths, background, background_load=background_load
-        )
-        outcomes: "Dict[str, ObjectOutcome]" = {}
-        outage_penalty = 0.0
-        loss_penalty = 0.0
-        finish_times: "Dict[str, float]" = {}
-        for layer in range(max_depth + 1):
-            layer_specs: "List[TransferSpec]" = []
-            layer_meta: "Dict[str, Tuple[DataLossResult, Optional[RecoveryPlan], float]]" = {}
-            for obj in self._topological_order():
-                if depth[obj.name] != layer:
-                    continue
-                loss, plan = self._recover(obj, scenario, demands)
-                offset = max(
-                    (finish_times[d] for d in obj.depends_on), default=0.0
-                )
-                layer_meta[obj.name] = (loss, plan, offset)
-                if plan is None:
-                    continue
-                for step in plan.steps:
-                    if step.kind != "transfer" or step.duration <= 0:
-                        continue
-                    # The plan's own rate already folds in the source's
-                    # read efficiency and background demands; it is the
-                    # transfer's solo (uncontended) speed.  Contention
-                    # on shared devices can only slow it further.
-                    solo_rate = plan.recovery_size / step.duration
-                    layer_specs.append(
-                        TransferSpec(
-                            label=f"{obj.name}:{step.label}",
-                            ready_at=offset + step.start,
-                            size=plan.recovery_size,
-                            nominal_rate=solo_rate,
-                            devices=tuple(
-                                d for d in step.devices if d in bandwidths
-                            ),
-                        )
-                    )
-            simulated = (
-                {r.plan_label: r for r in simulator.simulate(layer_specs)}
-                if layer_specs
-                else {}
-            )
-            for name, (loss, plan, offset) in layer_meta.items():
-                if plan is None:
-                    finish = float("inf")
-                elif name in simulated:
-                    finish = simulated[name].finish_time
-                else:
-                    finish = offset + plan.recovery_time
-                finish_times[name] = finish
-                outcomes[name] = ObjectOutcome(
-                    name=name,
-                    data_loss=loss,
-                    plan=plan,
-                    recovery_start=offset,
-                    recovery_finish=finish,
-                )
-                outage_penalty += requirements.outage_penalty(finish)
-                loss_penalty += (
-                    float("inf")
-                    if loss.total_loss
-                    else requirements.loss_penalty(loss.data_loss)
-                )
-
-        return PortfolioAssessment(
-            portfolio_name=self.name,
-            scenario=scenario,
-            utilization=utilization,
-            outcomes=outcomes,
-            outlays_by_technique=self._outlays(demands),
-            outage_penalty=outage_penalty,
-            loss_penalty=loss_penalty,
-        )
 
     # -- outlays ---------------------------------------------------------------------
 

@@ -17,14 +17,21 @@ use the same vocabulary as the paper's tables (``"12 hr"``,
   ``region``;
 * designs: a named case-study design or ``{name, levels: [...]}``.
 
-Unknown keys raise immediately — a typo in a config should never
-silently fall back to a default.
+Every spec object is one row of :data:`SPEC_SCHEMA` (its required and
+optional keys) and passes one gate, :func:`_fields`: a value of the
+wrong shape, an unknown key or a missing required key is a
+:class:`DesignError` naming where it is — a typo in a config should
+never silently fall back to a default.  Only the keys present reach
+the constructor (a null counts as absent), so the constructor owns
+every default.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import (
+    Any, Callable, Dict, Hashable, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from .casestudy import all_table7_designs
 from .core.cost import CostBreakdown
@@ -43,7 +50,7 @@ from .devices.interconnect import NetworkLink, Shipment
 from .devices.spares import SpareConfig, SpareType
 from .devices.tape_library import TapeLibrary
 from .devices.vault import Vault
-from .exceptions import DesignError
+from .exceptions import DesignError, ReproError, UnitError
 from .scenarios.failures import FailureScenario, FailureScope
 from .scenarios.locations import Location
 from .scenarios.requirements import BusinessRequirements
@@ -54,7 +61,7 @@ from .techniques.primary import PrimaryCopy
 from .techniques.snapshot import VirtualSnapshot
 from .techniques.split_mirror import SplitMirror
 from .techniques.vaulting import RemoteVaulting
-from .units import YEAR, parse_duration
+from .units import YEAR, parse_duration, parse_event_rate
 from .workload.batch_curve import BatchUpdateCurve
 from .workload.presets import cello, oltp_database, web_server
 from .workload.spec import Workload
@@ -66,43 +73,206 @@ _WORKLOAD_PRESETS: "Dict[str, Callable[[], Workload]]" = {
 }
 
 
+# ---------------------------------------------------------------------------
+# The spec schema: one row per kind of spec object.
+# ---------------------------------------------------------------------------
+
+
+class SpecRow(NamedTuple):
+    """The keys one kind of spec object may hold.
+
+    ``required`` keys are checked in order; ``build`` is the class a
+    device or technique ``kind`` constructs.
+    """
+
+    required: Tuple[str, ...]
+    optional: Tuple[str, ...] = ()
+    build: Optional[Callable[..., Any]] = None
+
+
+_PLACED = ("location", "spare", "cost_model")
+
+#: Every spec object's keys, by row name (a device or technique row is
+#: named by its ``kind`` tag).  README's "Spec reference" lists them.
+SPEC_SCHEMA: "Dict[str, SpecRow]" = {
+    "workload": SpecRow(
+        ("batch_curve", "data_capacity", "avg_access_rate", "avg_update_rate"),
+        ("name", "burst_multiplier", "short_window_rate"),
+    ),
+    "catalog": SpecRow(("catalog",), ("name", "link_count", "location")),
+    "disk_array": SpecRow(
+        ("kind", "name", "max_capacity_slots", "slot_capacity",
+         "max_bandwidth_slots", "slot_bandwidth", "enclosure_bandwidth"),
+        ("raid_capacity_factor",) + _PLACED,
+        DiskArray,
+    ),
+    "tape_library": SpecRow(
+        ("kind", "name", "max_cartridges", "cartridge_capacity", "max_drives",
+         "drive_bandwidth", "enclosure_bandwidth"),
+        ("access_delay",) + _PLACED,
+        TapeLibrary,
+    ),
+    "vault": SpecRow(
+        ("kind", "name", "max_cartridges", "cartridge_capacity"), _PLACED, Vault
+    ),
+    "network_link": SpecRow(
+        ("kind", "name", "link_bandwidth"),
+        ("link_count", "propagation_delay") + _PLACED,
+        NetworkLink,
+    ),
+    "shipment": SpecRow(
+        ("kind", "name"), ("delay", "location", "cost_model"), Shipment
+    ),
+    "location": SpecRow(("region", "site"), ("building",)),
+    "spare": SpecRow(("type",), ("provisioning_time", "discount")),
+    "cost_model": SpecRow((), ("fixed", "per_gb", "per_mb_per_sec", "per_shipment")),
+    "primary": SpecRow(("kind",), ("name",), PrimaryCopy),
+    "snapshot": SpecRow(
+        ("kind", "accumulation_window", "retention_count"), ("name",), VirtualSnapshot
+    ),
+    "split_mirror": SpecRow(
+        ("kind", "accumulation_window", "retention_count"), ("name",), SplitMirror
+    ),
+    "sync_mirror": SpecRow(("kind",), ("name",), SyncMirror),
+    "async_mirror": SpecRow(("kind",), ("name", "write_behind_lag"), AsyncMirror),
+    "batched_async_mirror": SpecRow(
+        ("kind",),
+        ("name", "accumulation_window", "propagation_window", "hold_window",
+         "retention_count"),
+        BatchedAsyncMirror,
+    ),
+    "backup": SpecRow(
+        ("kind", "full_accumulation_window", "full_propagation_window"),
+        ("name", "full_hold_window", "retention_count", "incremental"),
+        Backup,
+    ),
+    "vaulting": SpecRow(
+        ("kind", "accumulation_window", "propagation_window", "hold_window",
+         "retention_count"),
+        ("name",),
+        RemoteVaulting,
+    ),
+    "incremental": SpecRow(
+        ("kind", "count", "accumulation_window", "propagation_window"),
+        ("hold_window",),
+    ),
+    "design": SpecRow(("name", "levels"), ("recovery_facility",)),
+    "level": SpecRow(("technique", "store"), ("transport", "feeds_from")),
+    "scenario": SpecRow(
+        ("scope",),
+        ("failed_device", "failed_location", "recovery_target_age", "object_size"),
+    ),
+    "requirements": SpecRow(
+        ("unavailability_per_hour", "loss_per_hour"), ("rto", "rpo")
+    ),
+    "ensemble": SpecRow(("name",), ("members", "correlated", "cascades", "generate")),
+    "member": SpecRow(("id", "scenario"), ("rate", "kofn")),
+    "kofn": SpecRow(("n", "k", "unit_rate", "repair_time"), ("repair",)),
+    "correlated": SpecRow(("id", "base", "correlated", "rate", "fraction")),
+    "cascade": SpecRow(
+        ("id", "primary", "rate", "escalated"), ("secondary_rate", "probability")
+    ),
+    "generate": SpecRow(("object_grid",)),
+    "object_grid": SpecRow(
+        ("count", "total_rate"), ("distinct_ages", "max_age", "object_size")
+    ),
+}
+
+_DEVICE_KINDS = ("disk_array", "tape_library", "vault", "network_link", "shipment")
+_TECHNIQUE_KINDS = (
+    "primary", "snapshot", "split_mirror", "sync_mirror", "async_mirror",
+    "batched_async_mirror", "backup", "vaulting",
+)
+
+
+def _mapping(value: Any, context: str) -> "Mapping[str, Any]":
+    if not isinstance(value, Mapping):
+        raise DesignError(f"{context}: expected an object, got {value!r:.60}")
+    return value
+
+
+def _items(value: Any, context: str) -> "Sequence[Any]":
+    if not isinstance(value, (list, tuple)):
+        raise DesignError(f"{context}: expected a list, got {value!r:.60}")
+    return value
+
+
 def _require(mapping: Mapping[str, Any], key: str, context: str) -> Any:
     if key not in mapping:
         raise DesignError(f"{context}: missing required key {key!r}")
     return mapping[key]
 
 
-def _integer(
-    mapping: Mapping[str, Any], key: str, context: str, default: Any = None
-) -> int:
-    """An integer field; required unless ``default`` is given.
+def _fields(spec: Any, row: str, context: Optional[str] = None) -> "Dict[str, Any]":
+    """The keys of one spec object, checked against its schema row.
 
-    A bool, a float (``1000.5``) or a numeric string (``"1000"``) is a
-    :class:`DesignError` naming the field, not a ``TypeError`` later.
+    ``spec`` must be a mapping holding only the row's keys and all of
+    its required ones.  The keys present come back (a null counts as
+    absent), ready to pass to the constructor that owns the defaults.
     """
-    if default is None:
-        value = _require(mapping, key, context)
-    else:
-        value = mapping.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DesignError(
-            f"{context}: {key!r} must be an integer, got {value!r}"
-        )
-    return value
-
-
-def _check_keys(mapping: Mapping[str, Any], allowed: set, context: str) -> None:
-    unknown = set(mapping) - allowed
+    context = context or row
+    schema = SPEC_SCHEMA[row]
+    present = {
+        key: value for key, value in _mapping(spec, context).items()
+        if value is not None
+    }
+    allowed = {*schema.required, *schema.optional}
+    unknown = set(spec) - allowed
     if unknown:
         raise DesignError(
             f"{context}: unknown keys {sorted(unknown)!r} "
             f"(allowed: {sorted(allowed)!r})"
         )
+    for key in schema.required:
+        _require(present, key, context)
+    return present
+
+
+def _integer(fields: Mapping[str, Any], context: str, *keys: str) -> None:
+    """Check the integer fields present.
+
+    A bool, a float (``1000.5``) or a numeric string (``"1000"``) is a
+    :class:`DesignError` naming the field, not a ``TypeError`` later.
+    """
+    for key in keys:
+        value = fields.get(key)
+        if value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise DesignError(
+                f"{context}: {key!r} must be an integer, got {value!r}"
+            )
+
+
+def _call(context: str, build: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """``build(*args, **kwargs)``, where a value of the wrong type or an
+    unknown enum value is a :class:`DesignError` naming ``context``."""
+    try:
+        return build(*args, **kwargs)
+    except ReproError:
+        raise
+    except (TypeError, ValueError) as error:
+        raise DesignError(f"{context}: {error}") from error
+
+
+def _event_rate(value: Any, context: str) -> float:
+    """An occurrence rate in events/second.
+
+    Strings carry their unit (``"0.5/yr"``, ``"2/wk"``); bare numbers
+    are events per *second* like every other bare quantity in a spec.
+    """
+    try:
+        return parse_event_rate(value)
+    except (UnitError, TypeError) as error:
+        raise DesignError(f"{context}: {error}") from error
 
 
 # ---------------------------------------------------------------------------
-# Workloads.
+# Workloads, devices and techniques.
 # ---------------------------------------------------------------------------
+
+#: The two workload fields whose constructor takes no default.
+_WORKLOAD_DEFAULTS = {"name": "custom", "burst_multiplier": 1.0}
 
 
 def workload_from_spec(spec: Any) -> Workload:
@@ -115,75 +285,65 @@ def workload_from_spec(spec: Any) -> Workload:
                 f"unknown workload preset {spec!r} "
                 f"(available: {sorted(_WORKLOAD_PRESETS)})"
             ) from None
-    _check_keys(
-        spec,
-        {
-            "name",
-            "data_capacity",
-            "avg_access_rate",
-            "avg_update_rate",
-            "burst_multiplier",
-            "batch_curve",
-            "short_window_rate",
-        },
-        "workload",
+    fields = _fields(spec, "workload")
+    curve = _call(
+        "batch_curve",
+        BatchUpdateCurve,
+        _mapping(fields.pop("batch_curve"), "batch_curve"),
+        short_window_rate=fields.pop("short_window_rate", None),
     )
-    curve = BatchUpdateCurve(
-        _require(spec, "batch_curve", "workload"),
-        short_window_rate=spec.get("short_window_rate"),
-    )
-    return Workload(
-        name=spec.get("name", "custom"),
-        data_capacity=_require(spec, "data_capacity", "workload"),
-        avg_access_rate=_require(spec, "avg_access_rate", "workload"),
-        avg_update_rate=_require(spec, "avg_update_rate", "workload"),
-        burst_multiplier=spec.get("burst_multiplier", 1.0),
-        batch_curve=curve,
+    return _call(
+        "workload", Workload, **{**_WORKLOAD_DEFAULTS, **fields}, batch_curve=curve
     )
 
 
-# ---------------------------------------------------------------------------
-# Devices.
-# ---------------------------------------------------------------------------
+def _location(spec: Any) -> Location:
+    return _call("location", Location, **_fields(spec, "location"))
 
 
-def _location_from_spec(spec: Optional[Mapping[str, Any]]) -> Optional[Location]:
-    if spec is None:
-        return None
-    _check_keys(spec, {"region", "site", "building"}, "location")
-    return Location(
-        region=_require(spec, "region", "location"),
-        site=_require(spec, "site", "location"),
-        building=spec.get("building", "main"),
-    )
+def _spare(spec: Any) -> SpareConfig:
+    fields = _fields(spec, "spare")
+    spare_type = _call("spare", SpareType, fields.pop("type"))
+    return _call("spare", SpareConfig, spare_type, **fields)
 
 
-def _spare_from_spec(spec: Optional[Mapping[str, Any]]) -> Optional[SpareConfig]:
-    if spec is None:
-        return None
-    _check_keys(spec, {"type", "provisioning_time", "discount"}, "spare")
-    spare_type = SpareType(_require(spec, "type", "spare"))
-    if spare_type is SpareType.NONE:
-        return SpareConfig.none()
-    return SpareConfig(
-        spare_type,
-        provisioning_time=spec.get("provisioning_time", 0.0),
-        discount=spec.get("discount", 0.0),
-    )
+def _cost(spec: Any) -> CostModel:
+    fields = _fields(spec, "cost_model")
+    return _call("cost_model", CostModel.from_paper_units, **fields)
 
 
-def _cost_from_spec(spec: Optional[Mapping[str, Any]]) -> Optional[CostModel]:
-    if spec is None:
-        return None
-    _check_keys(
-        spec, {"fixed", "per_gb", "per_mb_per_sec", "per_shipment"}, "cost_model"
-    )
-    return CostModel.from_paper_units(
-        fixed=spec.get("fixed", 0.0),
-        per_gb=spec.get("per_gb", 0.0),
-        per_mb_per_sec=spec.get("per_mb_per_sec", 0.0),
-        per_shipment=spec.get("per_shipment", 0.0),
-    )
+def _incremental(spec: Any) -> IncrementalPolicy:
+    fields = _fields(spec, "incremental")
+    fields["kind"] = _call("incremental", IncrementalKind, fields["kind"])
+    return _call("incremental", IncrementalPolicy, **fields)
+
+
+#: Readers of the keys whose values are spec objects themselves.
+_CONVERTERS: "Dict[str, Callable[[Any], Any]]" = {
+    "location": _location,
+    "failed_location": _location,
+    "spare": _spare,
+    "recovery_facility": _spare,
+    "cost_model": _cost,
+    "incremental": _incremental,
+}
+
+
+def _converted(fields: "Dict[str, Any]") -> "Dict[str, Any]":
+    for key, read in _CONVERTERS.items():
+        if key in fields:
+            fields[key] = read(fields[key])
+    return fields
+
+
+def _of_kind(spec: Any, what: str, kinds: "Sequence[str]") -> Any:
+    """The device or technique the spec's ``kind`` row builds."""
+    kind = _require(_mapping(spec, what), "kind", what)
+    if kind not in kinds:
+        raise DesignError(f"unknown {what} kind {kind!r}")
+    fields = _converted(_fields(spec, kind))
+    del fields["kind"]
+    return _call(kind, SPEC_SCHEMA[kind].build, **fields)
 
 
 _CATALOG_FACTORIES = {
@@ -196,232 +356,28 @@ _CATALOG_FACTORIES = {
 }
 
 
-def device_from_spec(spec: Mapping[str, Any]) -> Device:
+def device_from_spec(spec: Any) -> Device:
     """A catalog preset reference or a fully specified device."""
-    if "catalog" in spec:
-        _check_keys(spec, {"catalog", "name", "link_count", "location"}, "device")
-        factory_name = spec["catalog"]
-        try:
-            factory = _CATALOG_FACTORIES[factory_name]
-        except KeyError:
-            raise DesignError(
-                f"unknown catalog device {factory_name!r} "
-                f"(available: {sorted(_CATALOG_FACTORIES)})"
-            ) from None
-        kwargs: "Dict[str, Any]" = {}
-        if "name" in spec:
-            kwargs["name"] = spec["name"]
-        if "link_count" in spec:
-            if factory_name != "oc3_links":
-                raise DesignError("link_count applies only to oc3_links")
-            kwargs["link_count"] = spec["link_count"]
-        location = _location_from_spec(spec.get("location"))
-        if location is not None:
-            kwargs["location"] = location
-        return factory(**kwargs)
-
-    kind = _require(spec, "kind", "device")
-    common = {"kind", "name", "location", "spare", "cost_model"}
-    location = _location_from_spec(spec.get("location"))
-    spare = _spare_from_spec(spec.get("spare"))
-    cost = _cost_from_spec(spec.get("cost_model"))
-    extras: "Dict[str, Any]" = {}
-    if location is not None:
-        extras["location"] = location
-
-    if kind == "disk_array":
-        _check_keys(
-            spec,
-            common | {
-                "max_capacity_slots", "slot_capacity", "max_bandwidth_slots",
-                "slot_bandwidth", "enclosure_bandwidth", "raid_capacity_factor",
-            },
-            "disk_array",
+    if "catalog" not in _mapping(spec, "device"):
+        return _of_kind(spec, "device", _DEVICE_KINDS)
+    fields = _fields(spec, "catalog", "device")
+    factory_name = fields.pop("catalog")
+    factory = (
+        _CATALOG_FACTORIES.get(factory_name) if isinstance(factory_name, str) else None
+    )
+    if factory is None:
+        raise DesignError(
+            f"unknown catalog device {factory_name!r} "
+            f"(available: {sorted(_CATALOG_FACTORIES)})"
         )
-        return DiskArray(
-            name=_require(spec, "name", "disk_array"),
-            max_capacity_slots=_require(spec, "max_capacity_slots", "disk_array"),
-            slot_capacity=_require(spec, "slot_capacity", "disk_array"),
-            max_bandwidth_slots=_require(spec, "max_bandwidth_slots", "disk_array"),
-            slot_bandwidth=_require(spec, "slot_bandwidth", "disk_array"),
-            enclosure_bandwidth=_require(spec, "enclosure_bandwidth", "disk_array"),
-            raid_capacity_factor=spec.get("raid_capacity_factor", 2.0),
-            cost_model=cost,
-            spare=spare,
-            **extras,
-        )
-    if kind == "tape_library":
-        _check_keys(
-            spec,
-            common | {
-                "max_cartridges", "cartridge_capacity", "max_drives",
-                "drive_bandwidth", "enclosure_bandwidth", "access_delay",
-            },
-            "tape_library",
-        )
-        return TapeLibrary(
-            name=_require(spec, "name", "tape_library"),
-            max_cartridges=_require(spec, "max_cartridges", "tape_library"),
-            cartridge_capacity=_require(spec, "cartridge_capacity", "tape_library"),
-            max_drives=_require(spec, "max_drives", "tape_library"),
-            drive_bandwidth=_require(spec, "drive_bandwidth", "tape_library"),
-            enclosure_bandwidth=_require(spec, "enclosure_bandwidth", "tape_library"),
-            access_delay=spec.get("access_delay", "0.01 hr"),
-            cost_model=cost,
-            spare=spare,
-            **extras,
-        )
-    if kind == "vault":
-        _check_keys(
-            spec, common | {"max_cartridges", "cartridge_capacity"}, "vault"
-        )
-        return Vault(
-            name=_require(spec, "name", "vault"),
-            max_cartridges=_require(spec, "max_cartridges", "vault"),
-            cartridge_capacity=_require(spec, "cartridge_capacity", "vault"),
-            cost_model=cost,
-            spare=spare,
-            **extras,
-        )
-    if kind == "network_link":
-        _check_keys(
-            spec,
-            common | {"link_bandwidth", "link_count", "propagation_delay"},
-            "network_link",
-        )
-        return NetworkLink(
-            name=_require(spec, "name", "network_link"),
-            link_bandwidth=_require(spec, "link_bandwidth", "network_link"),
-            link_count=spec.get("link_count", 1),
-            propagation_delay=spec.get("propagation_delay", 0.0),
-            cost_model=cost,
-            spare=spare,
-            **extras,
-        )
-    if kind == "shipment":
-        _check_keys(spec, common | {"delay"}, "shipment")
-        return Shipment(
-            name=_require(spec, "name", "shipment"),
-            delay=spec.get("delay", "24 hr"),
-            cost_model=cost,
-            **extras,
-        )
-    raise DesignError(f"unknown device kind {kind!r}")
+    if "link_count" in fields and factory_name != "oc3_links":
+        raise DesignError("link_count applies only to oc3_links")
+    return _call(factory_name, factory, **_converted(fields))
 
 
-# ---------------------------------------------------------------------------
-# Techniques.
-# ---------------------------------------------------------------------------
-
-
-def technique_from_spec(spec: Mapping[str, Any]) -> ProtectionTechnique:
+def technique_from_spec(spec: Any) -> ProtectionTechnique:
     """Build a technique from its kind tag and parameters."""
-    kind = _require(spec, "kind", "technique")
-    if kind == "primary":
-        _check_keys(spec, {"kind", "name"}, "primary")
-        return PrimaryCopy(name=spec.get("name", "foreground workload"))
-    if kind == "snapshot":
-        _check_keys(
-            spec, {"kind", "name", "accumulation_window", "retention_count"},
-            "snapshot",
-        )
-        return VirtualSnapshot(
-            accumulation_window=_require(spec, "accumulation_window", "snapshot"),
-            retention_count=_require(spec, "retention_count", "snapshot"),
-            name=spec.get("name", "virtual snapshot"),
-        )
-    if kind == "split_mirror":
-        _check_keys(
-            spec, {"kind", "name", "accumulation_window", "retention_count"},
-            "split_mirror",
-        )
-        return SplitMirror(
-            accumulation_window=_require(spec, "accumulation_window", "split_mirror"),
-            retention_count=_require(spec, "retention_count", "split_mirror"),
-            name=spec.get("name", "split mirror"),
-        )
-    if kind == "sync_mirror":
-        _check_keys(spec, {"kind", "name"}, "sync_mirror")
-        return SyncMirror(name=spec.get("name", "sync mirror"))
-    if kind == "async_mirror":
-        _check_keys(spec, {"kind", "name", "write_behind_lag"}, "async_mirror")
-        return AsyncMirror(
-            write_behind_lag=spec.get("write_behind_lag", "30 s"),
-            name=spec.get("name", "async mirror"),
-        )
-    if kind == "batched_async_mirror":
-        _check_keys(
-            spec,
-            {
-                "kind", "name", "accumulation_window", "propagation_window",
-                "hold_window", "retention_count",
-            },
-            "batched_async_mirror",
-        )
-        return BatchedAsyncMirror(
-            accumulation_window=spec.get("accumulation_window", "1 min"),
-            propagation_window=spec.get("propagation_window"),
-            hold_window=spec.get("hold_window", 0.0),
-            retention_count=spec.get("retention_count", 1),
-            name=spec.get("name", "asyncB mirror"),
-        )
-    if kind == "backup":
-        _check_keys(
-            spec,
-            {
-                "kind", "name", "full_accumulation_window",
-                "full_propagation_window", "full_hold_window",
-                "retention_count", "incremental",
-            },
-            "backup",
-        )
-        incremental = None
-        if spec.get("incremental") is not None:
-            inc = spec["incremental"]
-            _check_keys(
-                inc,
-                {
-                    "kind", "count", "accumulation_window",
-                    "propagation_window", "hold_window",
-                },
-                "incremental",
-            )
-            incremental = IncrementalPolicy(
-                kind=IncrementalKind(_require(inc, "kind", "incremental")),
-                count=_require(inc, "count", "incremental"),
-                accumulation_window=_require(inc, "accumulation_window", "incremental"),
-                propagation_window=_require(inc, "propagation_window", "incremental"),
-                hold_window=inc.get("hold_window", 0.0),
-            )
-        return Backup(
-            full_accumulation_window=_require(
-                spec, "full_accumulation_window", "backup"
-            ),
-            full_propagation_window=_require(
-                spec, "full_propagation_window", "backup"
-            ),
-            full_hold_window=spec.get("full_hold_window", 0.0),
-            retention_count=spec.get("retention_count", 1),
-            incremental=incremental,
-            name=spec.get("name", "backup"),
-        )
-    if kind == "vaulting":
-        _check_keys(
-            spec,
-            {
-                "kind", "name", "accumulation_window", "propagation_window",
-                "hold_window", "retention_count",
-            },
-            "vaulting",
-        )
-        return RemoteVaulting(
-            accumulation_window=_require(spec, "accumulation_window", "vaulting"),
-            propagation_window=_require(spec, "propagation_window", "vaulting"),
-            hold_window=_require(spec, "hold_window", "vaulting"),
-            retention_count=_require(spec, "retention_count", "vaulting"),
-            name=spec.get("name", "remote vaulting"),
-        )
-    raise DesignError(f"unknown technique kind {kind!r}")
+    return _of_kind(spec, "technique", _TECHNIQUE_KINDS)
 
 
 # ---------------------------------------------------------------------------
@@ -443,87 +399,69 @@ def design_from_spec(spec: Any) -> StorageDesign:
                 f"unknown named design {spec!r} (available: {sorted(designs)})"
             )
         return designs[spec]
-    _check_keys(spec, {"name", "levels", "recovery_facility"}, "design")
-    design = StorageDesign(
-        _require(spec, "name", "design"),
-        recovery_facility=_spare_from_spec(spec.get("recovery_facility")),
-    )
-    devices_by_id: "Dict[str, Device]" = {}
+    fields = _converted(_fields(spec, "design"))
+    levels = _items(fields.pop("levels"), "design levels")
+    design = _call("design", StorageDesign, **fields)
+    devices_by_id: "Dict[Hashable, Device]" = {}
 
     def resolve_device(device_spec: Any, context: str) -> Device:
-        if device_spec is None:
-            raise DesignError(f"{context}: device required")
-        if "ref" in device_spec:
+        if "ref" in _mapping(device_spec, f"{context} device"):
             ref = device_spec["ref"]
-            if ref not in devices_by_id:
+            if not isinstance(ref, Hashable) or ref not in devices_by_id:
                 raise DesignError(f"{context}: unknown device ref {ref!r}")
             return devices_by_id[ref]
         local = dict(device_spec)
         device_id = local.pop("id", None)
+        if not isinstance(device_id, Hashable):
+            raise DesignError(f"{context}: device id {device_id!r} is not a name")
         device = device_from_spec(local)
         if device_id is not None:
             devices_by_id[device_id] = device
         return device
 
-    for index, level_spec in enumerate(_require(spec, "levels", "design")):
-        _check_keys(
-            level_spec,
-            {"technique", "store", "transport", "feeds_from"},
-            f"level {index}",
-        )
-        technique = technique_from_spec(_require(level_spec, "technique", f"level {index}"))
-        store = resolve_device(_require(level_spec, "store", f"level {index}"), f"level {index}")
-        transport = None
-        if level_spec.get("transport") is not None:
-            transport = resolve_device(level_spec["transport"], f"level {index}")
-        design.add_level(
-            technique,
-            store=store,
-            transport=transport,
-            feeds_from=level_spec.get("feeds_from"),
-        )
+    for index, level_spec in enumerate(levels):
+        context = f"level {index}"
+        level = _fields(level_spec, "level", context)
+        level["technique"] = technique_from_spec(level["technique"])
+        level["store"] = resolve_device(level["store"], context)
+        if "transport" in level:
+            level["transport"] = resolve_device(level["transport"], context)
+        _call(context, design.add_level, **level)
     return design
+
+
+#: Scope-dependent scenario defaults the constructor leaves to callers.
+_SCOPE_DEFAULTS: "Dict[FailureScope, Dict[str, Any]]" = {
+    FailureScope.DISK_ARRAY: {"failed_device": "primary-array"},
+    FailureScope.DATA_OBJECT: {"object_size": "1 MB"},
+}
 
 
 def scenario_from_spec(spec: Any) -> FailureScenario:
     """A scope-name string or a full scenario dictionary."""
     if isinstance(spec, str):
         spec = {"scope": spec}
-    _check_keys(
-        spec,
-        {"scope", "failed_device", "failed_location", "recovery_target_age",
-         "object_size"},
-        "scenario",
-    )
-    scope = FailureScope(_require(spec, "scope", "scenario"))
-    defaults: "Dict[str, Any]" = {}
-    if scope is FailureScope.DISK_ARRAY:
-        defaults["failed_device"] = spec.get("failed_device", "primary-array")
-    if scope is FailureScope.DATA_OBJECT:
-        defaults["object_size"] = spec.get("object_size", "1 MB")
-    return FailureScenario(
-        scope=scope,
-        failed_device=defaults.get("failed_device", spec.get("failed_device")),
-        failed_location=_location_from_spec(spec.get("failed_location")),
-        recovery_target_age=spec.get("recovery_target_age", 0.0),
-        object_size=defaults.get("object_size", spec.get("object_size")),
+    fields = _converted(_fields(spec, "scenario"))
+    scope = fields["scope"] = _call("scenario", FailureScope, fields["scope"])
+    return _call(
+        "scenario", FailureScenario, **{**_SCOPE_DEFAULTS.get(scope, {}), **fields}
     )
 
 
-def requirements_from_spec(spec: Mapping[str, Any]) -> BusinessRequirements:
+def scenarios_from_spec(spec: Any) -> "List[FailureScenario]":
+    """A list of scenario specs."""
+    return [scenario_from_spec(item) for item in _items(spec, "scenarios")]
+
+
+def requirements_from_spec(spec: Any) -> BusinessRequirements:
     """Penalty rates in $/hour plus optional RTO/RPO."""
-    _check_keys(
-        spec,
-        {"unavailability_per_hour", "loss_per_hour", "rto", "rpo"},
+    fields = _fields(spec, "requirements")
+    return _call(
         "requirements",
-    )
-    return BusinessRequirements.per_hour(
-        unavailability_dollars_per_hour=_require(
-            spec, "unavailability_per_hour", "requirements"
-        ),
-        loss_dollars_per_hour=_require(spec, "loss_per_hour", "requirements"),
-        rto=spec.get("rto"),
-        rpo=spec.get("rpo"),
+        BusinessRequirements.per_hour,
+        fields.pop("unavailability_per_hour"),
+        fields.pop("loss_per_hour"),
+        **fields,
     )
 
 
@@ -600,10 +538,11 @@ def scenario_to_dict(scenario: FailureScenario) -> "Dict[str, Any]":
 
 def scenario_from_dict(data: Mapping[str, Any]) -> FailureScenario:
     """Rebuild a scenario from :func:`scenario_to_dict` output."""
+    location = data.get("failed_location")
     return FailureScenario(
         scope=FailureScope(data["scope"]),
         failed_device=data.get("failed_device"),
-        failed_location=_location_from_spec(data.get("failed_location")),
+        failed_location=None if location is None else Location(**location),
         recovery_target_age=data.get("recovery_target_age", 0.0),
         object_size=data.get("object_size"),
     )
@@ -845,21 +784,7 @@ def assessment_from_dict(data: Mapping[str, Any]) -> Assessment:
 # ---------------------------------------------------------------------------
 
 
-def _event_rate_from_spec(value: Any, context: str) -> float:
-    """An occurrence rate in events/second.
-
-    Strings carry their unit (``"0.5/yr"``, ``"2/wk"``); bare numbers
-    are events per *second* like every other bare quantity in a spec.
-    """
-    from .units import UnitError, parse_event_rate
-
-    try:
-        return parse_event_rate(value)
-    except UnitError as error:
-        raise DesignError(f"{context}: {error}") from error
-
-
-def ensemble_from_spec(spec: Mapping[str, Any]) -> "Any":
+def ensemble_from_spec(spec: Any) -> "Any":
     """Build a :class:`repro.risk.ScenarioEnsemble` from its spec.
 
     The spec groups members by how their rates arise::
@@ -897,126 +822,83 @@ def ensemble_from_spec(spec: Mapping[str, Any]) -> "Any":
         object_corruption_grid,
     )
 
-    _check_keys(
-        spec,
-        {"name", "members", "correlated", "cascades", "generate"},
-        "ensemble",
-    )
-    name = _require(spec, "name", "ensemble")
+    fields = _fields(spec, "ensemble")
     members: "List[Any]" = []
 
-    for index, member_spec in enumerate(spec.get("members", ())):
+    for index, member_spec in enumerate(
+        _items(fields.get("members", ()), "ensemble members")
+    ):
         context = f"ensemble member {index}"
-        _check_keys(member_spec, {"id", "scenario", "rate", "kofn"}, context)
-        member_id = _require(member_spec, "id", context)
-        scenario = scenario_from_spec(_require(member_spec, "scenario", context))
-        has_rate = "rate" in member_spec
-        has_kofn = "kofn" in member_spec
-        if has_rate == has_kofn:
+        member = _fields(member_spec, "member", context)
+        scenario = scenario_from_spec(member["scenario"])
+        if ("rate" in member) == ("kofn" in member):
             raise DesignError(
-                f"{context} ({member_id!r}): needs exactly one of "
+                f"{context} ({member['id']!r}): needs exactly one of "
                 "'rate' or 'kofn'"
             )
-        if has_rate:
-            rate = _event_rate_from_spec(member_spec["rate"], context)
-            members.append(EnsembleMember(member_id, scenario, rate))
-        else:
-            kofn_spec = member_spec["kofn"]
-            _check_keys(
-                kofn_spec,
-                {"n", "k", "unit_rate", "repair_time", "repair"},
-                f"{context} kofn",
-            )
-            model = KofNModel(
-                n=_integer(kofn_spec, "n", f"{context} kofn"),
-                k=_integer(kofn_spec, "k", f"{context} kofn"),
-                unit_rate=_event_rate_from_spec(
-                    _require(kofn_spec, "unit_rate", f"{context} kofn"),
-                    f"{context} kofn",
-                ),
-                repair_time=parse_duration(
-                    _require(kofn_spec, "repair_time", f"{context} kofn")
-                ),
-                repair=kofn_spec.get("repair", "parallel"),
-            )
-            members.append(model.member(member_id, scenario))
+        if "rate" in member:
+            rate = _event_rate(member["rate"], context)
+            members.append(_call(context, EnsembleMember, member["id"], scenario, rate))
+            continue
+        context += " kofn"
+        kofn = _fields(member["kofn"], "kofn", context)
+        _integer(kofn, context, "n", "k")
+        kofn["unit_rate"] = _event_rate(kofn["unit_rate"], context)
+        kofn["repair_time"] = _call(context, parse_duration, kofn["repair_time"])
+        model = _call(context, KofNModel, **kofn)
+        members.append(model.member(member["id"], scenario))
 
-    for index, pair_spec in enumerate(spec.get("correlated", ())):
+    for index, pair_spec in enumerate(
+        _items(fields.get("correlated", ()), "ensemble correlated")
+    ):
         context = f"ensemble correlated {index}"
-        _check_keys(
-            pair_spec,
-            {"id", "rate", "fraction", "base", "correlated"},
-            context,
-        )
+        pair = _fields(pair_spec, "correlated", context)
         members.extend(
-            correlated_pair(
-                _require(pair_spec, "id", context),
-                scenario_from_spec(_require(pair_spec, "base", context)),
-                scenario_from_spec(_require(pair_spec, "correlated", context)),
-                _event_rate_from_spec(
-                    _require(pair_spec, "rate", context), context
-                ),
-                _require(pair_spec, "fraction", context),
+            _call(
+                context,
+                correlated_pair,
+                pair["id"],
+                scenario_from_spec(pair["base"]),
+                scenario_from_spec(pair["correlated"]),
+                _event_rate(pair["rate"], context),
+                pair["fraction"],
             )
         )
 
     cascades: "List[Any]" = []
-    for index, cascade_spec in enumerate(spec.get("cascades", ())):
+    for index, cascade_spec in enumerate(
+        _items(fields.get("cascades", ()), "ensemble cascades")
+    ):
         context = f"ensemble cascade {index}"
-        _check_keys(
-            cascade_spec,
-            {"id", "rate", "primary", "escalated", "secondary_rate",
-             "probability"},
-            context,
-        )
-        secondary = cascade_spec.get("secondary_rate")
+        cascade = _fields(cascade_spec, "cascade", context)
+        if "secondary_rate" in cascade:
+            cascade["secondary_rate"] = _event_rate(cascade["secondary_rate"], context)
         cascades.append(
-            CascadeSpec(
-                member_id=_require(cascade_spec, "id", context),
-                primary=scenario_from_spec(
-                    _require(cascade_spec, "primary", context)
-                ),
-                occurrence_rate=_event_rate_from_spec(
-                    _require(cascade_spec, "rate", context), context
-                ),
-                escalated=scenario_from_spec(
-                    _require(cascade_spec, "escalated", context)
-                ),
-                secondary_rate=(
-                    None
-                    if secondary is None
-                    else _event_rate_from_spec(secondary, context)
-                ),
-                probability=cascade_spec.get("probability"),
+            _call(
+                context,
+                CascadeSpec,
+                member_id=cascade.pop("id"),
+                primary=scenario_from_spec(cascade.pop("primary")),
+                occurrence_rate=_event_rate(cascade.pop("rate"), context),
+                escalated=scenario_from_spec(cascade.pop("escalated")),
+                **cascade,
             )
         )
 
     grid = None
-    generate = spec.get("generate")
-    if generate is not None:
-        _check_keys(generate, {"object_grid"}, "ensemble generate")
-        grid_spec = _require(generate, "object_grid", "ensemble generate")
-        _check_keys(
-            grid_spec,
-            {"count", "total_rate", "distinct_ages", "max_age",
-             "object_size"},
-            "object_grid",
+    if "generate" in fields:
+        generate = _fields(fields["generate"], "generate", "ensemble generate")
+        object_grid = _fields(generate["object_grid"], "object_grid")
+        _integer(object_grid, "object_grid", "count", "distinct_ages")
+        object_grid["total_rate_per_year"] = (
+            _event_rate(object_grid.pop("total_rate"), "object_grid") * YEAR
         )
-        grid = object_corruption_grid(
-            count=_integer(grid_spec, "count", "object_grid"),
-            total_rate_per_year=_event_rate_from_spec(
-                _require(grid_spec, "total_rate", "object_grid"),
-                "object_grid",
-            ) * YEAR,
-            distinct_ages=_integer(
-                grid_spec, "distinct_ages", "object_grid", default=64
-            ),
-            max_age=grid_spec.get("max_age", "1 wk"),
-            object_size=grid_spec.get("object_size", "1 MB"),
+        grid = _call(
+            "object_grid", object_corruption_grid, **object_grid
         ).members.grid
 
     return ScenarioEnsemble(
-        name=name,
+        name=fields["name"],
         members=EnsembleMembers(members, grid),
         cascades=tuple(cascades),
     )

@@ -55,6 +55,14 @@ def test_cli_and_risk_load_no_numpy(module):
     assert not modules & POOL
 
 
+def test_cli_loads_no_engine_or_spec_reader():
+    # list-designs, lint and runs never evaluate: the engine and the
+    # spec reader load inside the commands that do.
+    modules = modules_after("import repro.cli")
+    assert not {m for m in modules if m.split(".")[:2] == ["repro", "engine"]}
+    assert "repro.serialization" not in modules
+
+
 def test_first_fold_loads_numpy():
     result = run_python(
         """

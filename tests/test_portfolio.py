@@ -159,59 +159,6 @@ class TestRecoveryScheduling:
             assert outcome.data_loss.data_loss == pytest.approx(217 * HOUR)
 
 
-class TestContendedRecovery:
-    def test_contention_slows_shared_restores(self, shared_hardware, requirements):
-        array, library, san = shared_hardware
-        p = repro.Portfolio("pair")
-        p.add_object("a", oltp_database(), tape_design("a", array, library, san))
-        p.add_object("b", web_server(500 * GB), tape_design("b", array, library, san))
-        scenario = repro.FailureScenario.array_failure("primary-array")
-        plain = p.evaluate(scenario, requirements)
-        contended = p.evaluate_contended(scenario, requirements)
-        for name in ("a", "b"):
-            assert (
-                contended.outcomes[name].recovery_finish
-                > plain.outcomes[name].recovery_finish
-            )
-
-    def test_single_object_matches_plain_evaluation(
-        self, shared_hardware, requirements
-    ):
-        """With no contention the event-level replay reproduces the
-        analytic recovery time."""
-        array, library, san = shared_hardware
-        p = repro.Portfolio("solo")
-        p.add_object("only", oltp_database(), tape_design("x", array, library, san))
-        scenario = repro.FailureScenario.array_failure("primary-array")
-        plain = p.evaluate(scenario, requirements)
-        contended = p.evaluate_contended(scenario, requirements)
-        assert contended.outcomes["only"].recovery_finish == pytest.approx(
-            plain.outcomes["only"].recovery_finish, rel=1e-6
-        )
-
-    def test_dependencies_still_respected(self, portfolio, requirements):
-        contended = portfolio.evaluate_contended(
-            repro.FailureScenario.array_failure("primary-array"), requirements
-        )
-        db = contended.outcomes["database"]
-        app = contended.outcomes["application"]
-        assert app.recovery_start == pytest.approx(db.recovery_finish)
-
-    def test_suspended_background_speeds_recovery(
-        self, shared_hardware, requirements
-    ):
-        array, library, san = shared_hardware
-        p = repro.Portfolio("pair")
-        p.add_object("a", oltp_database(), tape_design("a", array, library, san))
-        p.add_object("b", web_server(500 * GB), tape_design("b", array, library, san))
-        scenario = repro.FailureScenario.array_failure("primary-array")
-        busy = p.evaluate_contended(scenario, requirements, background_load=1.0)
-        quiet = p.evaluate_contended(scenario, requirements, background_load=0.0)
-        assert (
-            quiet.portfolio_recovery_time <= busy.portfolio_recovery_time
-        )
-
-
 class TestPortfolioCosts:
     def test_shared_fixed_costs_charged_once(self, portfolio, requirements):
         assessment = portfolio.evaluate(
