@@ -22,18 +22,29 @@ markers).  Each analyzer subclasses :class:`Project`, hands it a
 :class:`~repro.lint.loader.Report` carrying its pragma, and layers its
 domain analysis — effect propagation for parcheck, escape-set
 fixpoints for exncheck — on top.  Each pass builds its own project
-from the shared trees: the :class:`FunctionInfo` edges and effects
-are per pass, the trees are only read.
+from each file's shared :class:`~repro.lint.syntax.SyntaxIndex`
+rather than walking the tree again: imports, each function's own
+nodes and local names, and ``self.X = Lock()`` attributes come from
+the index, which both passes read as one object.  The
+:class:`FunctionInfo` edges and effects are per pass; the trees and
+the index are only read.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .diagnostics import Diagnostic
 from .loader import Report, SourceFile
+from .syntax import (
+    FUNC_NODES,
+    FuncNode,
+    FunctionSyntax,
+    dotted_chain,
+    is_lock_value,
+)
 
 #: Marks a function as a worker boundary even when no ``.submit`` call
 #: site is visible to the analyzer (the engine marks ``_execute_chunk``).
@@ -94,9 +105,6 @@ COMMON_METHOD_NAMES = frozenset(
     }
 )
 
-FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
-FuncNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
-
 
 def module_name(filename: str) -> str:
     """The dotted module name a project file provides.
@@ -119,36 +127,6 @@ def module_name(filename: str) -> str:
             if tail:
                 return ".".join(tail)
     return parts[-1] if parts else "<module>"
-
-
-def dotted_chain(node: ast.expr) -> "Optional[List[str]]":
-    """``a.b.c`` as ``["a", "b", "c"]``, or None for non-name chains."""
-    parts: "List[str]" = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        parts.reverse()
-        return parts
-    return None
-
-
-def is_lock_value(node: ast.expr) -> bool:
-    """Is ``node`` a ``threading.Lock()`` / ``RLock()`` construction?"""
-    if not isinstance(node, ast.Call):
-        return False
-    chain = dotted_chain(node.func)
-    if chain and chain[-1] in ("Lock", "RLock"):
-        return True
-    # dataclasses.field(default_factory=threading.Lock)
-    if chain and chain[-1] == "field":
-        for keyword in node.keywords:
-            if keyword.arg == "default_factory":
-                inner = dotted_chain(keyword.value)
-                if inner and inner[-1] in ("Lock", "RLock"):
-                    return True
-    return False
 
 
 def is_lock_annotation(node: "Optional[ast.expr]") -> bool:
@@ -197,6 +175,7 @@ class FunctionInfo:
     name: str
     module: "ModuleInfo"
     node: FuncNode
+    syntax: FunctionSyntax
     cls: Optional[str] = None
     parent: "Optional[FunctionInfo]" = None
     is_boundary: bool = False
@@ -261,41 +240,6 @@ class ModuleInfo:
         return self.filename.replace("\\", "/").endswith("__init__.py")
 
 
-def local_names(node: FuncNode) -> "Set[str]":
-    """Names bound inside a function (params + stores), excluding
-    bindings that happen only inside nested defs."""
-    names: "Set[str]" = set()
-    arguments = node.args
-    for arg in (
-        list(arguments.posonlyargs)
-        + list(arguments.args)
-        + list(arguments.kwonlyargs)
-    ):
-        names.add(arg.arg)
-    if arguments.vararg:
-        names.add(arguments.vararg.arg)
-    if arguments.kwarg:
-        names.add(arguments.kwarg.arg)
-    stack: "List[ast.AST]" = list(node.body)
-    while stack:
-        current = stack.pop()
-        if isinstance(current, (*FUNC_NODES, ast.Lambda, ast.ClassDef)):
-            if isinstance(current, (*FUNC_NODES, ast.ClassDef)):
-                names.add(current.name)
-            continue
-        if isinstance(current, ast.Name) and isinstance(
-            current.ctx, (ast.Store, ast.Del)
-        ):
-            names.add(current.id)
-        elif isinstance(current, (ast.Import, ast.ImportFrom)):
-            for alias in current.names:
-                names.add((alias.asname or alias.name).split(".", 1)[0])
-        elif isinstance(current, ast.ExceptHandler) and current.name:
-            names.add(current.name)
-        stack.extend(ast.iter_child_nodes(current))
-    return names
-
-
 # ---------------------------------------------------------------------------
 # Discovery: one file → ModuleInfo (symbols, locks, function tree).
 # ---------------------------------------------------------------------------
@@ -315,7 +259,7 @@ class ModuleCollector:
 
     def collect(self) -> ModuleInfo:
         module = self.module
-        self._collect_imports(module.tree)
+        self._collect_imports()
         for node in module.tree.body:
             if isinstance(node, ast.Assign):
                 for target in node.targets:
@@ -336,10 +280,10 @@ class ModuleCollector:
         module.global_names -= module.module_locks
         return module
 
-    def _collect_imports(self, tree: ast.Module) -> None:
+    def _collect_imports(self) -> None:
         module = self.module
         package_parts = module.modname.split(".")
-        for node in ast.walk(tree):
+        for node in module.source.syntax.imports:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     bound = alias.asname or alias.name.split(".", 1)[0]
@@ -380,6 +324,7 @@ class ModuleCollector:
             name=node.name,
             module=module,
             node=node,
+            syntax=module.source.syntax.functions[node],
             cls=cls,
             parent=parent,
             is_boundary=self._marked_boundary(node),
@@ -418,15 +363,7 @@ class ModuleCollector:
                         info.lock_attrs.add(target.id)
         # ``self._lock = threading.Lock()`` inside any method.
         for method in info.methods.values():
-            for stmt in ast.walk(method.node):
-                if isinstance(stmt, ast.Assign) and is_lock_value(stmt.value):
-                    for target in stmt.targets:
-                        if (
-                            isinstance(target, ast.Attribute)
-                            and isinstance(target.value, ast.Name)
-                            and target.value.id == "self"
-                        ):
-                            info.lock_attrs.add(target.attr)
+            info.lock_attrs.update(method.syntax.lock_attrs)
         module.classes[node.name] = info
 
 

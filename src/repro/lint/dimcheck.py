@@ -382,8 +382,8 @@ class _FileAnalyzer:
 
     # -- seeding: imports, annotations, signatures ---------------------------
 
-    def _collect_imports(self, tree: ast.Module) -> None:
-        for node in ast.walk(tree):
+    def _collect_imports(self) -> None:
+        for node in self.source.syntax.imports:
             if isinstance(node, ast.ImportFrom):
                 module = node.module or ""
                 if module.endswith("units"):
@@ -450,7 +450,7 @@ class _FileAnalyzer:
 
     def run(self) -> None:
         tree = self.source.tree
-        self._collect_imports(tree)
+        self._collect_imports()
         self._collect_signatures(tree)
         for node in tree.body:
             if not isinstance(node, (*_FUNC_NODES, ast.ClassDef)):

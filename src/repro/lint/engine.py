@@ -64,16 +64,17 @@ def lint_design(
 def lint_spec(spec: "Mapping[str, Any]") -> "List[Diagnostic]":
     """Build a spec dictionary's objects and lint the result.
 
-    Each part of the spec (workload, design, scenarios, requirements)
-    is built independently, so a broken design still lets the scenario
-    rules run; every part that fails to build becomes a ``DEP000``
-    error carrying the builder's message.  The raw dictionary is passed
+    Each part of the spec (workload, design, scenarios, requirements,
+    ensemble) is built independently, so a broken design still lets
+    the scenario rules run; every part that fails to build becomes a
+    ``DEP000`` error carrying the builder's message.  The raw dictionary is passed
     through to the spec-structure rules (DEP008/DEP009) regardless.
     """
     from ..casestudy import case_study_requirements
     from ..exceptions import ReproError
     from ..serialization import (
         design_from_spec,
+        ensemble_from_spec,
         requirements_from_spec,
         scenario_from_spec,
         scenarios_from_spec,
@@ -120,6 +121,10 @@ def lint_spec(spec: "Mapping[str, Any]") -> "List[Diagnostic]":
         )
     else:
         requirements = case_study_requirements()
+    if "ensemble" in spec:
+        # No rule reads the built ensemble; building it reports the
+        # same errors ``repro risk`` exits 2 on.
+        build("/ensemble", lambda: ensemble_from_spec(spec["ensemble"]))
 
     diagnostics = build_failures + lint_design(
         design,

@@ -75,13 +75,11 @@ from .callgraph import (
     SUBMIT_METHODS,
     CallRef,
     ClassInfo,
-    FuncNode,
     FunctionInfo,
     ModuleInfo,
     Project,
     SubmitSite,
     dotted_chain as _dotted_chain,
-    local_names as _local_names,
 )
 from .diagnostics import Diagnostic, Severity
 from .loader import Report, SourceFile, analyzed
@@ -267,11 +265,15 @@ def _builtin_exception_bases() -> "Dict[str, Tuple[str, ...]]":
     return table
 
 
+#: The builtin exception table; each :class:`_Hierarchy` copies it.
+BUILTIN_EXCEPTION_BASES = _builtin_exception_bases()
+
+
 class _Hierarchy:
     """The merged exception class hierarchy: builtins + project."""
 
     def __init__(self) -> None:
-        self._bases: "Dict[str, Tuple[str, ...]]" = _builtin_exception_bases()
+        self._bases: "Dict[str, Tuple[str, ...]]" = dict(BUILTIN_EXCEPTION_BASES)
         self._ancestors: "Dict[str, FrozenSet[str]]" = {}
 
     def add(self, name: str, bases: "Sequence[str]") -> None:
@@ -367,7 +369,7 @@ class _SummaryBuilder:
         self.project = project
         self.func = func
         self.module = func.module
-        self.locals = _local_names(func.node)
+        self.locals = func.syntax.local_names
 
     def build(self) -> Block:
         return self._block(self.func.node.body, handler_bound=None)
@@ -535,12 +537,6 @@ class _SummaryBuilder:
             yield current
             stack.extend(ast.iter_child_nodes(current))
 
-    @staticmethod
-    def _walk_shallow_body(node: FuncNode) -> "Iterator[ast.AST]":
-        """Walk a function's body without descending into nested defs."""
-        for stmt in node.body:
-            yield from _SummaryBuilder._walk_shallow(stmt)
-
     def _handler_types(
         self, node: Optional[ast.expr]
     ) -> "Optional[List[str]]":
@@ -667,9 +663,7 @@ class _ExnProject(Project):
     def _collect_field_bindings(self, module: ModuleInfo) -> None:
         """Record ``SomeClass(field=module_function)`` keyword bindings
         so attr calls on callable dataclass fields resolve."""
-        for node in ast.walk(module.tree):
-            if not (isinstance(node, ast.Call) and node.keywords):
-                continue
+        for node in module.source.syntax.keyword_calls:
             if not self._is_project_class_call(module, node.func):
                 continue
             for keyword in node.keywords:
@@ -718,7 +712,7 @@ class _ExnProject(Project):
     def _find_submissions(self, func: FunctionInfo) -> None:
         """Record pool-submission sites so :meth:`worker_roots` sees
         the same roots parcheck does."""
-        for child in _SummaryBuilder._walk_shallow_body(func.node):
+        for child in func.syntax.shallow:
             if (
                 isinstance(child, ast.Call)
                 and isinstance(child.func, ast.Attribute)
@@ -798,7 +792,7 @@ class _ExnProject(Project):
             if call.bare in CLEAN_CALLS:
                 return set(), False
             # Constructing a known exception type raises nothing.
-            if call.bare in _builtin_names():
+            if call.bare in BUILTIN_EXCEPTION_BASES:
                 return set(), False
             return set(), True
         if call.ref.kind == "attr":
@@ -1066,7 +1060,7 @@ class _ExnProject(Project):
                                 (func, f"re-exported by {module.modname}")
                             )
             for func in self.all_functions(module):
-                for child in _SummaryBuilder._walk_shallow_body(func.node):
+                for child in func.syntax.shallow:
                     if (
                         isinstance(child, ast.Call)
                         and isinstance(child.func, ast.Attribute)
@@ -1088,10 +1082,6 @@ class _ExnProject(Project):
                                         (handler, "CLI entry point")
                                     )
         return roots
-
-
-def _builtin_names() -> "FrozenSet[str]":
-    return frozenset(_builtin_exception_bases())
 
 
 def lint_paths(sources: "Sequence[SourceFile]") -> "List[Diagnostic]":

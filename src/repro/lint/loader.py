@@ -5,8 +5,14 @@ reads and ``ast.parse``\\ s each file once, and returns
 :class:`SourceFile` records.  The four code passes —
 :mod:`~repro.lint.codelint`, :mod:`~repro.lint.dimcheck`,
 :mod:`~repro.lint.parcheck` and :mod:`~repro.lint.exncheck` — each run
-over that shared list.  No pass mutates a tree; the interprocedural
-passes build their own symbol tables and call edges from it.
+over that shared list.  No pass mutates a tree.  What several passes
+need from a tree (its imports, keyword calls, each function's own
+nodes and local names) they read from the file's one
+:class:`~repro.lint.syntax.SyntaxIndex`, ``SourceFile.syntax``: built
+in one traversal by the first pass that asks and kept with the
+source, so it lasts as long as the ``lint_targets`` call that loaded
+the file.  The interprocedural passes build their own symbol tables
+and call edges from it.
 
 A pragma is ``lint: allow-<family>`` (or the ``lint: worker-boundary``
 marker) inside a ``#`` comment; the same text in a string literal or a
@@ -27,11 +33,13 @@ import os
 import re
 import tokenize
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..obs import get_metrics
 from .diagnostics import Diagnostic, LintError
 from .registry import RuleInfo
+from .syntax import SyntaxIndex
 
 #: One pragma in a comment; the whole match names its family.
 PRAGMA = re.compile(r"lint: (?:allow-[a-z]+(?:-[a-z]+)*|worker-boundary)")
@@ -44,6 +52,12 @@ class SourceFile:
     filename: str
     tree: ast.Module
     pragmas: "Mapping[str, FrozenSet[int]]"
+
+    @cached_property
+    def syntax(self) -> SyntaxIndex:
+        """The tree's :class:`~repro.lint.syntax.SyntaxIndex`, built by
+        the first pass that reads it and kept with the source."""
+        return SyntaxIndex(self.tree)
 
     def pragma_lines(self, family: str) -> "FrozenSet[int]":
         """The lines whose comment carries the ``family`` pragma."""

@@ -107,7 +107,6 @@ from .callgraph import (
     Project,
     SubmitSite,
     dotted_chain as _dotted_chain,
-    local_names as _local_names,
 )
 from .diagnostics import Diagnostic, Severity
 from .loader import Report, SourceFile, analyzed
@@ -328,7 +327,7 @@ class _FunctionScanner:
         self.func = func
         self.module = func.module
         self.cls = cls
-        self.locals = _local_names(func.node)
+        self.locals = func.syntax.local_names
         self.global_decls: "Set[str]" = set()
         self.lock_depth = 0
         self.tainted: "Set[str]" = set()  # order-tainted names

@@ -158,6 +158,7 @@ SPEC_SCHEMA: "Dict[str, SpecRow]" = {
     ),
     "design": SpecRow(("name", "levels"), ("recovery_facility",)),
     "level": SpecRow(("technique", "store"), ("transport", "feeds_from")),
+    "ref": SpecRow(("ref",)),
     "scenario": SpecRow(
         ("scope",),
         ("failed_device", "failed_location", "recovery_target_age", "object_size"),
@@ -406,7 +407,7 @@ def design_from_spec(spec: Any) -> StorageDesign:
 
     def resolve_device(device_spec: Any, context: str) -> Device:
         if "ref" in _mapping(device_spec, f"{context} device"):
-            ref = device_spec["ref"]
+            ref = _fields(device_spec, "ref", f"{context} device")["ref"]
             if not isinstance(ref, Hashable) or ref not in devices_by_id:
                 raise DesignError(f"{context}: unknown device ref {ref!r}")
             return devices_by_id[ref]

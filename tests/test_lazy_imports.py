@@ -63,6 +63,17 @@ def test_cli_loads_no_engine_or_spec_reader():
     assert "repro.serialization" not in modules
 
 
+def test_lint_loads_no_numpy():
+    # Linting a spec builds its ensemble (to report DEP000 on a broken
+    # one) but never folds it.
+    modules = modules_after(
+        "from repro.cli import main\n"
+        "assert main(['lint', 'examples/specs/risk_ensemble.json']) == 0"
+    )
+    assert "numpy" not in modules
+    assert "repro.risk.ensemble" in modules
+
+
 def test_first_fold_loads_numpy():
     result = run_python(
         """

@@ -270,6 +270,20 @@ class TestDesignSpecs:
                 }
             )
 
+    def test_device_ref_with_other_keys_rejected(self):
+        with pytest.raises(DesignError, match="unknown keys \\['name'\\]"):
+            design_from_spec(
+                {
+                    "name": "bad",
+                    "levels": [
+                        {"technique": {"kind": "primary"},
+                         "store": {"catalog": "midrange_disk_array", "id": "a"}},
+                        {"technique": {"kind": "primary"},
+                         "store": {"ref": "a", "name": "other"}},
+                    ],
+                }
+            )
+
     def test_evaluable_end_to_end(self):
         """A JSON design must run through the whole pipeline."""
         from repro import evaluate

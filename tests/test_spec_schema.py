@@ -18,6 +18,7 @@ from repro.cli import main
 from repro.devices.base import Device
 from repro.engine.keys import fingerprint
 from repro.exceptions import DesignError
+from repro.lint.engine import lint_spec
 from repro.serialization import (
     SPEC_SCHEMA,
     design_from_spec,
@@ -302,6 +303,10 @@ MALFORMED_SPECS = {
     "workload": {"workload": 5},
     "batch_curve": {"workload": {**FULL_WORKLOAD, "batch_curve": 5}},
     "requirements": {"requirements": 5},
+    "ref": {"design": {"name": "d", "levels": [
+        {"technique": {"kind": "primary"},
+         "store": {"catalog": "midrange_disk_array", "id": "a"}},
+        {"technique": {"kind": "primary"}, "store": {"ref": "a", "name": "x"}}]}},
 }
 
 MALFORMED_ENSEMBLES = {
@@ -351,6 +356,14 @@ def test_lint_reports_dep000_on_malformed_spec(name, tmp_path, capsys):
     assert main(["lint", path, "--format", "json"]) == 1
     out = capsys.readouterr().out
     assert "DEP000" in out
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_ENSEMBLES))
+def test_lint_reports_dep000_on_malformed_ensemble(name):
+    diagnostics = lint_spec({"ensemble": MALFORMED_ENSEMBLES[name]})
+    built = [(d.code, d.pointer) for d in diagnostics if d.code == "DEP000"]
+    assert built == [("DEP000", "/ensemble")]
+    assert diagnostics[1:] == lint_spec({})
 
 
 @pytest.mark.parametrize("text", ["[1, 2]", "{not json"], ids=["list", "syntax"])
