@@ -28,6 +28,15 @@ nodes and local names, and ``self.X = Lock()`` attributes come from
 the index, which both passes read as one object.  The
 :class:`FunctionInfo` edges and effects are per pass; the trees and
 the index are only read.
+
+The model is acyclic, so a project and every tree and index only it
+holds are freed by reference counting when its pass returns, not by
+the cyclic collector (``tests/test_lint_cycles.py``).  Ownership runs
+one way: project → modules → classes and functions → nested
+functions.  No node points back to its module or enclosing function
+or holds its call edges; :class:`Project` keeps those in lists
+indexed by ``FunctionInfo.index`` (``module_of``, ``enclosing``,
+``callees``).
 """
 
 from __future__ import annotations
@@ -169,20 +178,19 @@ class CallRef:
 
 @dataclass
 class FunctionInfo:
-    """One function or method in the project."""
+    """One function or method in the project (``cls`` names the class
+    of a method; ``index`` is set by :meth:`Project.add_module`)."""
 
     qualname: str
     name: str
-    module: "ModuleInfo"
     node: FuncNode
     syntax: FunctionSyntax
     cls: Optional[str] = None
-    parent: "Optional[FunctionInfo]" = None
+    index: int = -1
     is_boundary: bool = False
     effects: "List[Effect]" = field(default_factory=list)
     calls: "List[CallRef]" = field(default_factory=list)
     children: "Dict[str, FunctionInfo]" = field(default_factory=dict)
-    resolved: "List[FunctionInfo]" = field(default_factory=list)
 
 
 @dataclass
@@ -201,7 +209,6 @@ class ClassInfo:
     """One class: its methods, bases and lock attributes."""
 
     name: str
-    module: "ModuleInfo"
     node: "Optional[ast.ClassDef]" = None
     methods: "Dict[str, FunctionInfo]" = field(default_factory=dict)
     bases: "List[str]" = field(default_factory=list)
@@ -225,12 +232,13 @@ class ModuleInfo:
     source: SourceFile
     filename: str
     modname: str
-    tree: ast.Module
     sanctioned: bool
     imports: "Dict[str, str]" = field(default_factory=dict)
     global_names: "Set[str]" = field(default_factory=set)
     module_locks: "Set[str]" = field(default_factory=set)
     functions: "Dict[str, FunctionInfo]" = field(default_factory=dict)
+    #: Every function of the file, nested ones included, in pre-order.
+    all_functions: "List[FunctionInfo]" = field(default_factory=list)
     classes: "Dict[str, ClassInfo]" = field(default_factory=dict)
     global_accesses: "List[AttrAccess]" = field(default_factory=list)
 
@@ -253,14 +261,13 @@ class ModuleCollector:
             source=source,
             filename=source.filename,
             modname=module_name(source.filename),
-            tree=source.tree,
             sanctioned=sanctioned,
         )
 
     def collect(self) -> ModuleInfo:
         module = self.module
         self._collect_imports()
-        for node in module.tree.body:
+        for node in module.source.tree.body:
             if isinstance(node, ast.Assign):
                 for target in node.targets:
                     if isinstance(target, ast.Name):
@@ -322,11 +329,9 @@ class ModuleCollector:
         info = FunctionInfo(
             qualname=qualname,
             name=node.name,
-            module=module,
             node=node,
             syntax=module.source.syntax.functions[node],
             cls=cls,
-            parent=parent,
             is_boundary=self._marked_boundary(node),
         )
         if parent is not None:
@@ -340,7 +345,7 @@ class ModuleCollector:
 
     def _collect_class(self, node: ast.ClassDef) -> None:
         module = self.module
-        info = ClassInfo(name=node.name, module=module, node=node)
+        info = ClassInfo(name=node.name, node=node)
         for base in node.bases:
             chain = dotted_chain(base)
             if chain:
@@ -390,7 +395,13 @@ class Project:
         self.modules_by_name: "Dict[str, ModuleInfo]" = {}
         self.submit_sites: "List[SubmitSite]" = []
         self._methods_by_name: "Dict[str, List[FunctionInfo]]" = {}
-        self._functions_by_qualname: "Dict[str, FunctionInfo]" = {}
+        #: Every function, module by module, each module's in pre-order,
+        #: and by the same index each one's module, enclosing function
+        #: and (after :meth:`resolve_edges`) callees.
+        self.functions: "List[FunctionInfo]" = []
+        self.module_of: "List[ModuleInfo]" = []
+        self.enclosing: "List[Optional[FunctionInfo]]" = []
+        self.callees: "List[List[FunctionInfo]]" = []
 
     def sanctioned(self, filename: str) -> bool:
         """Is this file's *effect* analysis waived?  Default: never."""
@@ -402,6 +413,24 @@ class Project:
         ).collect()
         self.modules.append(module)
         self.modules_by_name[module.modname] = module
+        # Number the functions in pre-order (each before its nested
+        # ones) with an explicit stack, and index methods for CHA.
+        roots = [*module.functions.values()] + [
+            method for cls in module.classes.values() for method in cls.methods.values()
+        ]
+        stack: "List[Tuple[FunctionInfo, Optional[FunctionInfo]]]" = [
+            (func, None) for func in reversed(roots)
+        ]
+        while stack:
+            func, enclosing = stack.pop()
+            func.index = len(self.functions)
+            self.functions.append(func)
+            self.module_of.append(module)
+            self.enclosing.append(enclosing)
+            module.all_functions.append(func)
+            if func.cls is not None:
+                self._methods_by_name.setdefault(func.name, []).append(func)
+            stack.extend((child, func) for child in reversed(func.children.values()))
 
     def emit(
         self, module: ModuleInfo, code: str, message: str, hint: str, node: ast.AST
@@ -418,53 +447,30 @@ class Project:
         )
         return self.report.finish()
 
-    def all_functions(self, module: ModuleInfo) -> "List[FunctionInfo]":
-        result: "List[FunctionInfo]" = []
-
-        def descend(info: FunctionInfo) -> None:
-            result.append(info)
-            for child in info.children.values():
-                descend(child)
-
-        for func in module.functions.values():
-            descend(func)
-        for cls in module.classes.values():
-            for method in cls.methods.values():
-                descend(method)
-        return result
-
-    def index(self) -> None:
-        """Build the qualname and CHA method indexes (call once)."""
-        for module in self.modules:
-            for func in self.all_functions(module):
-                self._functions_by_qualname[func.qualname] = func
-                if func.cls is not None and func.parent is None:
-                    self._methods_by_name.setdefault(func.name, []).append(func)
-
     def resolve_edges(self) -> None:
-        """Resolve every function's recorded :class:`CallRef` edges."""
-        for module in self.modules:
-            for func in self.all_functions(module):
-                targets: "List[FunctionInfo]" = []
-                for ref in func.calls:
-                    targets.extend(self.resolve(ref, func))
-                # Deduplicate while keeping deterministic order.
-                seen: "Set[str]" = set()
-                for target in targets:
+        """Resolve every function's recorded :class:`CallRef` edges
+        into :attr:`callees` (call once)."""
+        for func in self.functions:
+            callees: "List[FunctionInfo]" = []
+            # Deduplicate by qualname while keeping deterministic order.
+            seen: "Set[str]" = set()
+            for ref in func.calls:
+                for target in self.resolve(ref, func):
                     if target.qualname not in seen:
                         seen.add(target.qualname)
-                        func.resolved.append(target)
+                        callees.append(target)
+            self.callees.append(callees)
 
     def resolve(
         self, ref: CallRef, caller: FunctionInfo
     ) -> "List[FunctionInfo]":
-        module = caller.module
+        module = self.module_of[caller.index]
         if ref.kind == "name":
             scope: "Optional[FunctionInfo]" = caller
             while scope is not None:
                 if ref.name in scope.children:
                     return [scope.children[ref.name]]
-                scope = scope.parent
+                scope = self.enclosing[scope.index]
             if ref.name in module.functions:
                 return [module.functions[ref.name]]
             if ref.name in module.classes:
@@ -550,9 +556,8 @@ class Project:
                 if target.qualname not in seen:
                     seen.add(target.qualname)
                     roots.append((target, via))
-        for module in self.modules:
-            for func in self.all_functions(module):
-                if func.is_boundary and func.qualname not in seen:
-                    seen.add(func.qualname)
-                    roots.append((func, f"`# {WORKER_BOUNDARY_MARKER}` marker"))
+        for func in self.functions:
+            if func.is_boundary and func.qualname not in seen:
+                seen.add(func.qualname)
+                roots.append((func, f"`# {WORKER_BOUNDARY_MARKER}` marker"))
         return roots

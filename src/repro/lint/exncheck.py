@@ -365,10 +365,12 @@ class _SummaryBuilder:
     """Builds one function's :class:`Block` tree and emits the purely
     syntactic EXN005 findings along the way."""
 
-    def __init__(self, project: "_ExnProject", func: FunctionInfo) -> None:
+    def __init__(
+        self, project: "_ExnProject", module: ModuleInfo, func: FunctionInfo
+    ) -> None:
         self.project = project
         self.func = func
-        self.module = func.module
+        self.module = module
         self.locals = func.syntax.local_names
 
     def build(self) -> Block:
@@ -630,6 +632,7 @@ class _ExnProject(Project):
         self.escapes: "Dict[str, FrozenSet[str]]" = {}
         self.opens: "Dict[str, bool]" = {}
         self._classes_by_name: "Dict[str, ClassInfo]" = {}
+        self._class_modules: "Dict[str, ModuleInfo]" = {}
         #: Callable-field CHA: ``Codec(decode=_decode_map)`` binds the
         #: field name ``decode`` to that function, so the later
         #: ``codec.decode(...)`` attr call resolves through it.
@@ -638,21 +641,21 @@ class _ExnProject(Project):
     # -- analysis ------------------------------------------------------------
 
     def analyze(self) -> "List[Diagnostic]":
-        self.index()
         for module in self.modules:
             for cls in module.classes.values():
                 self._classes_by_name.setdefault(cls.name, cls)
+                self._class_modules.setdefault(cls.name, module)
                 self.hierarchy.add(cls.name, cls.bases)
         for module in self.modules:
             self._collect_field_bindings(module)
-            for func in self.all_functions(module):
+            for func in module.all_functions:
                 self.summaries[func.qualname] = _SummaryBuilder(
-                    self, func
+                    self, module, func
                 ).build()
-                self._find_submissions(func)
+                self._find_submissions(module, func)
                 self.escapes[func.qualname] = frozenset()
                 self.opens[func.qualname] = False
-        # EXN001's worker-reach traversal walks ``func.resolved``.
+        # EXN001's worker-reach traversal walks ``self.callees``.
         self.resolve_edges()
         self._fixpoint()
         self._report_handlers()
@@ -709,7 +712,7 @@ class _ExnProject(Project):
                 return resolved[0]
         return None
 
-    def _find_submissions(self, func: FunctionInfo) -> None:
+    def _find_submissions(self, module: ModuleInfo, func: FunctionInfo) -> None:
         """Record pool-submission sites so :meth:`worker_roots` sees
         the same roots parcheck does."""
         for child in func.syntax.shallow:
@@ -719,23 +722,18 @@ class _ExnProject(Project):
                 and child.func.attr in SUBMIT_METHODS
             ):
                 self.submit_sites.append(
-                    SubmitSite(call=child, func=func, module=func.module)
+                    SubmitSite(call=child, func=func, module=module)
                 )
 
     # -- escape evaluation ---------------------------------------------------
 
     def _fixpoint(self) -> None:
-        ordering = [
-            func
-            for module in self.modules
-            for func in self.all_functions(module)
-        ]
         changed = True
         rounds = 0
         while changed and rounds < 50:
             changed = False
             rounds += 1
-            for func in ordering:
+            for func in self.functions:
                 escaped, open_ = self._eval_block(
                     self.summaries[func.qualname], func, report=False
                 )
@@ -857,11 +855,8 @@ class _ExnProject(Project):
     # -- rules ---------------------------------------------------------------
 
     def _report_handlers(self) -> None:
-        for module in self.modules:
-            for func in self.all_functions(module):
-                self._eval_block(
-                    self.summaries[func.qualname], func, report=True
-                )
+        for func in self.functions:
+            self._eval_block(self.summaries[func.qualname], func, report=True)
 
     def _report_one_handler(
         self,
@@ -872,7 +867,7 @@ class _ExnProject(Project):
         body_open: bool,
         broad: bool,
     ) -> None:
-        module = func.module
+        module = self.module_of[func.index]
         # EXN002: a broad handler absorbing a model outcome.
         if broad and not handler.reraises and not handler.records:
             absorbed = sorted(
@@ -943,7 +938,7 @@ class _ExnProject(Project):
         while index < len(queue):
             func = queue[index]
             index += 1
-            for target in func.resolved:
+            for target in self.callees[func.index]:
                 if target.qualname not in parent:
                     parent[target.qualname] = func.qualname
                     origin[target.qualname] = origin[func.qualname]
@@ -962,7 +957,7 @@ class _ExnProject(Project):
                 flagged.add(site.exc)
                 anchor = cls.node if cls.node is not None else site.node
                 self.emit(
-                    cls.module,
+                    self._class_modules[cls.name],
                     "EXN001",
                     f"{cls.name} is raised in worker-reachable code "
                     f"({func.qualname}, reached from "
@@ -1035,7 +1030,7 @@ class _ExnProject(Project):
             if leaked:
                 label = ", ".join(leaked)
                 self.emit(
-                    func.module,
+                    self.module_of[func.index],
                     "EXN003",
                     f"public API {func.qualname} ({via}) can leak "
                     f"{label}, which does not derive ReproError: "
@@ -1059,7 +1054,7 @@ class _ExnProject(Project):
                             roots.append(
                                 (func, f"re-exported by {module.modname}")
                             )
-            for func in self.all_functions(module):
+            for func in module.all_functions:
                 for child in func.syntax.shallow:
                     if (
                         isinstance(child, ast.Call)

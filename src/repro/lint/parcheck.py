@@ -320,12 +320,13 @@ class _FunctionScanner:
     def __init__(
         self,
         project: "_Project",
+        module: ModuleInfo,
         func: FunctionInfo,
         cls: "Optional[ClassInfo]",
     ) -> None:
         self.project = project
         self.func = func
-        self.module = func.module
+        self.module = module
         self.cls = cls
         self.locals = func.syntax.local_names
         self.global_decls: "Set[str]" = set()
@@ -796,7 +797,7 @@ class _FunctionScanner:
                 return f"open file handle {arg.id!r}"
             if arg.id in self.func.children:
                 return f"locally nested function {arg.id!r}"
-            parent = self.func.parent
+            parent = self.project.enclosing[self.func.index]
             if parent is not None and arg.id in parent.children:
                 return f"locally nested function {arg.id!r}"
         return None
@@ -896,11 +897,10 @@ class _Project(Project):
     # -- analysis ------------------------------------------------------------
 
     def analyze(self) -> "List[Diagnostic]":
-        self.index()
         for module in self.modules:
-            for func in self.all_functions(module):
+            for func in module.all_functions:
                 cls = module.classes.get(func.cls) if func.cls else None
-                _FunctionScanner(self, func, cls).run()
+                _FunctionScanner(self, module, func, cls).run()
         self.resolve_edges()
         self._propagate_from_roots()
         self._check_lock_discipline()
@@ -922,8 +922,8 @@ class _Project(Project):
         while index < len(queue):
             func = queue[index]
             index += 1
-            for target in func.resolved:
-                if target.module.sanctioned:
+            for target in self.callees[func.index]:
+                if self.module_of[target.index].sanctioned:
                     continue
                 if target.qualname not in parent:
                     parent[target.qualname] = func.qualname
@@ -962,7 +962,7 @@ class _Project(Project):
                         f"`# {ALLOW_PAR_PRAGMA}` stating the contract"
                     )
                 self.emit(
-                    func.module,
+                    self.module_of[func.index],
                     code,
                     f"{what} (reached from {origin[func.qualname]}"
                     f"{chain})",
